@@ -2,7 +2,8 @@
 
 All inputs are JSON documents (schemas under ``docs/schemas/``); all
 subcommands print JSON to stdout.  ``verify`` runs the deterministic case
-suite and exits nonzero when any non-loose case fails.
+suite and exits nonzero when any non-loose case fails.  Bad input ends in
+one ``{"error": ...}`` line on stderr and exit code 2.
 """
 
 from __future__ import annotations
@@ -249,8 +250,16 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one subcommand.  Unreadable or malformed input documents and the
+    library's errors (json.JSONDecodeError, LatticeSpecError and the other
+    ``*Error`` classes are all ValueErrors) print one JSON line
+    ``{"error": ...}`` on stderr and exit with code 2."""
     args = build_parser().parse_args(argv)
-    code = args.fn(args)
+    try:
+        code = args.fn(args)
+    except (OSError, ValueError) as exc:
+        print(json.dumps({"error": f"{type(exc).__name__}: {exc}"}), file=sys.stderr)
+        return 2
     return 0 if code is None else code
 
 

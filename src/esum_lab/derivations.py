@@ -197,34 +197,6 @@ def derivation_norm_upper(algebra, D):
     return float(np.sum(cols))
 
 
-def derivation_norm_sampled(algebra, D, rng, samples=60, refine=40):
-    """Lower estimate of ||D|| by sampling the unit sphere plus hill climb."""
-    d = algebra.dim
-    best = 0.0
-    best_a = None
-    for _ in range(samples):
-        a = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        na = float(algebra.norm.eval(a))
-        if na == 0:
-            continue
-        a = a / na
-        val = float(algebra.norm.dual(D @ a))
-        if val > best:
-            best, best_a = val, a
-    if best_a is not None:
-        step = 0.3
-        for _ in range(refine):
-            g = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-            cand = best_a + step * g
-            cand = cand / float(algebra.norm.eval(cand))
-            val = float(algebra.norm.dual(D @ cand))
-            if val > best:
-                best, best_a = val, cand
-            else:
-                step *= 0.85
-    return best
-
-
 def _orthonormal_rows(mat, tol=1e-12):
     mat = np.atleast_2d(np.asarray(mat, complex))
     if mat.size == 0:

@@ -32,6 +32,7 @@ from .lattice import (
     chi_norm,
     generalized_inverse,
     norm_eval,
+    norm_eval_batch,
     restrict_spec,
 )
 
@@ -259,7 +260,12 @@ def dual_pairing_lower(problem, budget, rng):
 # ---------------------------------------------------------------------------
 
 def _decomposition_cost(problem, pairs):
-    return float(sum(problem.vec_norm(x) * problem.vec_norm(y) for x, y in pairs))
+    """sum_k ||x_k|| ||y_k||, from one batched norm call per side, summed
+    in pair order."""
+    xs, ys = zip(*pairs)
+    nx = norm_eval_batch(problem.spec, np.array(xs))
+    ny = norm_eval_batch(problem.spec, np.array(ys))
+    return float(sum((nx * ny).tolist()))
 
 
 def decomposition_residual(n, pairs):

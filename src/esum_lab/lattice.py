@@ -14,6 +14,11 @@ uniformity constant ``ce_constant`` (the largest indicator norm, together
 with its behaviour as the index set grows), and the generalized inverse of
 an Orlicz function, which yields the indicator closed form
 ``chi(n) = 1 / phi_inv(1/n)``.
+
+Every named Orlicz family is evaluated in closed form, without iteration: a
+power phi(t) = t**p reduces to the lp formulas, and the shifted ramp and
+tables are piecewise linear, so both the generalized inverse and the
+Luxemburg norm come from interpolating between nodes.
 """
 
 from __future__ import annotations
@@ -21,13 +26,9 @@ from __future__ import annotations
 import json
 import numpy as np
 
-LUXEMBURG_REL_TOL = 1e-10   # relative tolerance on the Luxemburg lambda
-INVERSE_ITERS = 200         # bisection steps for generalized inverses
-SEARCH_HORIZON = 1e18       # give up on phi(t) >= s beyond this t
-
 
 class UnreachableLevelError(ValueError):
-    """phi never reaches the requested level on the search horizon."""
+    """phi never reaches the requested level."""
 
 
 class LatticeSpecError(ValueError):
@@ -42,14 +43,18 @@ class OrliczFunction:
     """A nondecreasing function phi: [0,inf) -> [0,inf) with phi(0) = 0.
 
     ``a_phi`` caches the degeneracy point sup{t > 0 : phi(t) = 0} (0 when phi
-    is positive immediately).  The evaluator accepts numpy arrays.
+    is positive immediately).  The evaluator accepts numpy arrays.  A
+    piecewise-linear phi (shifted ramp, table) carries ``nodes`` = (ts, ys,
+    tail): its nodes from (0, 0) and the slope past the last one; a power phi
+    has ``nodes`` None and its exponent in ``params["p"]``.
     """
 
-    def __init__(self, evaluator, a_phi, family, params=None):
+    def __init__(self, evaluator, a_phi, family, params=None, nodes=None):
         self.evaluator = evaluator
         self.a_phi = float(a_phi)
         self.family = family
         self.params = dict(params or {})
+        self.nodes = nodes
         v0 = float(self.evaluator(0.0))
         if abs(v0) > 1e-15:
             raise LatticeSpecError(f"phi(0) must be 0, got {v0}")
@@ -70,7 +75,10 @@ class OrliczFunction:
 
     @classmethod
     def shifted_ramp(cls, a):
-        """phi(t) = max(0, (t - a) / (1 - a)) for 0 < a < 1; vanishes on [0, a]."""
+        """phi(t) = max(0, (t - a) / (1 - a)) for 0 < a < 1; vanishes on [0, a].
+
+        Its nodes are those of the table through (0, 0), (a, 0), (1, 1).
+        """
         a = float(a)
         if not (0.0 < a < 1.0):
             raise LatticeSpecError(f"ramp offset must lie in (0,1), got {a}")
@@ -79,6 +87,7 @@ class OrliczFunction:
             a,
             "shifted_ramp",
             {"a": a},
+            nodes=(np.array([0.0, a, 1.0]), np.array([0.0, 0.0, 1.0]), 1.0 / (1.0 - a)),
         )
 
     @classmethod
@@ -109,54 +118,36 @@ class OrliczFunction:
 
         zero = np.nonzero(ys == 0.0)[0]
         a_phi = ts[zero[-1]] if len(zero) else 0.0
-        return cls(evaluator, a_phi, "table", {"ts": tuple(ts), "ys": tuple(ys)})
+        return cls(evaluator, a_phi, "table", {"ts": tuple(ts), "ys": tuple(ys)},
+                   nodes=(ts, ys, slope))
 
 
 def generalized_inverse(phi, s):
-    """inf{t >= 0 : phi(t) >= s}, by bisection against the monotone evaluator.
+    """inf{t >= 0 : phi(t) >= s}, in closed form.
 
-    Returns 0 for s = 0.  Raises :class:`UnreachableLevelError` when phi
-    stays below s on the search horizon.  Limit queries s -> 0+ should go
-    through ``phi.a_phi`` instead.
+    A power phi gives s**(1/p); the shifted ramp gives a + s (1 - a).  A
+    table takes the first node with y_k >= s (``searchsorted``, side "left")
+    and interpolates linearly on the segment that ends there, so a flat
+    segment at level s returns its left end; beyond the last node it follows
+    the tail slope.  Returns 0 for s = 0.  Raises
+    :class:`UnreachableLevelError` when phi stays below s, which for a table
+    means a tail slope of 0.  Limit queries s -> 0+ should go through
+    ``phi.a_phi`` instead.
     """
     s = float(s)
     if s < 0:
         raise ValueError(f"level must be nonnegative, got {s}")
     if s == 0.0:
         return 0.0
-    hi = max(1.0, phi.a_phi + 1.0)
-    while float(phi(hi)) < s:
-        hi *= 2.0
-        if hi > SEARCH_HORIZON:
-            raise UnreachableLevelError(f"phi does not reach level {s}")
-    lo = 0.0
-    for _ in range(INVERSE_ITERS):
-        mid = 0.5 * (lo + hi)
-        if float(phi(mid)) >= s:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-16 * max(hi, 1.0):
-            break
-    return hi
-
-
-def _sup_inverse(phi, s, cap=SEARCH_HORIZON):
-    """sup{t >= 0 : phi(t) <= s}; differs from the inf-inverse only across
-    flat segments at level s."""
-    hi = max(1.0, phi.a_phi + 1.0)
-    while float(phi(hi)) <= s:
-        hi *= 2.0
-        if hi > cap:
-            return np.inf
-    lo = 0.0
-    for _ in range(INVERSE_ITERS):
-        mid = 0.5 * (lo + hi)
-        if float(phi(mid)) <= s:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    if phi.nodes is None:
+        return s ** (1.0 / phi.params["p"])
+    ts, ys, tail = phi.nodes
+    k = int(np.searchsorted(ys, s, side="left"))
+    if k < len(ys):
+        return float(ts[k - 1] + (s - ys[k - 1]) / (ys[k] - ys[k - 1]) * (ts[k] - ts[k - 1]))
+    if tail == 0:
+        raise UnreachableLevelError(f"phi does not reach level {s}")
+    return float(ts[-1] + (s - ys[-1]) / tail)
 
 
 # ---------------------------------------------------------------------------
@@ -196,10 +187,11 @@ class LatticeNormSpec:
             if not isinstance(phi, OrliczFunction):
                 raise LatticeSpecError("orlicz spec needs an OrliczFunction")
             # Admissibility gate: phi(1) >= 1 and phi > 1 beyond t = 1, so that
-            # ||delta_i|| >= 1 and the sup norm is dominated.
+            # ||delta_i|| >= 1 and the sup norm is dominated.  phi is
+            # nondecreasing, so its value just past 1 decides the second.
             if float(phi(1.0)) < 1.0 - 1e-12:
                 raise LatticeSpecError("phi(1) >= 1 required for sup-norm domination")
-            if _sup_inverse(phi, 1.0) > 1.0 + 1e-9:
+            if float(phi(1.0 + 1e-9)) <= 1.0:
                 raise LatticeSpecError("phi must exceed 1 strictly beyond t = 1")
             self.phi = phi
         else:
@@ -262,45 +254,54 @@ def _validate_vector(spec, x):
     return ax
 
 
-def luxemburg_batch(phi, rows):
-    """Luxemburg norms of the rows of a nonnegative matrix, by vector bisection.
+def _lp_batch(rows, p):
+    """(sum_i x_i**p)**(1/p) per row, scaled by the row maximum."""
+    m = rows.max(axis=1)
+    safe = np.where(m > 0, m, 1.0)
+    return safe * ((rows / safe[:, None]) ** p).sum(axis=1) ** (1.0 / p)
 
-    The map lam -> sum_i phi(x_i / lam) is nonincreasing; the bracket
-    [m / phi_inv(1), m / phi_inv(1/n)] with m = max_i x_i always contains the
-    norm, by solidity.  Rows of zeros get norm 0.
+
+def luxemburg_batch(phi, rows):
+    """Luxemburg norms inf{lam > 0 : sum_i phi(x_i / lam) <= 1} of the rows
+    of a nonnegative matrix, in closed form; rows of zeros get norm 0.
+
+    A power phi gives the lp norm.  For a piecewise-linear phi and a row r
+    scaled to maximum 1, S(u) = sum_i phi(r_i u) is piecewise linear with
+    breakpoints t_k / r_i at the nodes t_k.  The knot ``top`` has
+    S(top) >= phi(top) > 1 by the admissibility gate and stands in for every
+    breakpoint beyond it, so zero coordinates add none.  On the segment
+    before the first sorted knot with S > 1, S(u*) = 1 is one linear
+    equation, and the norm is max_i x_i / u*.  Rounding is corrected towards
+    the feasible side: the returned lam satisfies sum_i phi(x_i / lam) <= 1
+    as evaluated, stepped up by ``np.nextafter`` where it did not.
     """
     rows = np.asarray(rows, dtype=float)
-    n = rows.shape[1]
     m = rows.max(axis=1)
     out = np.zeros(rows.shape[0])
     active = m > 0
     if not np.any(active):
         return out
-    r = rows[active]
-    ma = m[active]
-    lo = ma / generalized_inverse(phi, 1.0)
-    hi = ma / generalized_inverse(phi, 1.0 / n)
-
-    def budget(lam):
-        return phi(r / lam[:, None]).sum(axis=1)
-
-    # Guard against flat segments of a merely-monotone phi: push lo down until
-    # it is infeasible (budget > 1).
-    for _ in range(80):
-        feasible_lo = budget(lo) <= 1.0
-        if not np.any(feasible_lo):
-            break
-        lo = np.where(feasible_lo, lo * 0.5, lo)
-        if np.all(lo < 1e-300):
-            break
-    for _ in range(INVERSE_ITERS):
-        mid = 0.5 * (lo + hi)
-        ok = budget(mid) <= 1.0
-        hi = np.where(ok, mid, hi)
-        lo = np.where(ok, lo, mid)
-        if np.all(hi - lo <= LUXEMBURG_REL_TOL * 0.01 * hi):
-            break
-    out[active] = hi
+    r, m = rows[active], m[active]
+    if phi.nodes is None:
+        lam = _lp_batch(r, phi.params["p"])
+    else:
+        ts = phi.nodes[0][1:]
+        top = 2.0 * max(ts[-1], 1.0)
+        unit = (r / m[:, None])[:, :, None]
+        knots = np.full(unit.shape[:2] + ts.shape, top)
+        np.divide(ts, unit, out=knots, where=ts < top * unit)
+        edge = np.zeros((len(r), 1))
+        knots = np.sort(np.concatenate([edge, knots.reshape(len(r), -1), edge + top], axis=1))
+        level = phi(unit * knots[:, None, :]).sum(axis=1)
+        # level[:, 0] = S(0) = 0, so the first knot with S > 1 has index j >= 1
+        i, j = np.arange(len(r)), np.argmax(level > 1.0, axis=1)
+        u0, u1, s0, s1 = knots[i, j - 1], knots[i, j], level[i, j - 1], level[i, j]
+        lam = m / (u0 + (1.0 - s0) / (s1 - s0) * (u1 - u0))
+    bad = phi(r / lam[:, None]).sum(axis=1) > 1.0
+    while np.any(bad):
+        lam[bad] = np.nextafter(lam[bad], np.inf)
+        bad[bad] = phi(r[bad] / lam[bad, None]).sum(axis=1) > 1.0
+    out[active] = lam
     return out
 
 
@@ -312,9 +313,7 @@ def norm_eval_batch(spec, rows):
     if spec.kind == "weighted_sup":
         return (rows * spec.weights).max(axis=1)
     if spec.kind == "lp":
-        m = rows.max(axis=1)
-        safe = np.where(m > 0, m, 1.0)
-        return safe * ((rows / safe[:, None]) ** spec.p).sum(axis=1) ** (1.0 / spec.p)
+        return _lp_batch(rows, spec.p)
     return luxemburg_batch(spec.phi, rows)
 
 

@@ -33,6 +33,36 @@ def test_norm_command(tmp_path, capsys, spec_path):
     assert abs(out["norm"] - 5.0) <= 1e-12
 
 
+def _error_line(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    return json.loads(lines[0])["error"]
+
+
+def test_unreadable_input_is_one_line_error(tmp_path, capsys, spec_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    assert cli.main(["norm", "--spec", str(bad), "--vector", spec_path]) == 2
+    assert _error_line(capsys).startswith("JSONDecodeError")
+    missing = str(tmp_path / "missing.json")
+    assert cli.main(["ce", "--spec", missing]) == 2
+    assert "missing.json" in _error_line(capsys)
+
+
+def test_invalid_spec_is_one_line_error(tmp_path, capsys):
+    spec = write(tmp_path, "spec.json",
+                 {"kind": "orlicz", "phi": {"family": "shifted_ramp", "a": 1.5},
+                  "index_size": 3})
+    assert cli.main(["ce", "--spec", spec]) == 2
+    assert _error_line(capsys) == "LatticeSpecError: ramp offset must lie in (0,1), got 1.5"
+    vec = write(tmp_path, "v.json", [1.0, 2.0])
+    lp = write(tmp_path, "lp.json", {"kind": "lp", "p": 2.0, "index_size": 3})
+    assert cli.main(["norm", "--spec", lp, "--vector", vec]) == 2
+    assert "does not match index_size" in _error_line(capsys)
+
+
 def test_ce_command(tmp_path, capsys):
     spec = write(tmp_path, "spec.json",
                  {"kind": "orlicz", "phi": {"family": "shifted_ramp", "a": 0.25},

@@ -100,6 +100,21 @@ class TestBracketMechanics:
             z /= lt.norm_eval(spec, z)
             assert abs(z @ mat @ x) <= cert * (1 + 1e-9)
 
+    def test_decomposition_cost_equals_pairwise_sum(self):
+        # one batched norm call per side, summed in pair order: the same
+        # float as norming each vector on its own
+        table = lt.OrliczFunction.from_table([(0, 0), (0.3, 0), (0.7, 0.4), (1, 1), (2, 4)])
+        rng = np.random.default_rng(4)
+        for spec in (lt.sup_norm(4), lt.weighted_sup([1.0, 1.5, 2.0, 3.0]),
+                     lt.lp_norm(1.5, 4), lt.orlicz_norm(lt.OrliczFunction.power(3.0), 4),
+                     lt.orlicz_norm(lt.OrliczFunction.shifted_ramp(0.5), 4),
+                     lt.orlicz_norm(table, 4)):
+            problem = gm.DiagonalProblem(4, spec)
+            u = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            pairs = gm._pairs_from_matrix(problem, u)
+            want = sum(problem.vec_norm(x) * problem.vec_norm(y) for x, y in pairs)
+            assert gm._decomposition_cost(problem, pairs) == want
+
     def test_fourier_decomposition_identity(self):
         for n in (2, 3, 5):
             assert gm.decomposition_residual(n, gm.dft_decomposition(n)) <= 1e-12

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from esum_lab import lattice as lt
 
@@ -8,6 +8,64 @@ from esum_lab import lattice as lt
 def ramp_inverse(a, s):
     # solve (t - a) / (1 - a) = s by hand
     return a + s * (1.0 - a) if s > 0 else 0.0
+
+
+# ---------------------------------------------------------------------------
+# Bisection oracles: the iterative kernels the closed forms replaced
+# ---------------------------------------------------------------------------
+
+def _bisect_inverse(phi, s, iters=200, horizon=1e18):
+    """inf{t >= 0 : phi(t) >= s} by bisection against the monotone evaluator."""
+    if s == 0.0:
+        return 0.0
+    hi = max(1.0, phi.a_phi + 1.0)
+    while float(phi(hi)) < s:
+        hi *= 2.0
+        if hi > horizon:
+            raise lt.UnreachableLevelError(f"phi does not reach level {s}")
+    lo = 0.0
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        if float(phi(mid)) >= s:
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo <= 1e-16 * max(hi, 1.0):
+            break
+    return hi
+
+
+def _bisect_luxemburg(phi, rows, iters=200, rel_tol=1e-14):
+    """Luxemburg norms of the rows by vector bisection on lam, inside the
+    bracket [m / phi_inv(1), m / phi_inv(1/n)] with m the row maximum."""
+    rows = np.asarray(rows, dtype=float)
+    m = rows.max(axis=1)
+    out = np.zeros(len(rows))
+    active = m > 0
+    if not np.any(active):
+        return out
+    r, ma = rows[active], m[active]
+    lo = ma / _bisect_inverse(phi, 1.0)
+    hi = ma / _bisect_inverse(phi, 1.0 / rows.shape[1])
+
+    def budget(lam):
+        return phi(r / lam[:, None]).sum(axis=1)
+
+    # flat segments of phi: push lo down until it is infeasible
+    for _ in range(80):
+        feasible = budget(lo) <= 1.0
+        if not np.any(feasible):
+            break
+        lo = np.where(feasible, lo * 0.5, lo)
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        ok = budget(mid) <= 1.0
+        hi = np.where(ok, mid, hi)
+        lo = np.where(ok, lo, mid)
+        if np.all(hi - lo <= rel_tol * hi):
+            break
+    out[active] = hi
+    return out
 
 
 class TestOrliczFunction:
@@ -40,6 +98,9 @@ class TestOrliczFunction:
         phi = lt.OrliczFunction.from_table([(0, 0), (1, 1), (2, 1)])
         with pytest.raises(lt.UnreachableLevelError):
             lt.generalized_inverse(phi, 2.0)
+        with pytest.raises(lt.UnreachableLevelError):
+            lt.generalized_inverse(phi, 1.0 + 1e-12)
+        assert lt.generalized_inverse(phi, 1.0) == 1.0   # left end of the flat tail
 
     def test_negative_level_rejected(self):
         with pytest.raises(ValueError):
@@ -268,3 +329,74 @@ def test_spec_from_dict_roundtrip():
         assert spec.index_size == d["index_size"]
     with pytest.raises(lt.LatticeSpecError):
         lt.spec_from_dict({"kind": "nope", "index_size": 2})
+
+
+# ---------------------------------------------------------------------------
+# Closed-form kernels against the bisection oracles
+# ---------------------------------------------------------------------------
+
+@st.composite
+def monotone_tables(draw, convex):
+    """Nodes on a 0.1 grid with t = 1 among them.  Convex tables get
+    nondecreasing slopes (a first slope of 0 gives a flat zero segment) and
+    are scaled to phi(1) = 1, which passes the admissibility gate; monotone
+    ones may have flat segments at any level, including the tail."""
+    grid = draw(st.lists(st.integers(1, 30), min_size=0, max_size=4, unique=True))
+    ts = np.array(sorted({0, 10, *grid})) / 10.0
+    steps = draw(st.lists(st.integers(0, 4), min_size=len(ts) - 1, max_size=len(ts) - 1))
+    slopes = np.cumsum(steps) if convex else np.asarray(steps)
+    ys = np.concatenate([[0.0], np.cumsum(slopes * np.diff(ts))])
+    one = ys[list(ts).index(1.0)]
+    assume(one > 0 and ys[-1] > ys[-2] or not convex)
+    if convex:
+        ys = ys / one
+    return lt.OrliczFunction.from_table(list(zip(ts, ys)))
+
+
+orlicz_functions = st.one_of(
+    st.floats(0.05, 0.95).map(lt.OrliczFunction.shifted_ramp),
+    st.floats(1.0, 6.0).map(lt.OrliczFunction.power),
+    monotone_tables(convex=True),
+)
+modulus = st.one_of(st.just(0.0), st.floats(1e-300, 1e3))
+
+
+@st.composite
+def row_batches(draw):
+    """A few rows of moduli on n = 1..6 coordinates, one of them all zero."""
+    n = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(modulus, min_size=n, max_size=n), min_size=1, max_size=6))
+    return np.array(rows + [[0.0] * n])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(phi=orlicz_functions, rows=row_batches())
+def test_luxemburg_matches_bisection_and_stays_feasible(phi, rows):
+    got = lt.luxemburg_batch(phi, rows)
+    want = _bisect_luxemburg(phi, rows)
+    assert got[-1] == 0.0
+    assert np.all(np.abs(got - want) <= 1e-10 * want)
+    live = got > 0
+    # feasible side, exactly as the modular evaluates
+    assert np.all(phi(rows[live] / got[live, None]).sum(axis=1) <= 1.0)
+    # batched and single-row evaluation agree exactly
+    for row, value in zip(rows, got):
+        assert lt.luxemburg_batch(phi, row[None, :])[0] == value
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(phi=st.one_of(orlicz_functions, monotone_tables(convex=False)),
+       level=st.floats(0.0, 1.0), node=st.integers(0, 5))
+def test_inverse_matches_bisection(phi, level, node):
+    ys = phi.nodes[1] if phi.nodes is not None else np.array([0.0, 1.0])
+    # levels inside the range, exactly at a node value (flat segments take
+    # their left end), and past the last node
+    for s in (level * ys[-1], ys[min(node, len(ys) - 1)], ys[-1] + 0.5 + level):
+        try:
+            want = _bisect_inverse(phi, s)
+        except lt.UnreachableLevelError:
+            with pytest.raises(lt.UnreachableLevelError):
+                lt.generalized_inverse(phi, s)
+            continue
+        got = lt.generalized_inverse(phi, s)
+        assert abs(got - want) <= 1e-10 * max(want, 1.0)
