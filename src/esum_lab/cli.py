@@ -43,16 +43,21 @@ def _emit(payload):
     print(json.dumps(payload, indent=2, sort_keys=True, default=str))
 
 
+def _key(d, key, what="algebra"):
+    return lt.required_key(d, key, what, es.AlgebraError)
+
+
 def _summand_from_dict(s):
-    algebra = es.FiniteAlgebra(s["structure"], es.coordinate_norm_from_json(s["norm"]))
+    algebra = es.FiniteAlgebra(_key(s, "structure"),
+                               es.coordinate_norm_from_json(_key(s, "norm")))
     if "dim" in s and algebra.dim != int(s["dim"]):
         raise ValueError(f"declared dim {s['dim']} disagrees with the structure cube")
     return algebra
 
 
 def _algebra_from_dict(d):
-    summands = [_summand_from_dict(s) for s in d["summands"]]
-    lattice = lt.spec_from_dict(d["lattice"])
+    summands = [_summand_from_dict(s) for s in _key(d, "summands", "summed algebra")]
+    lattice = lt.spec_from_dict(_key(d, "lattice", "summed algebra"))
     return es.ESumAlgebra(summands, lattice)
 
 
@@ -61,9 +66,9 @@ def _element_from_dict(algebra, d):
 
 
 def _finite_algebra_from_dict(d):
-    if "summands" in d:
+    if isinstance(d, dict) and "summands" in d:
         return _algebra_from_dict(d).as_finite_algebra()
-    return es.FiniteAlgebra(d["structure"], es.coordinate_norm_from_json(d["norm"]))
+    return _summand_from_dict(d)
 
 
 def cmd_norm(args):

@@ -6,13 +6,23 @@ from the structure constants.  A derivation is a linear map D: A -> A* with
 D(ab) = a.D(b) + D(a).b; the inner derivation implemented by phi in A* is
 ad_phi(a) = a.phi - phi.a.
 
-Everything reduces to exact linear algebra on the structure constants:
+Everything reduces to exact linear algebra on the structure constants,
+solved one block at a time.  The blocks are the connected components of
+the cube's nonzero pattern, so an algebra is the direct sum of its blocks
+and a direct sum of summands splits at least along the summands:
 
-  - the derivation space is the nullspace of one homogeneous system over
-    dim^2 matrix unknowns (rank-revealing SVD, relative tolerance 1e-10);
+  - the derivation space is the direct sum of each block's derivations
+    (the nullspace of that block's own Leibniz system over dim_P^2 matrix
+    unknowns) and, for each ordered pair of distinct blocks K, P, the maps
+    u v^T with u and v annihilating the products of K and of P; the
+    argument is in :func:`derivation_space`;
   - the inner space is the column space of the map phi -> ad_phi, whose
-    kernel is the commutant Z of the bimodule action;
+    kernel is the commutant Z of the bimodule action; both split along the
+    blocks, since ad_phi is supported on the block of phi;
   - weak amenability means every derivation lies in the inner span.
+
+Ranks come from reduced SVDs at relative tolerance 1e-10, taken against
+the largest singular value over all blocks of the same kind of matrix.
 
 On top of that sit sampled weak-amenability constant brackets (minimum
 dual-norm implementing functionals over the affine solution set, against
@@ -66,32 +76,76 @@ class DualBimodule:
             raise AssertionError("left and right actions do not commute")
 
 
-def adjoint_map_matrix(algebra):
-    """The (dim^2, dim) matrix of phi -> vec(ad_phi), row index (k, j)."""
-    c = algebra.structure
-    d = algebra.dim
+def _adjoint_matrix(c):
+    d = len(c)
     return (c - c.transpose(1, 0, 2)).reshape(d * d, d)
 
 
+def adjoint_map_matrix(algebra):
+    """The (dim^2, dim) matrix of phi -> vec(ad_phi), row index (k, j)."""
+    return _adjoint_matrix(algebra.structure)
+
+
 def leibniz_residual(algebra, D):
-    """Max-abs violation of the derivation identity by the matrix D."""
-    c = algebra.structure
-    t1 = np.einsum("ijm,km->ijk", c, D)
-    t2 = np.einsum("kiq,qj->ijk", c, D)
-    t3 = np.einsum("jkq,qi->ijk", c, D)
-    return float(np.abs(t1 - t2 - t3).max())
+    """Max-abs violation of the derivation identity by the matrix D, for an
+    algebra or for a bare structure-constant cube."""
+    c = algebra.structure if isinstance(algebra, es.FiniteAlgebra) else algebra
+    cd = c @ D   # cd[k,i,j] = sum_q c[k,i,q] D[q,j]
+    # entry (i,j,k): sum_m c[i,j,m] D[k,m] - cd[k,i,j] - cd[j,k,i]
+    return float(np.abs(c @ D.T - cd.transpose(1, 2, 0) - cd.transpose(2, 0, 1)).max())
 
 
-def _rank_split(mat):
-    """SVD column space / nullspace split at the relative rank tolerance."""
-    u, s, vh = np.linalg.svd(mat, full_matrices=True)
-    if s.size == 0 or s[0] == 0.0:
-        rank = 0
-    else:
-        rank = int(np.sum(s > RANK_TOL * s[0]))
-    col = u[:, :rank]
-    null = vh[rank:].conj()
-    return rank, col, null, s
+def _leibniz_system(c):
+    """The (dim^3, dim^2) matrix of D -> Leibniz defect, row index (i, j, k)."""
+    d = len(c)
+    basis = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
+    t1 = np.einsum("ijm,bkm->bijk", c, basis)
+    t2 = np.einsum("kiq,bqj->bijk", c, basis)
+    t3 = np.einsum("jkq,bqi->bijk", c, basis)
+    return (t1 - t2 - t3).reshape(d * d, d ** 3).T
+
+
+def _rank_split(mats):
+    """Reduced-SVD column space / nullspace split of matrices of one kind.
+
+    Each rank counts the singular values above RANK_TOL times the largest
+    singular value of all ``mats`` together: the threshold of the one
+    block-diagonal matrix they form, whose singular values are the union of
+    theirs.  Every matrix here has at least as many rows as columns, so the
+    reduced ``vh`` is square and its trailing rows span the whole nullspace.
+    Returns one (rank, column basis, nullspace rows) triple per matrix.
+    """
+    factors = [np.linalg.svd(m, full_matrices=False) for m in mats]
+    top = max((float(s[0]) for _, s, _ in factors if s.size), default=0.0)
+    out = []
+    for u, s, vh in factors:
+        rank = int(np.sum(s > RANK_TOL * top))
+        out.append((rank, u[:, :rank], vh[rank:].conj()))
+    return out
+
+
+def _structure_blocks(c):
+    """Index arrays of the connected components of the nonzero pattern of
+    the cube c (i, j and m are linked when c[i,j,m] != 0), ordered by their
+    smallest index.  A block need not be a run of consecutive indices."""
+    nz = c != 0
+    linked = nz.any(axis=2) | nz.any(axis=1) | nz.any(axis=0)
+    reach = (linked | linked.T | np.eye(len(c), dtype=bool)).astype(float)
+    while True:   # transitive closure, by squaring the reachability matrix
+        wider = (reach @ reach > 0).astype(float)
+        if np.array_equal(wider, reach):
+            break
+        reach = wider
+    first = reach.argmax(axis=1)   # the smallest index of each component
+    return [np.flatnonzero(first == k) for k in np.unique(first)]
+
+
+def _embed(rows, d, *index):
+    """Stack of zero arrays of side d carrying ``rows`` on the given index
+    arrays (one per axis)."""
+    full = np.zeros((len(rows),) + (d,) * len(index), complex)
+    full[(slice(None),) + np.ix_(*index)] = rows
+    return full
 
 
 # ---------------------------------------------------------------------------
@@ -119,20 +173,56 @@ class DerivationSpaceReport:
 
 
 def derivation_space(algebra):
-    """Solve the Leibniz system over all dim^2 matrix unknowns."""
+    """Derivations, inner derivations and commutant, one block at a time.
+
+    Let the blocks be the connected components of the structure cube's
+    nonzero pattern, so that c[i,j,m] != 0 only when i, j and m lie in one
+    block and A = (+)_P A_P.  The Leibniz equation (i, j, k) reads
+
+        sum_m c[i,j,m] D[k,m] - sum_q c[k,i,q] D[q,j] - sum_q c[j,k,q] D[q,i] = 0,
+
+    and its three terms need i~j, k~i and j~k respectively (~: same block).
+    When i, j, k lie in one block P every term involves D[P,P] alone: this
+    is the Leibniz system of c_P, of size dim_P^3 x dim_P^2.  Otherwise at
+    most one pair shares a block and at most one term survives, and it
+    involves D[K,P] alone, the part of D with rows in block K and columns in
+    block P != K.  With M_B = c_B reshaped to dim_B^2 x dim_B (the matrix
+    :func:`essential_check` ranks), the surviving terms say exactly
+    D[K,P] M_P^T = 0 (i, j in P, k in K) and M_K D[K,P] = 0 (k and one of
+    i, j in K, the other in P).  So the off-block parts decouple:
+
+        Der(A) = (+)_P Der(A_P) (+) (+)_{K != P} {u v^T : u in N_K, v in N_P},
+
+    where N_B = ker M_B = (A_B^2)^perp.  Orthonormal nullspace bases give
+    orthonormal outer products, and distinct pairs have disjoint supports,
+    so the vectorized basis has orthonormal rows.  The map phi -> ad_phi
+    sends block P into D[P,P], so the inner space and its kernel Z are the
+    direct sums of the blocks' own.  An indecomposable algebra is the case
+    of a single block, where this is the whole Leibniz system.
+    """
     c = algebra.structure
     d = algebra.dim
-    basis = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
-    t1 = np.einsum("ijm,bkm->bijk", c, basis)
-    t2 = np.einsum("kiq,bqj->bijk", c, basis)
-    t3 = np.einsum("jkq,bqi->bijk", c, basis)
-    system = (t1 - t2 - t3).reshape(d * d, d ** 3).T
-    _, _, null, _ = _rank_split(system)
-    derivations = null.reshape(-1, d, d)
+    blocks = _structure_blocks(c)
+    cubes = [c[np.ix_(b, b, b)] for b in blocks]
 
-    admat = adjoint_map_matrix(algebra)
-    rank, col, z_null, _ = _rank_split(admat)
-    inner = col.T.reshape(-1, d, d)
+    derivations = [
+        _embed(null.reshape(-1, len(b), len(b)), d, b, b)
+        for b, (_, _, null) in zip(blocks, _rank_split([_leibniz_system(cb) for cb in cubes]))
+    ]
+    annihilators = [null for _, _, null in
+                    _rank_split([cb.reshape(len(cb) ** 2, len(cb)) for cb in cubes])]
+    for K, u in zip(blocks, annihilators):
+        for P, v in zip(blocks, annihilators):
+            if K is not P:
+                outer = np.einsum("ak,bp->abkp", u, v).reshape(-1, len(K), len(P))
+                derivations.append(_embed(outer, d, K, P))
+    derivations = np.concatenate(derivations)
+
+    adjoint = _rank_split([_adjoint_matrix(cb) for cb in cubes])
+    inner = np.concatenate([_embed(col.T.reshape(-1, len(b), len(b)), d, b, b)
+                            for b, (_, col, _) in zip(blocks, adjoint)])
+    z_null = np.concatenate([_embed(null, d, b) for b, (_, _, null) in zip(blocks, adjoint)])
+    rank = sum(r for r, _, _ in adjoint)
 
     scale = max(1.0, float(np.abs(c).max()))
     for mat in inner:
@@ -179,7 +269,7 @@ def essential_check(algebra):
     """span{ab : a, b in A} = A, via the rank of the multiplication image."""
     c = algebra.structure
     d = algebra.dim
-    rank, *_ = _rank_split(c.reshape(d * d, d))
+    [(rank, _, _)] = _rank_split([c.reshape(d * d, d)])
     return rank == d
 
 
@@ -472,17 +562,6 @@ def wa_quotient_transfer_check(summands, lattice, samples=120, seed=0, tol=1e-9)
 # The p-sum growth obstruction
 # ---------------------------------------------------------------------------
 
-def _block_cube(summands):
-    total = sum(a.dim for a in summands)
-    cube = np.zeros((total, total, total), complex)
-    start = 0
-    for alg in summands:
-        sl = slice(start, start + alg.dim)
-        cube[sl, sl, sl] = alg.structure
-        start += alg.dim
-    return cube
-
-
 def obstruction_weights(p, count):
     """Coordinate weights for the growth construction: constant 1 for
     1 < p <= 2 and n**(-1/q) beyond, so their l_q tail always diverges."""
@@ -530,15 +609,12 @@ def lp_obstruction_demo(B, psi, p, sizes, seed=0, tol=1e-8):
         reference = float(dist * np.sum(np.abs(w) ** q) ** (1.0 / q))
 
         # the assembled block map is a genuine derivation of the truncated sum
-        cube = _block_cube([B] * size)
+        cube = es.block_cube([B.structure] * size)
         D = np.zeros((B.dim * size, B.dim * size), complex)
         for i in range(size):
             sl = slice(i * B.dim, (i + 1) * B.dim)
             D[sl, sl] = w[i] * ad_psi
-        t1 = np.einsum("ijm,km->ijk", cube, D)
-        t2 = np.einsum("kiq,qj->ijk", cube, D)
-        t3 = np.einsum("jkq,qi->ijk", cube, D)
-        residual = float(np.abs(t1 - t2 - t3).max())
+        residual = leibniz_residual(cube, D)
 
         rows.append({
             "size": size,

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lattice import LatticeNormSpec, delta_norm, norm_eval, norm_eval_batch, chi_norm
+from .lattice import (LatticeNormSpec, chi_norm, delta_norm, norm_eval, norm_eval_batch,
+                      required_key)
 
 SUBMULT_SAMPLES = 10_000
 SUBMULT_TOL = 1e-9
@@ -185,7 +186,7 @@ def coordinate_norm_from_json(d):
     if d == "euclidean":
         return EuclideanCoordinate()
     if isinstance(d, dict) and d.get("kind") == "matrix_operator":
-        return MatrixOperatorNorm(d["side"])
+        return MatrixOperatorNorm(required_key(d, "side", "matrix_operator norm", AlgebraError))
     raise AlgebraError(f"unknown coordinate norm {d!r}")
 
 
@@ -387,16 +388,23 @@ class ESumAlgebra:
         """The same algebra as one block FiniteAlgebra (block-diagonal
         structure constants, lattice-of-blocks norm)."""
         dims = [a.dim for a in self.summands]
-        total = sum(dims)
-        c = np.zeros((total, total, total), dtype=complex)
-        start = 0
-        for alg in self.summands:
-            sl = slice(start, start + alg.dim)
-            c[sl, sl, sl] = alg.structure
-            start += alg.dim
+        c = block_cube([a.structure for a in self.summands])
         norm = LatticeBlockNorm(self.lattice, [a.norm for a in self.summands], dims)
         return FiniteAlgebra(c, norm, samples=samples, seed=seed,
                              label=f"esum({self.lattice.kind})")
+
+
+def block_cube(structures):
+    """Structure constants of a direct sum: each summand's cube on its own
+    consecutive run of coordinates, zero everywhere else."""
+    total = sum(len(c) for c in structures)
+    cube = np.zeros((total, total, total), dtype=complex)
+    start = 0
+    for c in structures:
+        sl = slice(start, start + len(c))
+        cube[sl, sl, sl] = c
+        start += len(c)
+    return cube
 
 
 def esum_norm(a):

@@ -415,32 +415,43 @@ def ce_constant(spec):
 # JSON interface
 # ---------------------------------------------------------------------------
 
+def required_key(doc, key, what, error=LatticeSpecError):
+    """``doc[key]`` of a JSON object describing ``what``.  A document that is
+    not an object, or lacks the key, raises ``error`` naming both."""
+    if not isinstance(doc, dict):
+        raise error(f"{what} must be a JSON object, got {type(doc).__name__}")
+    if key not in doc:
+        raise error(f"{what} is missing the key {key!r}")
+    return doc[key]
+
+
 def phi_from_dict(d):
-    family = d.get("family")
+    family = required_key(d, "family", "Orlicz function")
     if family == "power":
-        return OrliczFunction.power(d["p"])
+        return OrliczFunction.power(required_key(d, "p", "power function"))
     if family == "shifted_ramp":
-        return OrliczFunction.shifted_ramp(d["a"])
+        return OrliczFunction.shifted_ramp(required_key(d, "a", "shifted_ramp function"))
     if family == "table":
-        return OrliczFunction.from_table(d["points"])
+        return OrliczFunction.from_table(required_key(d, "points", "table function"))
     raise LatticeSpecError(f"unknown Orlicz family {family!r}")
 
 
 def spec_from_dict(d):
-    kind = d.get("kind")
-    n = d.get("index_size")
-    if kind == "sup":
-        return sup_norm(n)
+    kind = required_key(d, "kind", "norm spec")
     if kind == "weighted_sup":
-        w = d["weights"]
+        w = required_key(d, "weights", "weighted_sup spec")
+        n = d.get("index_size")
         if n is not None and len(w) != n:
             raise LatticeSpecError("index_size disagrees with the weight list")
         return weighted_sup(w)
+    if kind not in ("sup", "lp", "orlicz"):
+        raise LatticeSpecError(f"unknown norm family {kind!r}")
+    n = required_key(d, "index_size", f"{kind} spec")
+    if kind == "sup":
+        return sup_norm(n)
     if kind == "lp":
-        return lp_norm(d["p"], n)
-    if kind == "orlicz":
-        return orlicz_norm(phi_from_dict(d["phi"]), n)
-    raise LatticeSpecError(f"unknown norm family {kind!r}")
+        return lp_norm(required_key(d, "p", "lp spec"), n)
+    return orlicz_norm(phi_from_dict(required_key(d, "phi", "orlicz spec")), n)
 
 
 def load_spec(path):

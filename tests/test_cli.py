@@ -63,6 +63,37 @@ def test_invalid_spec_is_one_line_error(tmp_path, capsys):
     assert "does not match index_size" in _error_line(capsys)
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"kind": "lp", "index_size": 3}, "LatticeSpecError: lp spec is missing the key 'p'"),
+    ({"kind": "sup"}, "LatticeSpecError: sup spec is missing the key 'index_size'"),
+    ({"index_size": 3}, "LatticeSpecError: norm spec is missing the key 'kind'"),
+    ({"kind": "weighted_sup"},
+     "LatticeSpecError: weighted_sup spec is missing the key 'weights'"),
+    ({"kind": "orlicz", "phi": {"family": "shifted_ramp"}, "index_size": 3},
+     "LatticeSpecError: shifted_ramp function is missing the key 'a'"),
+    ([2.0, 3], "LatticeSpecError: norm spec must be a JSON object, got list"),
+])
+def test_spec_missing_key_is_one_line_error(tmp_path, capsys, doc, message):
+    assert cli.main(["ce", "--spec", write(tmp_path, "spec.json", doc)]) == 2
+    assert _error_line(capsys) == message
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"structure": [[[1.0]]]}, "AlgebraError: algebra is missing the key 'norm'"),
+    ({"norm": "max_abs"}, "AlgebraError: algebra is missing the key 'structure'"),
+    ({"structure": [[[1.0]]], "norm": {"kind": "matrix_operator"}},
+     "AlgebraError: matrix_operator norm is missing the key 'side'"),
+    ({"summands": [{"structure": [[[1.0]]], "norm": "max_abs"}]},
+     "AlgebraError: summed algebra is missing the key 'lattice'"),
+    ({"summands": [{"structure": [[[1.0]]], "norm": "max_abs"}],
+      "lattice": {"kind": "lp", "p": 2.0}},
+     "LatticeSpecError: lp spec is missing the key 'index_size'"),
+])
+def test_algebra_missing_key_is_one_line_error(tmp_path, capsys, doc, message):
+    assert cli.main(["wa", "--algebra", write(tmp_path, "alg.json", doc)]) == 2
+    assert _error_line(capsys) == message
+
+
 def test_ce_command(tmp_path, capsys):
     spec = write(tmp_path, "spec.json",
                  {"kind": "orlicz", "phi": {"family": "shifted_ramp", "a": 0.25},

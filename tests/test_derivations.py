@@ -1,9 +1,74 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from esum_lab import derivations as dv
 from esum_lab import esum as es
 from esum_lab import lattice as lt
+
+
+def _monolithic_derivations(algebra):
+    """Oracle: the nullspace of the whole d^3 x d^2 Leibniz system, at
+    RANK_TOL relative to its own largest singular value."""
+    c = algebra.structure
+    d = algebra.dim
+    basis = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
+    t1 = np.einsum("ijm,bkm->bijk", c, basis)
+    t2 = np.einsum("kiq,bqj->bijk", c, basis)
+    t3 = np.einsum("jkq,bqi->bijk", c, basis)
+    system = (t1 - t2 - t3).reshape(d * d, d ** 3).T
+    _, s, vh = np.linalg.svd(system, full_matrices=True)
+    rank = int(np.sum(s > dv.RANK_TOL * s[0])) if s[0] > 0 else 0
+    return vh[rank:].conj().reshape(-1, d, d)
+
+
+def _en_algebra():
+    """span{e, n} with e^2 = e, en = n, ne = n^2 = 0."""
+    c = np.zeros((2, 2, 2))
+    c[0, 0, 0] = 1.0
+    c[0, 1, 1] = 1.0
+    return es.FiniteAlgebra(c, es.MaxAbsCoordinate(), certified=True, label="en")
+
+
+def _nilpotent_algebra():
+    """span{a, b} with a^2 = b and every other product 0: A^2 = span{b} is
+    neither 0 nor A, so the annihilator of the products is a proper part."""
+    c = np.zeros((2, 2, 2))
+    c[0, 0, 1] = 1.0
+    return es.FiniteAlgebra(c, es.MaxAbsCoordinate(), certified=True, label="nil2")
+
+
+SUMMANDS = {
+    "M2": es.matrix_units_algebra(2),
+    "C": es.scalar_algebra(),
+    "square-zero": es.square_zero_algebra(),
+    "en": _en_algebra(),
+    "nil2": _nilpotent_algebra(),
+}
+
+
+def _rebased(c, scale):
+    """The same algebra in the basis b'_i = scale (b_i + 0.5j b_{i+1}): its
+    structure constants are genuinely complex and rescaled."""
+    S = scale * (np.eye(len(c)) + 0.5j * np.eye(len(c), k=1))
+    return np.einsum("ip,jq,pqr,rk->ijk", S, S, c, np.linalg.inv(S))
+
+
+def _permuted_sum(names, scales, perm):
+    """Block sum of the named summands, each in a complex basis scaled by
+    its scale, with coordinates relabelled by ``perm``."""
+    c = es.block_cube([_rebased(SUMMANDS[n].structure, s) for n, s in zip(names, scales)])
+    c = c[np.ix_(perm, perm, perm)]
+    return es.FiniteAlgebra(c, es.MaxAbsCoordinate(), certified=True)
+
+
+def _flat(basis):
+    return basis.reshape(len(basis), basis.shape[1] * basis.shape[2])
+
+
+def _projector(basis):
+    flat = _flat(basis)
+    return flat.T @ flat.conj()
 
 
 class TestSpaces:
@@ -72,6 +137,59 @@ class TestSpaces:
             flag, _ = dv.is_weakly_amenable(alg)
             if flag:
                 assert dv.essential_check(alg)
+
+    def test_structure_blocks_follow_the_nonzero_pattern(self):
+        # M2 on {0, 2, 4, 5}, C on {3}, square-zero on {1}
+        alg = _permuted_sum(["M2", "C", "square-zero"], [1.0, 1.0, 1.0], [0, 5, 1, 4, 2, 3])
+        assert [b.tolist() for b in dv._structure_blocks(alg.structure)] == [
+            [0, 2, 4, 5], [1], [3]]
+
+    def test_square_zero_pair(self):
+        # one derivation per summand and one per ordered pair of summands
+        rep = dv.derivation_space(_permuted_sum(["square-zero"] * 2, [1.0, 1.0], [0, 1]))
+        assert (rep.dim_derivations, rep.dim_inner) == (4, 0)
+        assert not rep.weakly_amenable
+
+    def test_eight_matrix_copies(self):
+        alg = es.ESumAlgebra([es.matrix_units_algebra(2)] * 8,
+                             lt.sup_norm(8)).as_finite_algebra(samples=0)
+        rep = dv.derivation_space(alg)
+        assert (rep.dim_derivations, rep.dim_inner, rep.center_annihilator_dim) == (24, 24, 8)
+        assert rep.weakly_amenable and dv.is_weakly_amenable(alg, rep)[0]
+
+    def test_residual_matches_einsum_reference(self):
+        # the three Leibniz terms summed one index at a time
+        rng = np.random.default_rng(7)
+        alg = _permuted_sum(["M2", "en", "C"], [1.0, 3.0, 0.5], rng.permutation(7))
+        c = alg.structure
+        for _ in range(5):
+            D = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
+            ref = np.abs(np.einsum("ijm,km->ijk", c, D) - np.einsum("kiq,qj->ijk", c, D)
+                         - np.einsum("jkq,qi->ijk", c, D)).max()
+            assert dv.leibniz_residual(c, D) == dv.leibniz_residual(alg, D)
+            assert abs(dv.leibniz_residual(alg, D) - ref) <= 1e-13 * ref
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_blockwise_matches_monolithic(data):
+    names = data.draw(st.lists(st.sampled_from(sorted(SUMMANDS)), min_size=1, max_size=4)
+                      .filter(lambda ns: sum(SUMMANDS[n].dim for n in ns) <= 10))
+    scales = data.draw(st.lists(st.sampled_from([1e-2, 0.5, 1.0, 3.0, 1e2, 1j, 0.5 - 2j]),
+                                min_size=len(names), max_size=len(names)))
+    dim = sum(SUMMANDS[n].dim for n in names)
+    perm = data.draw(st.permutations(range(dim)))
+    alg = _permuted_sum(names, scales, perm)
+
+    rep = dv.derivation_space(alg)
+    oracle = _monolithic_derivations(alg)
+    basis = rep.derivation_basis
+    assert rep.dim_derivations == len(oracle)
+    assert np.abs(_projector(basis) - _projector(oracle)).max(initial=0.0) <= 1e-10
+    flat = _flat(basis)
+    assert np.abs(flat.conj() @ flat.T - np.eye(len(basis))).max(initial=0.0) <= 1e-10
+    for mat in basis:
+        assert dv.leibniz_residual(alg, mat) <= 1e-10
 
 
 class TestMinimization:
