@@ -69,11 +69,9 @@ from .jsum import (
 )
 from .derivations import (
     DerivationSpaceReport,
-    DualBimodule,
     derivation_space,
     essential_check,
     esum_wa_check,
-    inner_space,
     is_weakly_amenable,
     lp_obstruction_demo,
     wa_quotient_transfer_check,

@@ -28,17 +28,6 @@ def _load(path):
         return json.load(fh)
 
 
-def _parse_values(raw):
-    """Coefficients as numbers or [re, im] pairs."""
-    out = []
-    for v in raw:
-        if isinstance(v, (list, tuple)):
-            out.append(complex(v[0], v[1]))
-        else:
-            out.append(complex(v))
-    return np.asarray(out, dtype=complex)
-
-
 def _emit(payload):
     print(json.dumps(payload, indent=2, sort_keys=True, default=str))
 
@@ -62,7 +51,7 @@ def _algebra_from_dict(d):
 
 
 def _element_from_dict(algebra, d):
-    return algebra.element([_parse_values(v) for v in d["values"]])
+    return algebra.element([lt.values_from_json(v) for v in _key(d, "values", "element")])
 
 
 def _finite_algebra_from_dict(d):
@@ -73,7 +62,7 @@ def _finite_algebra_from_dict(d):
 
 def cmd_norm(args):
     spec = lt.load_spec(args.spec)
-    vec = _parse_values(_load(args.vector))
+    vec = lt.values_from_json(_load(args.vector))
     _emit({"norm": lt.norm_eval(spec, vec)})
 
 
@@ -118,7 +107,7 @@ def cmd_am(args):
 
 def cmd_jnorm(args):
     system = js.system_from_dict(_load(args.system))
-    element = js.JElement(system, [_parse_values(c) for c in _load(args.element)["coords"]])
+    element = js.element_from_dict(system, _load(args.element))
     _emit({"jnorm": js.jnorm(element)})
 
 
@@ -154,7 +143,7 @@ def cmd_wam(args):
 def cmd_lp_demo(args):
     base = _finite_algebra_from_dict(_load(args.base))
     if args.psi:
-        psi = _parse_values(_load(args.psi))
+        psi = lt.values_from_json(_load(args.psi))
     elif isinstance(base.norm, es.MatrixOperatorNorm) and base.norm.side >= 2:
         psi = np.zeros(base.dim)
         psi[1] = 1.0   # the (1,2) matrix-unit functional
@@ -255,14 +244,15 @@ def build_parser():
 
 
 def main(argv=None):
-    """Run one subcommand.  Unreadable or malformed input documents and the
+    """Run one subcommand.  Unreadable or malformed input documents, the
     library's errors (json.JSONDecodeError, LatticeSpecError and the other
-    ``*Error`` classes are all ValueErrors) print one JSON line
+    ``*Error`` classes are all ValueErrors) and inputs that need an
+    unimplemented case (the Orlicz dual norm) print one JSON line
     ``{"error": ...}`` on stderr and exit with code 2."""
     args = build_parser().parse_args(argv)
     try:
         code = args.fn(args)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, NotImplementedError) as exc:
         print(json.dumps({"error": f"{type(exc).__name__}: {exc}"}), file=sys.stderr)
         return 2
     return 0 if code is None else code

@@ -45,45 +45,11 @@ RANK_TOL = 1e-10
 LEIBNIZ_TOL = 1e-10
 
 
-# ---------------------------------------------------------------------------
-# Bimodule actions
-# ---------------------------------------------------------------------------
-
-class DualBimodule:
-    """Matrix realization of the actions of A on A* in the dual basis."""
-
-    def __init__(self, algebra):
-        self.algebra = algebra
-        c = algebra.structure
-        self.left = c.transpose(1, 0, 2).copy()   # (b_i . phi)_j = c[j,i,k] phi_k
-        self.right = c.copy()                     # (phi . b_i)_j = c[i,j,k] phi_k
-        self._check_axioms()
-
-    def _check_axioms(self):
-        c = self.algebra.structure
-        L, R = self.left, self.right
-        prod_left = np.einsum("ijm,mkl->ijkl", c, L)
-        comp_left = np.einsum("ikq,jql->ijkl", L, L)
-        if not np.allclose(prod_left, comp_left, atol=1e-10):
-            raise AssertionError("left action does not compose along products")
-        prod_right = np.einsum("ijm,mkl->ijkl", c, R)
-        comp_right = np.einsum("jkq,iql->ijkl", R, R)
-        if not np.allclose(prod_right, comp_right, atol=1e-10):
-            raise AssertionError("right action does not compose along products")
-        mixed1 = np.einsum("ikq,jql->ijkl", L, R)
-        mixed2 = np.einsum("jkq,iql->ijkl", R, L)
-        if not np.allclose(mixed1, mixed2, atol=1e-10):
-            raise AssertionError("left and right actions do not commute")
-
-
-def _adjoint_matrix(c):
+def adjoint_map_matrix(c):
+    """The (dim^2, dim) matrix of phi -> vec(ad_phi) for the structure cube
+    c, row index (k, j)."""
     d = len(c)
     return (c - c.transpose(1, 0, 2)).reshape(d * d, d)
-
-
-def adjoint_map_matrix(algebra):
-    """The (dim^2, dim) matrix of phi -> vec(ad_phi), row index (k, j)."""
-    return _adjoint_matrix(algebra.structure)
 
 
 def leibniz_residual(algebra, D):
@@ -218,7 +184,7 @@ def derivation_space(algebra):
                 derivations.append(_embed(outer, d, K, P))
     derivations = np.concatenate(derivations)
 
-    adjoint = _rank_split([_adjoint_matrix(cb) for cb in cubes])
+    adjoint = _rank_split([adjoint_map_matrix(cb) for cb in cubes])
     inner = np.concatenate([_embed(col.T.reshape(-1, len(b), len(b)), d, b, b)
                             for b, (_, col, _) in zip(blocks, adjoint)])
     z_null = np.concatenate([_embed(null, d, b) for b, (_, _, null) in zip(blocks, adjoint)])
@@ -234,17 +200,6 @@ def derivation_space(algebra):
     return DerivationSpaceReport(algebra, derivations, inner, z_null)
 
 
-def inner_space(algebra):
-    """Basis of the inner derivations plus the commutant kernel Z."""
-    rep = derivation_space(algebra)
-    return {
-        "inner_basis": rep.inner_basis,
-        "dim_inner": rep.dim_inner,
-        "z_basis": rep.z_basis,
-        "dim_z": rep.center_annihilator_dim,
-    }
-
-
 def is_weakly_amenable(algebra, report=None):
     """Containment test derivations <= inner span, with a certificate.
 
@@ -253,7 +208,7 @@ def is_weakly_amenable(algebra, report=None):
     derivation outside the inner span.
     """
     rep = report or derivation_space(algebra)
-    admat = adjoint_map_matrix(algebra)
+    admat = adjoint_map_matrix(algebra.structure)
     implementations = []
     for mat in rep.derivation_basis:
         target = mat.reshape(-1)
@@ -370,7 +325,7 @@ def min_dual_over_affine(norm, phi0, z_basis, seed=0, restarts=1, blocks=None):
 def minimal_implementing_functional(algebra, D, report=None, seed=0, blocks=None):
     """Least dual-norm phi with ad_phi = D (the constraint set is affine)."""
     rep = report or derivation_space(algebra)
-    admat = adjoint_map_matrix(algebra)
+    admat = adjoint_map_matrix(algebra.structure)
     target = D.reshape(-1)
     phi0, *_ = np.linalg.lstsq(admat, target, rcond=None)
     res = float(np.linalg.norm(admat @ phi0 - target))
@@ -438,7 +393,7 @@ def wam_bracket(algebra, samples=200, seed=0, blocks=None, report=None):
         lower = max(lower, phi_norm / nd)
         used += 1
 
-    admat = adjoint_map_matrix(algebra)
+    admat = adjoint_map_matrix(algebra.structure)
     s = np.linalg.svd(admat, compute_uv=False)
     sigma_min = float(s[s > RANK_TOL * s[0]].min())
     r_phi, s_phi = algebra.norm.dual_vs_l2(d)
@@ -585,7 +540,7 @@ def lp_obstruction_demo(B, psi, p, sizes, seed=0, tol=1e-8):
     if psi.shape != (B.dim,):
         raise ValueError("psi must be a dual coefficient vector for B")
     rep = derivation_space(B)
-    admat = adjoint_map_matrix(B)
+    admat = adjoint_map_matrix(B.structure)
     ad_psi = (admat @ psi).reshape(B.dim, B.dim)
     if float(np.abs(ad_psi).max()) <= 1e-12:
         raise ValueError("psi lies in the commutant; the construction degenerates")

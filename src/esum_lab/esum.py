@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lattice import (LatticeNormSpec, chi_norm, delta_norm, norm_eval, norm_eval_batch,
-                      required_key)
+from .lattice import (LatticeNormSpec, chi_norm, delta_norm, dual_norm_batch, dual_vs_l2,
+                      norm_eval, norm_eval_batch, required_key)
 
 SUBMULT_SAMPLES = 10_000
 SUBMULT_TOL = 1e-9
@@ -120,8 +120,8 @@ class MatrixOperatorNorm(CoordinateNorm):
 
 class LatticeBlockNorm(CoordinateNorm):
     """E-sum norm on concatenated summand coefficients: the lattice norm of
-    the per-block norms.  The dual applies the dual lattice norm to the dual
-    block norms (sup <-> sum, weighted sup <-> weighted sum, lp <-> lq)."""
+    the per-block norms.  The dual applies the dual lattice norm
+    (:func:`~esum_lab.lattice.dual_norm_batch`) to the dual block norms."""
 
     name = "lattice_block"
 
@@ -150,34 +150,13 @@ class LatticeBlockNorm(CoordinateNorm):
 
     def dual(self, v):
         vals = self._block_values(v, dual=True)
-        lat = self.lattice
-        if lat.kind == "sup":
-            return vals.sum(axis=-1)
-        if lat.kind == "weighted_sup":
-            return (vals / lat.weights).sum(axis=-1)
-        if lat.kind == "lp":
-            if lat.p == 1.0:
-                return vals.max(axis=-1)
-            q = lat.p / (lat.p - 1.0)
-            return (vals ** q).sum(axis=-1) ** (1.0 / q)
-        raise NotImplementedError("dual norm for Orlicz lattices is not implemented")
+        flat = vals.reshape(-1, vals.shape[-1])
+        return dual_norm_batch(self.lattice, flat).reshape(vals.shape[:-1])
 
     def dual_vs_l2(self, dim):
-        k = len(self.block_norms)
         rs = [nrm.dual_vs_l2(d) for nrm, d in zip(self.block_norms, self.block_dims)]
-        r_blocks = max(r for r, _ in rs)
-        s_blocks = max(s for _, s in rs)
-        lat = self.lattice
-        if lat.kind == "sup":            # dual lattice ell_1
-            R, S = np.sqrt(k), 1.0
-        elif lat.kind == "weighted_sup":  # dual lattice sum(u_i / w_i)
-            R = np.sqrt(float(np.sum(1.0 / lat.weights ** 2)))
-            S = float(np.max(lat.weights))
-        else:                             # dual lattice ell_q
-            q = np.inf if lat.p == 1.0 else lat.p / (lat.p - 1.0)
-            R = max(1.0, k ** max(0.0, 1.0 / q - 0.5)) if np.isfinite(q) else 1.0
-            S = k ** max(0.0, 0.5 - (0.0 if not np.isfinite(q) else 1.0 / q))
-        return (r_blocks * R, s_blocks * S)
+        R, S = dual_vs_l2(self.lattice)
+        return (max(r for r, _ in rs) * R, max(s for _, s in rs) * S)
 
 
 def coordinate_norm_from_json(d):
@@ -260,26 +239,24 @@ class FiniteAlgebra:
         return self.unit is not None
 
     def _certify_submultiplicative(self, samples, seed):
-        if samples <= 0:
-            return
         rng = np.random.default_rng(seed)
         batch = 2000
-        done = 0
-        while done < samples:
-            b = min(batch, samples - done)
-            u = rng.standard_normal((b, self.dim)) + 1j * rng.standard_normal((b, self.dim))
-            v = rng.standard_normal((b, self.dim)) + 1j * rng.standard_normal((b, self.dim))
-            prod = self.multiply(u, v)
-            nu = self.norm.eval(u)
-            nv = self.norm.eval(v)
-            np_ = self.norm.eval(prod)
-            bad = np_ > nu * nv * (1.0 + SUBMULT_TOL) + 1e-12
-            if np.any(bad):
+        for start in range(0, samples, batch):
+            nu, nv, np_ = _sample_pair_norms(rng, self, min(batch, samples - start))
+            if np.any(np_ > nu * nv * (1.0 + SUBMULT_TOL) + 1e-12):
                 raise AlgebraError(
                     f"{self.label}: norm is not submultiplicative "
                     f"(violation ratio {float((np_ / (nu * nv)).max()):.6g})"
                 )
-            done += b
+
+
+def _sample_pair_norms(rng, algebra, count):
+    """Norms of ``count`` random pairs u, v and of their products uv.  The
+    draws come in a fixed order: the real part of u, its imaginary part,
+    then the same for v."""
+    u = rng.standard_normal((count, algebra.dim)) + 1j * rng.standard_normal((count, algebra.dim))
+    v = rng.standard_normal((count, algebra.dim)) + 1j * rng.standard_normal((count, algebra.dim))
+    return algebra.norm.eval(u), algebra.norm.eval(v), algebra.norm.eval(algebra.multiply(u, v))
 
 
 def scalar_algebra():
@@ -369,16 +346,8 @@ class ESumAlgebra:
         """Sample ||ab|| <= ||a|| ||b|| on random element pairs, batched per
         summand; raises on any violation."""
         rng = np.random.default_rng(seed)
-        norm_cols_u, norm_cols_v, norm_cols_uv = [], [], []
-        for alg in self.summands:
-            u = rng.standard_normal((samples, alg.dim)) + 1j * rng.standard_normal((samples, alg.dim))
-            v = rng.standard_normal((samples, alg.dim)) + 1j * rng.standard_normal((samples, alg.dim))
-            norm_cols_u.append(alg.norm.eval(u))
-            norm_cols_v.append(alg.norm.eval(v))
-            norm_cols_uv.append(alg.norm.eval(alg.multiply(u, v)))
-        nu = norm_eval_batch(self.lattice, np.stack(norm_cols_u, axis=1))
-        nv = norm_eval_batch(self.lattice, np.stack(norm_cols_v, axis=1))
-        nuv = norm_eval_batch(self.lattice, np.stack(norm_cols_uv, axis=1))
+        cols = [_sample_pair_norms(rng, alg, samples) for alg in self.summands]
+        nu, nv, nuv = (norm_eval_batch(self.lattice, np.stack(c, axis=1)) for c in zip(*cols))
         worst = float((nuv / np.maximum(nu * nv, 1e-300)).max())
         if worst > 1.0 + tol:
             raise AlgebraError(f"E-sum norm is not submultiplicative (ratio {worst:.6g})")

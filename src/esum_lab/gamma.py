@@ -31,7 +31,6 @@ from .lattice import (
     ce_constant,
     chi_norm,
     generalized_inverse,
-    norm_eval,
     norm_eval_batch,
     restrict_spec,
 )
@@ -63,25 +62,6 @@ class DiagonalProblem:
             raise ValueError("norm spec must live on exactly n indices")
         self.n = int(n)
         self.spec = spec
-
-    def vec_norm(self, x):
-        return norm_eval(self.spec, x)
-
-    def dual_norm(self, f):
-        """Dual pairing norm: sup <-> sum, weighted sup <-> weighted sum,
-        lp <-> lq.  Orlicz duals are out of scope."""
-        f = np.abs(np.asarray(f, dtype=complex))
-        spec = self.spec
-        if spec.kind == "sup":
-            return float(f.sum())
-        if spec.kind == "weighted_sup":
-            return float((f / spec.weights).sum())
-        if spec.kind == "lp":
-            if spec.p == 1.0:
-                return float(f.max())
-            q = spec.p / (spec.p - 1.0)
-            return float((f ** q).sum() ** (1.0 / q))
-        raise NotImplementedError("dual norm for Orlicz families is not implemented")
 
 
 class NormBracket:

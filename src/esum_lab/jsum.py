@@ -27,6 +27,9 @@ from itertools import combinations
 
 import numpy as np
 
+from . import esum as es
+from .lattice import required_key, values_from_json
+
 BOND_TOL = 1e-9
 MUL_BOUND = 3.0 / np.sqrt(2.0)
 
@@ -69,14 +72,14 @@ class JSystem:
     def _attach_structures(self, structures):
         if len(structures) != len(self.dims):
             raise JSystemError("need one structure cube per level")
-        cubes = []
-        for lvl, (d, s) in enumerate(zip(self.dims, structures)):
-            c = np.asarray(s, dtype=complex).reshape(d, d, d)
-            left = np.einsum("ijm,mkl->ijkl", c, c)
-            right = np.einsum("jkm,iml->ijkl", c, c)
-            if not np.allclose(left, right, atol=1e-12):
-                raise JSystemError(f"level {lvl} structure constants are not associative")
-            cubes.append(c)
+        cubes = [np.asarray(s, dtype=complex).reshape(d, d, d)
+                 for d, s in zip(self.dims, structures)]
+        for lvl, c in enumerate(cubes):
+            if len(c):
+                try:
+                    es.FiniteAlgebra(c, es.EuclideanCoordinate(), samples=200, label=f"level {lvl}")
+                except es.AlgebraError as exc:
+                    raise JSystemError(str(exc)) from exc
         for n, bond in enumerate(self.bonds):
             c_lo, c_hi = cubes[n], cubes[n + 1]
             if self.dims[n] == 0:
@@ -86,19 +89,6 @@ class JSystem:
             rhs = np.einsum("pi,qj,pqk->ijk", bond, bond, c_hi)
             if not np.allclose(lhs, rhs, atol=1e-9):
                 raise JSystemError(f"bond {n} is not multiplicative")
-        rng = np.random.default_rng(0)
-        for lvl, c in enumerate(cubes):
-            d = self.dims[lvl]
-            if d == 0:
-                continue
-            u = rng.standard_normal((200, d)) + 1j * rng.standard_normal((200, d))
-            v = rng.standard_normal((200, d)) + 1j * rng.standard_normal((200, d))
-            prod = np.einsum("si,sj,ijk->sk", u, v, c)
-            bad = np.linalg.norm(prod, axis=1) > (
-                np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1) * (1 + 1e-9) + 1e-12
-            )
-            if np.any(bad):
-                raise JSystemError(f"level {lvl} norm is not submultiplicative")
         self.structures = cubes
 
     @property
@@ -395,9 +385,11 @@ def bimonotone_check(x, samples, rng=None, tol=1e-9):
 # ---------------------------------------------------------------------------
 
 def system_from_dict(d):
-    structures = d.get("algebra")
-    return JSystem(d["dims"], d["bonds"], structures=structures)
+    dims = required_key(d, "dims", "chain system", JSystemError)
+    bonds = required_key(d, "bonds", "chain system", JSystemError)
+    return JSystem(dims, bonds, structures=d.get("algebra"))
 
 
 def element_from_dict(system, d):
-    return JElement(system, d["coords"])
+    coords = required_key(d, "coords", "chain element", JSystemError)
+    return JElement(system, [values_from_json(c) for c in coords])

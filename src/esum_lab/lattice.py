@@ -323,6 +323,37 @@ def norm_eval(spec, x):
     return float(norm_eval_batch(spec, ax[None, :])[0])
 
 
+def dual_norm_batch(spec, rows):
+    """Dual norms, under the pairing sum_i f_i x_i, of the rows of a
+    (batch, index_size) array of moduli: sup <-> sum, weighted sup <->
+    sum_i |f_i| / w_i, lp <-> lq (the max for p = 1).  The Orlicz dual is
+    not implemented."""
+    rows = np.abs(np.asarray(rows)).astype(float)
+    if spec.kind == "sup":
+        return rows.sum(axis=1)
+    if spec.kind == "weighted_sup":
+        return (rows / spec.weights).sum(axis=1)
+    if spec.kind == "lp":
+        if spec.p == 1.0:
+            return rows.max(axis=1)
+        return _lp_batch(rows, spec.p / (spec.p - 1.0))
+    raise NotImplementedError("dual norm for Orlicz lattices is not implemented")
+
+
+def dual_vs_l2(spec):
+    """Constants (R, S) with dual(f) <= R ||f||_2 and ||f||_2 <= S dual(f)
+    for every f on the index set, with ``dual`` as in :func:`dual_norm_batch`."""
+    k = spec.index_size
+    if spec.kind == "sup":            # dual lattice ell_1
+        return np.sqrt(k), 1.0
+    if spec.kind == "weighted_sup":   # dual lattice sum(u_i / w_i)
+        return np.sqrt(float(np.sum(1.0 / spec.weights ** 2))), float(np.max(spec.weights))
+    if spec.kind == "lp":             # dual lattice ell_q, q = inf for p = 1
+        q = np.inf if spec.p == 1.0 else spec.p / (spec.p - 1.0)
+        return max(1.0, k ** max(0.0, 1.0 / q - 0.5)), k ** max(0.0, 0.5 - 1.0 / q)
+    raise NotImplementedError("dual norm for Orlicz lattices is not implemented")
+
+
 def delta_norm(spec, i):
     """Norm of the i-th coordinate unit vector."""
     if not (0 <= i < spec.index_size):
@@ -423,6 +454,26 @@ def required_key(doc, key, what, error=LatticeSpecError):
     if key not in doc:
         raise error(f"{what} is missing the key {key!r}")
     return doc[key]
+
+
+def values_from_json(raw):
+    """A complex coefficient vector from a JSON array whose entries are
+    numbers or [re, im] pairs; a malformed entry raises ValueError naming
+    its position."""
+    if not isinstance(raw, list):
+        raise ValueError(f"coefficients must be a JSON array, got {type(raw).__name__}")
+    out = []
+    for i, v in enumerate(raw):
+        try:
+            if isinstance(v, list):
+                re, im = v
+                out.append(complex(re, im))
+            else:
+                out.append(complex(v))
+        except (TypeError, ValueError):
+            raise ValueError(f"coefficient {i} must be a number or an [re, im] pair, "
+                             f"got {json.dumps(v)}") from None
+    return np.asarray(out, dtype=complex)
 
 
 def phi_from_dict(d):

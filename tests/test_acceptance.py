@@ -2,6 +2,7 @@
 line.  Run with ``pytest -s tests/test_acceptance.py`` to see the table."""
 
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from esum_lab import esum as es
 from esum_lab import gamma as gm
 from esum_lab import jsum as js
 from esum_lab import lattice as lt
-from esum_lab.verify import report_json, verify_all
+from esum_lab.verify import report_csv, report_json, verify_all
+
+GOLDEN_CSV = Path(__file__).parent / "data" / "verify_seed42.csv"
 
 BUDGET = gm.BracketBudget()
 
@@ -222,12 +225,18 @@ def test_criterion_9_psum_growth_obstruction():
 
 
 def test_criterion_10_verify_suite_deterministic():
+    """Two runs at seed 42 agree, and the CSV equals the committed golden
+    report; a deliberate change to the report updates that file."""
     t0 = time.perf_counter()
     first = verify_all(seed=42, budget=1.0)
     elapsed = time.perf_counter() - t0
     second = verify_all(seed=42, budget=1.0)
     identical = report_json(first) == report_json(second)
+    csv_text, golden = report_csv(first), GOLDEN_CSV.read_text()
+    changed = sorted(set(csv_text.splitlines()) ^ set(golden.splitlines()))
     statuses = {c["status"] for c in first["cases"]}
     verdict("criterion 10: verify suite deterministic, green, under 5 minutes",
             identical and first["passed"] and statuses <= {"pass"} and elapsed < 300.0,
             f"{len(first['cases'])} cases in {elapsed:.0f}s, statuses {sorted(statuses)}")
+    verdict("criterion 10: verify report at seed 42 equals tests/data/verify_seed42.csv",
+            csv_text == golden, "; ".join(changed) or "same rows, different order")

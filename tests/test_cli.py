@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from esum_lab import cli
+from esum_lab import esum as es
 from esum_lab.verify import emit_tables, report_csv, report_json
 
 
@@ -91,6 +92,40 @@ def test_spec_missing_key_is_one_line_error(tmp_path, capsys, doc, message):
 ])
 def test_algebra_missing_key_is_one_line_error(tmp_path, capsys, doc, message):
     assert cli.main(["wa", "--algebra", write(tmp_path, "alg.json", doc)]) == 2
+    assert _error_line(capsys) == message
+
+
+M2_CUBE = es.matrix_units_algebra(2).structure.real.tolist()
+CHAIN = {"dims": [0, 1], "bonds": [[[]]]}
+SCALARS = {"summands": [{"structure": [[[1.0]]], "norm": "max_abs"}],
+           "lattice": {"kind": "sup", "index_size": 1}}
+LP2 = {"kind": "lp", "p": 2.0, "index_size": 2}
+
+
+@pytest.mark.parametrize("command, docs, message", [
+    ("jnorm", {"system": {"dims": [0, 1]}, "element": {"coords": [[], [1.0]]}},
+     "JSystemError: chain system is missing the key 'bonds'"),
+    ("jcheck", {"system": {"dims": [0, 1]}},
+     "JSystemError: chain system is missing the key 'bonds'"),
+    ("jnorm", {"system": CHAIN, "element": {"coord": [[], [1.0]]}},
+     "JSystemError: chain element is missing the key 'coords'"),
+    ("esum-norm", {"algebra": SCALARS, "element": {"vals": [[1.0]]}},
+     "AlgebraError: element is missing the key 'values'"),
+    ("norm", {"spec": LP2, "vector": [[1.0], [2.0, 0]]},
+     "ValueError: coefficient 0 must be a number or an [re, im] pair, got [1.0]"),
+    ("norm", {"spec": LP2, "vector": [1.0, None]},
+     "ValueError: coefficient 1 must be a number or an [re, im] pair, got null"),
+    ("wam", {"algebra": {"summands": [{"structure": M2_CUBE, "norm": {"kind": "matrix_operator",
+                                                                      "side": 2}}] * 2,
+                         "lattice": {"kind": "orlicz", "index_size": 2,
+                                     "phi": {"family": "shifted_ramp", "a": 0.5}}}},
+     "NotImplementedError: dual norm for Orlicz lattices is not implemented"),
+])
+def test_bad_document_is_one_line_error(tmp_path, capsys, command, docs, message):
+    argv = [command]
+    for name, doc in docs.items():
+        argv += [f"--{name}", write(tmp_path, f"{name}.json", doc)]
+    assert cli.main(argv) == 2
     assert _error_line(capsys) == message
 
 

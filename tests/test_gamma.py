@@ -112,7 +112,7 @@ class TestBracketMechanics:
             problem = gm.DiagonalProblem(4, spec)
             u = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
             pairs = gm._pairs_from_matrix(problem, u)
-            want = sum(problem.vec_norm(x) * problem.vec_norm(y) for x, y in pairs)
+            want = sum(lt.norm_eval(spec, x) * lt.norm_eval(spec, y) for x, y in pairs)
             assert gm._decomposition_cost(problem, pairs) == want
 
     def test_fourier_decomposition_identity(self):
@@ -143,24 +143,6 @@ class TestBracketMechanics:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             gm.DiagonalProblem(3, lt.sup_norm(4))
-
-    def test_dual_norm_pairings(self):
-        f = np.array([1.0, -2.0, 2.0])
-        assert gm.DiagonalProblem(3, lt.sup_norm(3)).dual_norm(f) == 5.0
-        assert gm.DiagonalProblem(3, lt.weighted_sup([1, 2, 4])).dual_norm(f) == 2.5
-        assert abs(gm.DiagonalProblem(3, lt.lp_norm(2.0, 3)).dual_norm(f) - 3.0) <= 1e-12
-        assert gm.DiagonalProblem(3, lt.lp_norm(1.0, 3)).dual_norm(f) == 2.0
-        # duality sanity: |<f, x>| <= ||f||_dual ||x|| on samples
-        rng = np.random.default_rng(1)
-        for spec in (lt.sup_norm(3), lt.weighted_sup([1, 2, 4]), lt.lp_norm(1.5, 3)):
-            problem = gm.DiagonalProblem(3, spec)
-            for _ in range(100):
-                x = rng.standard_normal(3)
-                assert abs(f @ x) <= problem.dual_norm(f) * problem.vec_norm(x) * (1 + 1e-9)
-        with pytest.raises(NotImplementedError):
-            gm.DiagonalProblem(
-                2, lt.orlicz_norm(lt.OrliczFunction.shifted_ramp(0.5), 2)
-            ).dual_norm(np.ones(2))
 
 
 class TestCertifiedBounds:

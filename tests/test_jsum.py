@@ -75,6 +75,18 @@ class TestSystemValidation:
             js.JSystem([0, 2, 2], [np.zeros((2, 0)), bad],
                        structures=[np.zeros((0, 0, 0)), cube, cube])
 
+    def test_non_associative_level_rejected(self):
+        c = np.zeros((2, 2, 2))
+        c[0, 0, 1] = c[1, 1, 0] = c[0, 1, 0] = 1.0   # (b0 b0) b1 != b0 (b0 b1)
+        with pytest.raises(js.JSystemError, match="level 1.*not associative"):
+            js.JSystem([0, 2], [np.zeros((2, 0))], structures=[np.zeros((0, 0, 0)), c])
+
+    def test_level_breaking_euclidean_product_bound_rejected(self):
+        # b b = 2 b gives |uv| = 2 |u| |v| in the Euclidean norm
+        with pytest.raises(js.JSystemError, match="level 1.*not submultiplicative"):
+            js.JSystem([0, 1], [np.zeros((1, 0))],
+                       structures=[np.zeros((0, 0, 0)), [[[2.0]]]])
+
     def test_compose_caches_and_extends(self):
         system = scalar_identity_system(3)
         assert np.allclose(system.compose(1, 3), np.eye(1))
@@ -315,5 +327,5 @@ def test_json_roundtrip():
     payload["bonds"][0] = np.zeros((1, 0)).tolist()
     system = js.system_from_dict(payload)
     assert system.has_algebra
-    x = js.element_from_dict(system, {"coords": [[], [1.0], [1.0]]})
+    x = js.element_from_dict(system, {"coords": [[], [[1.0, 0.0]], [1.0]]})
     assert abs(js.jnorm(x) - 1.0) <= 1e-15

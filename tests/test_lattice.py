@@ -303,6 +303,65 @@ def test_pointwise_submultiplicativity(spec, x, y):
     assert lhs <= lt.norm_eval(spec, x) * lt.norm_eval(spec, y) * (1 + 1e-9) + 1e-12
 
 
+def _dual_spec_strategy(n):
+    return st.one_of(
+        st.just(lt.sup_norm(n)),
+        st.builds(lambda ws: lt.weighted_sup(1.0 + np.asarray(ws)),
+                  st.lists(st.floats(0, 3), min_size=n, max_size=n)),
+        st.builds(lambda p: lt.lp_norm(p, n), st.floats(1.0, 6.0)),
+    )
+
+
+def _dual_extremal(spec, f):
+    """A vector x of norm 1 with sum_i f_i x_i = dual(f), for f != 0."""
+    a = np.abs(f)
+    phase = np.exp(-1j * np.angle(f))
+    if spec.kind == "sup":
+        x = phase
+    elif spec.kind == "weighted_sup":
+        x = phase / spec.weights
+    elif spec.p == 1.0:
+        x = np.where(np.arange(len(f)) == a.argmax(), phase, 0.0)
+    else:
+        x = phase * (a / a.max()) ** (1.0 / (spec.p - 1.0))   # |f|^(q-1), scaled
+    return x / lt.norm_eval(spec, x)
+
+
+complex_row = st.lists(st.tuples(finite_entry, finite_entry), min_size=4, max_size=4).map(
+    lambda pairs: np.array([complex(re, im) for re, im in pairs]))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(spec=_dual_spec_strategy(4), rows=st.lists(complex_row, min_size=1, max_size=4),
+       x=complex_row)
+def test_dual_norm_holder_and_extremal(spec, rows, x):
+    rows = np.array(rows)
+    duals = lt.dual_norm_batch(spec, rows)
+    for f, dual in zip(rows, duals):
+        assert lt.dual_norm_batch(spec, f[None, :])[0] == dual
+        assert abs(f @ x) <= dual * lt.norm_eval(spec, x) * (1 + 1e-9) + 1e-12
+        if np.abs(f).max() > 0:
+            pairing = f @ _dual_extremal(spec, f)
+            assert abs(pairing - dual) <= 1e-9 * dual + 1e-12
+
+
+def test_dual_norm_values():
+    f = np.array([[1.0, -2.0, 2.0]])
+    assert lt.dual_norm_batch(lt.sup_norm(3), f)[0] == 5.0
+    assert lt.dual_norm_batch(lt.weighted_sup([1, 2, 4]), f)[0] == 2.5
+    assert abs(lt.dual_norm_batch(lt.lp_norm(2.0, 3), f)[0] - 3.0) <= 1e-12
+    assert lt.dual_norm_batch(lt.lp_norm(1.0, 3), f)[0] == 2.0
+    # q = 1001 and 10001: the entries are scaled by the row maximum before
+    # the power, so they neither overflow nor underflow
+    assert abs(lt.dual_norm_batch(lt.lp_norm(1.001, 2), [[50.0, 1.0]])[0] - 50.0) <= 1e-12
+    assert abs(lt.dual_norm_batch(lt.lp_norm(1.0001, 2), [[0.5, 0.25]])[0] - 0.5) <= 1e-15
+    ramp = lt.orlicz_norm(lt.OrliczFunction.shifted_ramp(0.5), 2)
+    with pytest.raises(NotImplementedError):
+        lt.dual_norm_batch(ramp, np.ones((1, 2)))
+    with pytest.raises(NotImplementedError):
+        lt.dual_vs_l2(ramp)
+
+
 def test_restrict_spec():
     spec = lt.weighted_sup([1.0, 2.0, 3.0])
     sub = lt.restrict_spec(spec, [0, 2])
