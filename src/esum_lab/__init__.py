@@ -48,10 +48,8 @@ from .esum import (
 )
 from .gamma import (
     BracketBudget,
-    DiagonalProblem,
     NormBracket,
     am_pointwise,
-    gamma_norm_bracket,
     verify_main_theorem,
     verify_quotient_bound,
 )

@@ -32,8 +32,8 @@ def _emit(payload):
     print(json.dumps(payload, indent=2, sort_keys=True, default=str))
 
 
-def _key(d, key, what="algebra"):
-    return lt.required_key(d, key, what, es.AlgebraError)
+def _key(d, key, what="algebra", array=False):
+    return lt.required_key(d, key, what, es.AlgebraError, array=array)
 
 
 def _summand_from_dict(s):
@@ -45,13 +45,13 @@ def _summand_from_dict(s):
 
 
 def _algebra_from_dict(d):
-    summands = [_summand_from_dict(s) for s in _key(d, "summands", "summed algebra")]
+    summands = [_summand_from_dict(s) for s in _key(d, "summands", "summed algebra", array=True)]
     lattice = lt.spec_from_dict(_key(d, "lattice", "summed algebra"))
     return es.ESumAlgebra(summands, lattice)
 
 
 def _element_from_dict(algebra, d):
-    return algebra.element([lt.values_from_json(v) for v in _key(d, "values", "element")])
+    return algebra.element([lt.values_from_json(v) for v in _key(d, "values", "element", array=True)])
 
 
 def _finite_algebra_from_dict(d):

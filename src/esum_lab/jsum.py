@@ -385,11 +385,14 @@ def bimonotone_check(x, samples, rng=None, tol=1e-9):
 # ---------------------------------------------------------------------------
 
 def system_from_dict(d):
-    dims = required_key(d, "dims", "chain system", JSystemError)
-    bonds = required_key(d, "bonds", "chain system", JSystemError)
-    return JSystem(dims, bonds, structures=d.get("algebra"))
+    dims = required_key(d, "dims", "chain system", JSystemError, array=True)
+    bonds = required_key(d, "bonds", "chain system", JSystemError, array=True)
+    structures = None
+    if "algebra" in d:
+        structures = required_key(d, "algebra", "chain system", JSystemError, array=True)
+    return JSystem(dims, bonds, structures=structures)
 
 
 def element_from_dict(system, d):
-    coords = required_key(d, "coords", "chain element", JSystemError)
+    coords = required_key(d, "coords", "chain element", JSystemError, array=True)
     return JElement(system, [values_from_json(c) for c in coords])

@@ -446,14 +446,18 @@ def ce_constant(spec):
 # JSON interface
 # ---------------------------------------------------------------------------
 
-def required_key(doc, key, what, error=LatticeSpecError):
+def required_key(doc, key, what, error=LatticeSpecError, array=False):
     """``doc[key]`` of a JSON object describing ``what``.  A document that is
-    not an object, or lacks the key, raises ``error`` naming both."""
+    not an object, lacks the key, or (with ``array``) holds something other
+    than a JSON array under it, raises ``error`` naming both."""
     if not isinstance(doc, dict):
         raise error(f"{what} must be a JSON object, got {type(doc).__name__}")
     if key not in doc:
         raise error(f"{what} is missing the key {key!r}")
-    return doc[key]
+    value = doc[key]
+    if array and not isinstance(value, list):
+        raise error(f"{what} key {key!r} must be a JSON array, got {type(value).__name__}")
+    return value
 
 
 def values_from_json(raw):
@@ -483,14 +487,14 @@ def phi_from_dict(d):
     if family == "shifted_ramp":
         return OrliczFunction.shifted_ramp(required_key(d, "a", "shifted_ramp function"))
     if family == "table":
-        return OrliczFunction.from_table(required_key(d, "points", "table function"))
+        return OrliczFunction.from_table(required_key(d, "points", "table function", array=True))
     raise LatticeSpecError(f"unknown Orlicz family {family!r}")
 
 
 def spec_from_dict(d):
     kind = required_key(d, "kind", "norm spec")
     if kind == "weighted_sup":
-        w = required_key(d, "weights", "weighted_sup spec")
+        w = required_key(d, "weights", "weighted_sup spec", array=True)
         n = d.get("index_size")
         if n is not None and len(w) != n:
             raise LatticeSpecError("index_size disagrees with the weight list")

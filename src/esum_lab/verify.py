@@ -61,9 +61,9 @@ def case(case_id, anchor, tol):
     return register
 
 
-def _result(expected, got, ok, loose=False, note=""):
+def _result(expected, got, ok, loose=False):
     return {"expected": _fmt(expected), "got": _fmt(got), "ok": bool(ok),
-            "loose": bool(loose), "note": note}
+            "loose": bool(loose)}
 
 
 # ---------------------------------------------------------------------------
@@ -668,8 +668,6 @@ def verify_all(seed=0, budget=1.0):
                 "tol": spec["tol"],
                 "status": status,
             }
-            if out.get("note"):
-                row["note"] = out["note"]
         except Exception as exc:  # fault isolation: one bad case never aborts the suite
             row = {
                 "case_id": spec["id"],

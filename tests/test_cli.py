@@ -120,6 +120,14 @@ LP2 = {"kind": "lp", "p": 2.0, "index_size": 2}
                          "lattice": {"kind": "orlicz", "index_size": 2,
                                      "phi": {"family": "shifted_ramp", "a": 0.5}}}},
      "NotImplementedError: dual norm for Orlicz lattices is not implemented"),
+    ("jnorm", {"system": CHAIN, "element": {"coords": 5}},
+     "JSystemError: chain element key 'coords' must be a JSON array, got int"),
+    ("jnorm", {"system": {"dims": 3, "bonds": []}, "element": {"coords": [[], [1.0]]}},
+     "JSystemError: chain system key 'dims' must be a JSON array, got int"),
+    ("esum-norm", {"algebra": SCALARS, "element": {"values": 5}},
+     "AlgebraError: element key 'values' must be a JSON array, got int"),
+    ("ce", {"spec": {"kind": "weighted_sup", "weights": 5}},
+     "LatticeSpecError: weighted_sup spec key 'weights' must be a JSON array, got int"),
 ])
 def test_bad_document_is_one_line_error(tmp_path, capsys, command, docs, message):
     argv = [command]

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from esum_lab import gamma as gm
 from esum_lab import lattice as lt
 
 # unit tests exercise correctness, not search effort
-BUDGET = gm.BracketBudget(restarts=10, iters=40, local_rounds=120)
+BUDGET = gm.BracketBudget(scale=0.3)
 
 
 def bracket(n, spec, salt=0):
@@ -109,11 +111,10 @@ class TestBracketMechanics:
                      lt.lp_norm(1.5, 4), lt.orlicz_norm(lt.OrliczFunction.power(3.0), 4),
                      lt.orlicz_norm(lt.OrliczFunction.shifted_ramp(0.5), 4),
                      lt.orlicz_norm(table, 4)):
-            problem = gm.DiagonalProblem(4, spec)
             u = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-            pairs = gm._pairs_from_matrix(problem, u)
+            pairs = gm._pairs_from_matrix(u)
             want = sum(lt.norm_eval(spec, x) * lt.norm_eval(spec, y) for x, y in pairs)
-            assert gm._decomposition_cost(problem, pairs) == want
+            assert gm._decomposition_cost(spec, pairs) == want
 
     def test_fourier_decomposition_identity(self):
         for n in (2, 3, 5):
@@ -142,7 +143,60 @@ class TestBracketMechanics:
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            gm.DiagonalProblem(3, lt.sup_norm(4))
+            gm.am_pointwise(3, lt.sup_norm(4))
+
+
+# Lower-witness families that dual_pairing_lower does not score: under the
+# certificates none can exceed a spike or the identity (its docstring gives
+# the argument), so as oracles none may beat the bracket's lower bound.
+
+def _permutation_oracle(n):
+    for perm in itertools.permutations(range(n)):
+        yield np.eye(n)[list(perm)]
+
+
+def _sign_diagonal_oracle(n, rng, count=8):
+    for _ in range(count):
+        yield np.diag(rng.choice([-1.0, 1.0], size=n))
+
+
+def _ascent_oracle(spec, rng, restarts=8, iters=80):
+    """Projected gradient ascent on Re tr(M) over the certified unit ball;
+    the projection is exact only for lp with p in {1, 2}."""
+    if spec.kind != "lp" or spec.p not in (1.0, 2.0):
+        return
+    n = spec.index_size
+    for _ in range(restarts):
+        m = rng.standard_normal((n, n)) * 0.1
+        for it in range(1, iters + 1):
+            m = m + (0.1 / np.sqrt(it)) * np.eye(n)   # gradient of Re tr
+            if spec.p == 2.0:
+                u, s, vt = np.linalg.svd(m)
+                m = (u * np.clip(s, None, 1.0)) @ vt  # singular-value clipping
+            else:
+                m = np.clip(m, -1.0, 1.0)             # entry clipping
+        yield m
+
+
+def _oracle_specs(n):
+    table = lt.OrliczFunction.from_table([(0, 0), (0.3, 0), (0.7, 0.4), (1, 1), (2, 4)])
+    specs = [lt.sup_norm(n), lt.weighted_sup(2.0 ** np.arange(n))]
+    specs += [lt.lp_norm(p, n) for p in (1.0, 1.5, 2.0, 3.0, 5.0)]
+    specs += [lt.orlicz_norm(phi, n) for phi in (lt.OrliczFunction.shifted_ramp(0.5),
+                                                 lt.OrliczFunction.power(3.0), table)]
+    return specs
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_dropped_lower_candidates_never_win(n):
+    rng = np.random.default_rng(n)
+    for spec in _oracle_specs(n):
+        lower = gm.am_pointwise(n, spec, budget=gm.BracketBudget(scale=0.01)).lower
+        mats = itertools.chain(_permutation_oracle(n), _sign_diagonal_oracle(n, rng),
+                               _ascent_oracle(spec, rng))
+        for mat in mats:
+            value = gm._scaled_candidate(spec, mat, "oracle")[0]
+            assert value <= lower * (1 + 1e-12), (spec, mat, value, lower)
 
 
 class TestCertifiedBounds:
