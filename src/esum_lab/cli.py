@@ -37,10 +37,12 @@ def _key(d, key, what="algebra", array=False):
 
 
 def _summand_from_dict(s):
-    algebra = es.FiniteAlgebra(_key(s, "structure"),
-                               es.coordinate_norm_from_json(_key(s, "norm")))
-    if "dim" in s and algebra.dim != int(s["dim"]):
-        raise ValueError(f"declared dim {s['dim']} disagrees with the structure cube")
+    structure = lt.numbers_from_json(_key(s, "structure", array=True),
+                                     "algebra key 'structure'", es.AlgebraError)
+    algebra = es.FiniteAlgebra(structure, es.coordinate_norm_from_json(_key(s, "norm")))
+    dim = lt.integer_from_json(s.get("dim", algebra.dim), "algebra key 'dim'", es.AlgebraError)
+    if algebra.dim != dim:
+        raise ValueError(f"declared dim {dim} disagrees with the structure cube")
     return algebra
 
 
@@ -96,8 +98,7 @@ def cmd_bai_check(args):
 def cmd_am(args):
     spec = lt.load_spec(args.spec)
     budget = gm.BracketBudget(scale=args.budget)
-    bracket = gm.am_pointwise(args.n, spec, budget=budget,
-                              rng=np.random.default_rng(args.seed))
+    bracket = gm.am_pointwise(args.n, spec, budget=budget)
     payload = bracket.as_dict()
     if not args.witnesses:
         payload.pop("witness_lower")
@@ -200,8 +201,10 @@ def build_parser():
     p = sub.add_parser("am", help="diagonal tensor-norm bracket for C^n")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--spec", required=True)
-    p.add_argument("--budget", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--budget", type=float, default=1.0,
+                   help="0 drops the identity, Fourier and orbit candidates")
+    p.add_argument("--seed", type=int, default=0,
+                   help="has no effect: every AM bracket is deterministic")
     p.add_argument("--witnesses", action="store_true")
     p.set_defaults(fn=cmd_am)
 

@@ -35,7 +35,6 @@ p-summed copies of a noncommutative algebra.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import esum as es
 from .esum import ESumAlgebra, EuclideanCoordinate
@@ -270,6 +269,15 @@ def blockwise_span_split(z_basis, blocks):
     if total != zb.shape[0]:
         return None
     return pieces
+
+
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported on the first call: importing
+    scipy.optimize takes about 50 MB of resident memory, and only the
+    Powell search of :func:`min_dual_over_affine` needs it.  It stays a
+    module-level name, which perfbench's tracer wraps."""
+    from scipy.optimize import minimize as scipy_minimize
+    return scipy_minimize(*args, **kwargs)
 
 
 def min_dual_over_affine(norm, phi0, z_basis, seed=0, restarts=1, blocks=None):

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .lattice import (LatticeNormSpec, chi_norm, delta_norm, dual_norm_batch, dual_vs_l2,
-                      norm_eval, norm_eval_batch, required_key)
+                      integer_from_json, norm_eval, norm_eval_batch, required_key)
 
 SUBMULT_SAMPLES = 10_000
 SUBMULT_TOL = 1e-9
@@ -165,7 +165,9 @@ def coordinate_norm_from_json(d):
     if d == "euclidean":
         return EuclideanCoordinate()
     if isinstance(d, dict) and d.get("kind") == "matrix_operator":
-        return MatrixOperatorNorm(required_key(d, "side", "matrix_operator norm", AlgebraError))
+        side = required_key(d, "side", "matrix_operator norm", AlgebraError)
+        return MatrixOperatorNorm(integer_from_json(side, "matrix_operator norm key 'side'",
+                                                    AlgebraError))
     raise AlgebraError(f"unknown coordinate norm {d!r}")
 
 

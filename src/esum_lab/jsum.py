@@ -28,7 +28,8 @@ from itertools import combinations
 import numpy as np
 
 from . import esum as es
-from .lattice import required_key, values_from_json
+from .lattice import (integer_from_json, numbers_from_json, required_key,
+                      values_from_json)
 
 BOND_TOL = 1e-9
 MUL_BOUND = 3.0 / np.sqrt(2.0)
@@ -385,11 +386,17 @@ def bimonotone_check(x, samples, rng=None, tol=1e-9):
 # ---------------------------------------------------------------------------
 
 def system_from_dict(d):
-    dims = required_key(d, "dims", "chain system", JSystemError, array=True)
-    bonds = required_key(d, "bonds", "chain system", JSystemError, array=True)
+    def entries(key):
+        return enumerate(required_key(d, key, "chain system", JSystemError, array=True))
+
+    dims = [integer_from_json(v, f"chain system dims entry {n}", JSystemError)
+            for n, v in entries("dims")]
+    bonds = [numbers_from_json(v, f"chain system bond {n}", JSystemError)
+             for n, v in entries("bonds")]
     structures = None
     if "algebra" in d:
-        structures = required_key(d, "algebra", "chain system", JSystemError, array=True)
+        structures = [numbers_from_json(v, f"chain system algebra level {n}", JSystemError)
+                      for n, v in entries("algebra")]
     return JSystem(dims, bonds, structures=structures)
 
 

@@ -13,7 +13,8 @@ dominates the sup norm.  The module also computes indicator norms, the
 uniformity constant ``ce_constant`` (the largest indicator norm, together
 with its behaviour as the index set grows), and the generalized inverse of
 an Orlicz function, which yields the indicator closed form
-``chi(n) = 1 / phi_inv(1/n)``.
+``chi(n) = 1 / phi_inv(1/n)``, and the squared l2 radius of the unit ball
+with a vector attaining it (``max_square_sum``).
 
 Every named Orlicz family is evaluated in closed form, without iteration: a
 power phi(t) = t**p reduces to the lp formulas, and the shifted ramp and
@@ -25,6 +26,10 @@ from __future__ import annotations
 
 import json
 import numpy as np
+
+
+MAX_TABLE_CANDIDATES = 10 ** 6
+LUXEMBURG_BLOCK = 2 ** 24   # floats in one block's knot levels
 
 
 class UnreachableLevelError(ValueError):
@@ -96,7 +101,8 @@ class OrliczFunction:
 
         Nodes must start at (0, 0), have strictly increasing t and
         nondecreasing y; beyond the last node the final segment is extended
-        linearly.  Only monotonicity is validated, not convexity.
+        linearly.  Only monotonicity is validated here; an Orlicz norm spec
+        also requires convexity.
         """
         pts = sorted((float(t), float(y)) for t, y in points)
         ts = np.array([t for t, _ in pts])
@@ -193,6 +199,13 @@ class LatticeNormSpec:
                 raise LatticeSpecError("phi(1) >= 1 required for sup-norm domination")
             if float(phi(1.0 + 1e-9)) <= 1.0:
                 raise LatticeSpecError("phi must exceed 1 strictly beyond t = 1")
+            # Convexity makes the Luxemburg functional a norm; the bilinear
+            # certificates and the square-sum enumeration rely on it.
+            if phi.nodes is not None:
+                ts, ys, _ = phi.nodes
+                slopes = np.diff(ys) / np.diff(ts)
+                if np.any(slopes[1:] < slopes[:-1] * (1.0 - 1e-12)):
+                    raise LatticeSpecError("phi must be convex, but the table's slopes decrease")
             self.phi = phi
         else:
             raise LatticeSpecError(f"unknown norm family {kind!r}")
@@ -261,6 +274,23 @@ def _lp_batch(rows, p):
     return safe * ((rows / safe[:, None]) ** p).sum(axis=1) ** (1.0 / p)
 
 
+def _piecewise_luxemburg(phi, r, m):
+    """The breakpoint solve of :func:`luxemburg_batch` for a piecewise-linear
+    phi, on nonzero rows r with maxima m."""
+    ts = phi.nodes[0][1:]
+    top = 2.0 * max(ts[-1], 1.0)
+    unit = (r / m[:, None])[:, :, None]
+    knots = np.full(unit.shape[:2] + ts.shape, top)
+    np.divide(ts, unit, out=knots, where=ts < top * unit)
+    edge = np.zeros((len(r), 1))
+    knots = np.sort(np.concatenate([edge, knots.reshape(len(r), -1), edge + top], axis=1))
+    level = phi(unit * knots[:, None, :]).sum(axis=1)
+    # level[:, 0] = S(0) = 0, so the first knot with S > 1 has index j >= 1
+    i, j = np.arange(len(r)), np.argmax(level > 1.0, axis=1)
+    u0, u1, s0, s1 = knots[i, j - 1], knots[i, j], level[i, j - 1], level[i, j]
+    return m / (u0 + (1.0 - s0) / (s1 - s0) * (u1 - u0))
+
+
 def luxemburg_batch(phi, rows):
     """Luxemburg norms inf{lam > 0 : sum_i phi(x_i / lam) <= 1} of the rows
     of a nonnegative matrix, in closed form; rows of zeros get norm 0.
@@ -273,7 +303,10 @@ def luxemburg_batch(phi, rows):
     before the first sorted knot with S > 1, S(u*) = 1 is one linear
     equation, and the norm is max_i x_i / u*.  Rounding is corrected towards
     the feasible side: the returned lam satisfies sum_i phi(x_i / lam) <= 1
-    as evaluated, stepped up by ``np.nextafter`` where it did not.
+    as evaluated, stepped up by ``np.nextafter`` where it did not.  The
+    solve takes rows x n x (n K + 2) floats for K nodes, so it runs on
+    blocks of rows that keep this under ``LUXEMBURG_BLOCK``; rows are
+    independent, so blocking changes no value.
     """
     rows = np.asarray(rows, dtype=float)
     m = rows.max(axis=1)
@@ -285,18 +318,10 @@ def luxemburg_batch(phi, rows):
     if phi.nodes is None:
         lam = _lp_batch(r, phi.params["p"])
     else:
-        ts = phi.nodes[0][1:]
-        top = 2.0 * max(ts[-1], 1.0)
-        unit = (r / m[:, None])[:, :, None]
-        knots = np.full(unit.shape[:2] + ts.shape, top)
-        np.divide(ts, unit, out=knots, where=ts < top * unit)
-        edge = np.zeros((len(r), 1))
-        knots = np.sort(np.concatenate([edge, knots.reshape(len(r), -1), edge + top], axis=1))
-        level = phi(unit * knots[:, None, :]).sum(axis=1)
-        # level[:, 0] = S(0) = 0, so the first knot with S > 1 has index j >= 1
-        i, j = np.arange(len(r)), np.argmax(level > 1.0, axis=1)
-        u0, u1, s0, s1 = knots[i, j - 1], knots[i, j], level[i, j - 1], level[i, j]
-        lam = m / (u0 + (1.0 - s0) / (s1 - s0) * (u1 - u0))
+        n, nodes = r.shape[1], len(phi.nodes[0]) - 1
+        step = max(1, LUXEMBURG_BLOCK // (n * (n * nodes + 2)))
+        lam = np.concatenate([_piecewise_luxemburg(phi, r[i:i + step], m[i:i + step])
+                              for i in range(0, len(r), step)])
     bad = phi(r / lam[:, None]).sum(axis=1) > 1.0
     while np.any(bad):
         lam[bad] = np.nextafter(lam[bad], np.inf)
@@ -398,6 +423,79 @@ def worst_indicator(spec, subset_size):
     return x
 
 
+def max_square_sum(spec):
+    """S = sup{sum_i |x_i|^2 : ||x|| <= 1} with a nonnegative maximiser x*,
+    as (S, x*): closed forms for sup, weighted sup, lp, power and the ramp,
+    an exact enumeration for a table (:func:`_table_square_sum`)."""
+    n = spec.index_size
+    if spec.kind == "sup":
+        return float(n), np.ones(n)
+    if spec.kind == "weighted_sup":
+        return float(np.sum(1.0 / spec.weights ** 2)), 1.0 / spec.weights
+    if spec.kind == "lp" or spec.phi.family == "power":
+        p = spec.p if spec.kind == "lp" else spec.phi.params["p"]
+        if p <= 2.0:
+            return 1.0, np.eye(n)[0]
+        return max(1.0, n ** (1.0 - 2.0 / p)), np.full(n, n ** (-1.0 / p))
+    if spec.phi.family == "shifted_ramp":
+        a = spec.phi.params["a"]
+        # One coordinate at 1 exhausts the modular budget; the rest sit at
+        # the degeneracy plateau a.
+        return 1.0 + (n - 1) * a * a, np.array([1.0] + [a] * (n - 1))
+    return _table_square_sum(spec.phi, n)
+
+
+def _table_square_sum(phi, n):
+    """(S, x*) for a convex table phi, by enumerating extreme points.
+
+    sum x^2 is convex, so it peaks at an extreme point of the unit ball
+    {x >= 0 : sum_i phi(x_i) <= 1}.  Two coordinates inside linear pieces
+    could trade modular mass both ways, so at most one coordinate of an
+    extreme point lies off a node.  The other n - 1 sit at nodes: a_phi
+    dominates the other zero nodes, and the nodes with 0 < phi(t_k) <= 1
+    fill at most 1 / min phi(t_k) slots.  The last coordinate takes what is
+    left, max(a_phi, phi_inv(1 - used)).  Node multisets grow one slot at a
+    time and are counted before they are built, so a table that needs more
+    than ``MAX_TABLE_CANDIDATES`` raises at once.  S is rounded up one ulp,
+    because it feeds a certified lower bound.
+    """
+    ts, ys, _ = phi.nodes
+    a = phi.a_phi
+    live = (ys > 0.0) & (ys <= 1.0)
+    t, y = ts[live], ys[live]           # y increases, as phi is convex
+    # a level holds the multisets of j nodes: parent row, last node, used, sum of squares
+    levels = [(None, np.zeros(1, int), np.zeros(1), np.zeros(1))]
+    count = 1
+    for _ in range(n - 1):
+        _, last, used, sq = levels[-1]
+        width = np.maximum(np.searchsorted(y, 1.0 - used, side="right") - last, 0)
+        total = int(width.sum())
+        if total == 0:
+            break
+        count += total
+        if count > MAX_TABLE_CANDIDATES:
+            raise LatticeSpecError(f"the square-sum of this table on {n} coordinates needs "
+                                   f"more than {MAX_TABLE_CANDIDATES} node multisets")
+        parent = np.repeat(np.arange(len(last)), width)
+        node = last[parent] + np.arange(total) - (np.cumsum(width) - width)[parent]
+        levels.append((parent, node, used[parent] + y[node], sq[parent] + t[node] ** 2))
+
+    def rest(u):
+        return max(a, generalized_inverse(phi, max(0.0, 1.0 - u)))
+
+    best = (-1.0, 0, 0)
+    for j, (_, _, used, sq) in enumerate(levels):
+        value = sq + (n - 1 - j) * a * a + np.array([rest(u) for u in used]) ** 2
+        k = int(np.argmax(value))
+        best = max(best, (float(value[k]), j, k))
+    s, j, k = best
+    x = [rest(levels[j][2][k])]
+    for parent, node, _, _ in levels[j:0:-1]:   # back through the parent rows
+        x.append(t[node[k]])
+        k = parent[k]
+    return float(np.nextafter(s, np.inf)), np.array(x + [a] * (n - 1 - j))
+
+
 class CeReport:
     """Value of the uniformity constant at the finite horizon, plus the
     analytic verdict for the family on an unbounded index set."""
@@ -480,32 +578,77 @@ def values_from_json(raw):
     return np.asarray(out, dtype=complex)
 
 
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def numbers_from_json(raw, what, error=LatticeSpecError):
+    """A float array from nested JSON arrays of numbers.  An entry at any
+    depth that is not a number (an object, a string, null, a boolean), or
+    a ragged nesting, raises ``error`` naming ``what``."""
+    stack = [raw]
+    while stack:
+        v = stack.pop()
+        if isinstance(v, list):
+            stack.extend(v)
+        elif not _is_number(v):
+            raise error(f"{what} must hold only numbers, got {json.dumps(v)}")
+    try:
+        return np.asarray(raw, dtype=float)
+    except ValueError:
+        raise error(f"{what} must be a regular array of numbers") from None
+
+
+def number_from_json(raw, what, error=LatticeSpecError):
+    """A JSON number as a float; anything else raises ``error`` naming
+    ``what``."""
+    if not _is_number(raw):
+        raise error(f"{what} must be a number, got {json.dumps(raw)}")
+    return float(raw)
+
+
+def integer_from_json(raw, what, error=LatticeSpecError):
+    """A whole JSON number as an int; anything else raises ``error`` naming
+    ``what``."""
+    if not (_is_number(raw) and (isinstance(raw, int) or raw.is_integer())):
+        raise error(f"{what} must be an integer, got {json.dumps(raw)}")
+    return int(raw)
+
+
 def phi_from_dict(d):
     family = required_key(d, "family", "Orlicz function")
     if family == "power":
-        return OrliczFunction.power(required_key(d, "p", "power function"))
+        return OrliczFunction.power(number_from_json(required_key(d, "p", "power function"),
+                                                     "power function key 'p'"))
     if family == "shifted_ramp":
-        return OrliczFunction.shifted_ramp(required_key(d, "a", "shifted_ramp function"))
+        return OrliczFunction.shifted_ramp(number_from_json(
+            required_key(d, "a", "shifted_ramp function"), "shifted_ramp function key 'a'"))
     if family == "table":
-        return OrliczFunction.from_table(required_key(d, "points", "table function", array=True))
+        what = "table function key 'points'"
+        points = numbers_from_json(required_key(d, "points", "table function", array=True), what)
+        if points.ndim != 2 or points.shape[1] != 2:
+            raise LatticeSpecError(f"{what} must hold [t, y] pairs")
+        return OrliczFunction.from_table(points)
     raise LatticeSpecError(f"unknown Orlicz family {family!r}")
 
 
 def spec_from_dict(d):
     kind = required_key(d, "kind", "norm spec")
     if kind == "weighted_sup":
-        w = required_key(d, "weights", "weighted_sup spec", array=True)
+        w = numbers_from_json(required_key(d, "weights", "weighted_sup spec", array=True),
+                              "weighted_sup spec key 'weights'")
         n = d.get("index_size")
-        if n is not None and len(w) != n:
+        if n is not None and len(w) != integer_from_json(n, "weighted_sup spec key 'index_size'"):
             raise LatticeSpecError("index_size disagrees with the weight list")
         return weighted_sup(w)
     if kind not in ("sup", "lp", "orlicz"):
         raise LatticeSpecError(f"unknown norm family {kind!r}")
-    n = required_key(d, "index_size", f"{kind} spec")
+    n = integer_from_json(required_key(d, "index_size", f"{kind} spec"),
+                          f"{kind} spec key 'index_size'")
     if kind == "sup":
         return sup_norm(n)
     if kind == "lp":
-        return lp_norm(required_key(d, "p", "lp spec"), n)
+        return lp_norm(number_from_json(required_key(d, "p", "lp spec"), "lp spec key 'p'"), n)
     return orlicz_norm(phi_from_dict(required_key(d, "phi", "orlicz spec")), n)
 
 

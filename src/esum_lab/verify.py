@@ -3,10 +3,11 @@
 Every case replays one finite-scale claim with frozen inputs and a
 deterministic per-case random stream (derived by hashing the master seed
 with the case id).  Cases never abort the suite: exceptions become
-per-case ``error`` rows.  Bracket-based equality cases degrade to a
-``loose`` flag instead of failing when the search budget cannot close the
-bracket.  Reports carry no timing, so two runs with one seed are
-byte-identical.
+per-case ``error`` rows.  The AM brackets close for every named lattice;
+only a zero budget (no identity, Fourier or orbit candidates) leaves them
+open, and then the bracket-based equality cases degrade to a ``loose`` flag
+instead of failing.  Reports carry no timing, so two runs with one seed
+are byte-identical.
 """
 
 from __future__ import annotations
@@ -47,8 +48,9 @@ class CaseContext:
         self.budget_scale = budget_scale
         self.case_id = case_id
 
-    def rng(self, salt=0):
-        return np.random.default_rng([self.seed, salt])
+    def rng(self):
+        # [seed, 0] fixes the per-case streams behind the golden report
+        return np.random.default_rng([self.seed, 0])
 
     def bracket_budget(self):
         return gm.BracketBudget(scale=self.budget_scale)
@@ -255,7 +257,7 @@ def _am_sup(ctx):
     worst = 0.0
     loose = False
     for n in range(1, 9):
-        br = gm.am_pointwise(n, lt.sup_norm(n), budget=budget, rng=ctx.rng(n))
+        br = gm.am_pointwise(n, lt.sup_norm(n), budget=budget)
         worst = max(worst, abs(br.lower - 1.0), abs(br.upper - 1.0))
         loose |= br.loose
     ok = worst <= 1e-6
@@ -268,7 +270,7 @@ def _am_sharp(ctx):
     worst = 0.0
     loose = False
     for n in range(1, 7):
-        br = gm.am_pointwise(n, lt.lp_norm(2.0, n), budget=budget, rng=ctx.rng(n))
+        br = gm.am_pointwise(n, lt.lp_norm(2.0, n), budget=budget)
         worst = max(worst, abs(br.lower - n) / n, abs(br.upper - n) / n)
         loose |= br.loose
     ok = worst <= 1e-6
@@ -298,7 +300,7 @@ def _am_sandwich(ctx):
     bad = 0
     loose = False
     for spec in _random_sandwich_specs(rng):
-        rep = gm.verify_main_theorem(spec.index_size, spec, budget=budget, rng=rng)
+        rep = gm.verify_main_theorem(spec.index_size, spec, budget=budget)
         loose |= rep["loose"]
         if not rep["ok"]:
             bad += 1
@@ -317,7 +319,7 @@ def _am_lp(ctx):
     worst = 0.0
     loose = False
     for n, p, expected in checks:
-        br = gm.am_pointwise(n, lt.lp_norm(p, n), budget=budget, rng=ctx.rng(int(10 * p)))
+        br = gm.am_pointwise(n, lt.lp_norm(p, n), budget=budget)
         worst = max(worst, abs(br.lower - expected), abs(br.upper - expected))
         loose |= br.loose
     ok = worst <= 1e-6
@@ -328,9 +330,9 @@ def _am_lp(ctx):
 def _am_quotient(ctx):
     budget = ctx.bracket_budget()
     reports = [
-        gm.verify_quotient_bound(lt.lp_norm(2.0, 4), [0, 1], budget=budget, rng=ctx.rng(1)),
-        gm.verify_quotient_bound(lt.lp_norm(2.0, 3), [0, 1, 2], budget=budget, rng=ctx.rng(2)),
-        gm.verify_quotient_bound(lt.sup_norm(5), [1, 3], budget=budget, rng=ctx.rng(3)),
+        gm.verify_quotient_bound(lt.lp_norm(2.0, 4), [0, 1], budget=budget),
+        gm.verify_quotient_bound(lt.lp_norm(2.0, 3), [0, 1, 2], budget=budget),
+        gm.verify_quotient_bound(lt.sup_norm(5), [1, 3], budget=budget),
     ]
     ok = all(r["ok"] for r in reports)
     return _result("upper bounds contract", "ok" if ok else "violated", ok)
@@ -339,8 +341,8 @@ def _am_quotient(ctx):
 @case("am-scaling-covariance", "norm-rescaling", 1e-6)
 def _am_scaling(ctx):
     budget = ctx.bracket_budget()
-    base = gm.am_pointwise(3, lt.sup_norm(3), budget=budget, rng=ctx.rng(1))
-    scaled = gm.am_pointwise(3, lt.weighted_sup([2.0, 2.0, 2.0]), budget=budget, rng=ctx.rng(2))
+    base = gm.am_pointwise(3, lt.sup_norm(3), budget=budget)
+    scaled = gm.am_pointwise(3, lt.weighted_sup([2.0, 2.0, 2.0]), budget=budget)
     got = [scaled.lower, scaled.upper]
     expected = [4 * base.lower, 4 * base.upper]
     worst = max(abs(g - e) for g, e in zip(got, expected))

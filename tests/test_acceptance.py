@@ -29,8 +29,7 @@ def test_criterion_1_euclidean_sharpness():
     slowest = 0.0
     for n in range(1, 7):
         t0 = time.perf_counter()
-        br = gm.am_pointwise(n, lt.lp_norm(2.0, n), budget=BUDGET,
-                             rng=np.random.default_rng(n))
+        br = gm.am_pointwise(n, lt.lp_norm(2.0, n), budget=BUDGET)
         elapsed = time.perf_counter() - t0
         slowest = max(slowest, elapsed)
         worst = max(worst, abs(br.lower - n) / n, abs(br.upper - n) / n)
@@ -42,8 +41,7 @@ def test_criterion_1_euclidean_sharpness():
 def test_criterion_2_sup_formula():
     worst = 0.0
     for n in range(1, 9):
-        br = gm.am_pointwise(n, lt.sup_norm(n), budget=BUDGET,
-                             rng=np.random.default_rng(n))
+        br = gm.am_pointwise(n, lt.sup_norm(n), budget=BUDGET)
         worst = max(worst, abs(br.lower - 1.0), abs(br.upper - 1.0))
     verdict("criterion 2: plain sup-sum constant is 1 (n=1..8)",
             worst <= 1e-6, f"max dev {worst:.2e}")
@@ -64,7 +62,7 @@ def test_criterion_3_sandwich_30_random_specs():
                 lt.OrliczFunction.shifted_ramp(float(rng.choice([0.25, 0.5]))), n))
     bad = []
     for spec in specs:
-        br = gm.am_pointwise(spec.index_size, spec, budget=BUDGET, rng=rng)
+        br = gm.am_pointwise(spec.index_size, spec, budget=BUDGET)
         ce = lt.ce_constant(spec).value
         if not (br.lower >= 1.0 - 1e-6 and br.upper <= ce * ce + 1e-6):
             bad.append(spec)

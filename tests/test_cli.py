@@ -128,6 +128,25 @@ LP2 = {"kind": "lp", "p": 2.0, "index_size": 2}
      "AlgebraError: element key 'values' must be a JSON array, got int"),
     ("ce", {"spec": {"kind": "weighted_sup", "weights": 5}},
      "LatticeSpecError: weighted_sup spec key 'weights' must be a JSON array, got int"),
+    ("ce", {"spec": {"kind": "orlicz", "phi": {"family": "shifted_ramp", "a": 0.5},
+                     "index_size": [5]}},
+     "LatticeSpecError: orlicz spec key 'index_size' must be an integer, got [5]"),
+    ("ce", {"spec": {"kind": "weighted_sup", "weights": [1, {}]}},
+     "LatticeSpecError: weighted_sup spec key 'weights' must hold only numbers, got {}"),
+    ("ce", {"spec": {"kind": "orlicz", "phi": {"family": "table", "points": [5]},
+                     "index_size": 3}},
+     "LatticeSpecError: table function key 'points' must hold [t, y] pairs"),
+    ("ce", {"spec": {"kind": "lp", "p": {}, "index_size": 3}},
+     "LatticeSpecError: lp spec key 'p' must be a number, got {}"),
+    ("jnorm", {"system": {"dims": [0, 1], "bonds": [[{}]]}, "element": {"coords": [[], [1.0]]}},
+     "JSystemError: chain system bond 0 must hold only numbers, got {}"),
+    ("jnorm", {"system": {"dims": [0, 1], "bonds": [[[]]], "algebra": [[], [[[{}]]]]},
+               "element": {"coords": [[], [1.0]]}},
+     "JSystemError: chain system algebra level 1 must hold only numbers, got {}"),
+    ("esum-norm", {"algebra": {"summands": [{"structure": [[[{}]]], "norm": "max_abs"}],
+                               "lattice": {"kind": "sup", "index_size": 1}},
+                   "element": {"values": [[1.0]]}},
+     "AlgebraError: algebra key 'structure' must hold only numbers, got {}"),
 ])
 def test_bad_document_is_one_line_error(tmp_path, capsys, command, docs, message):
     argv = [command]

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -6,24 +7,31 @@ import pytest
 from esum_lab import gamma as gm
 from esum_lab import lattice as lt
 
-# unit tests exercise correctness, not search effort
+# any positive scale enables every candidate
 BUDGET = gm.BracketBudget(scale=0.3)
 
+# convex tables: the one of the diag-orlicz benchmark, one with a different
+# middle node, and one whose square-sum S = 1 is attained by a single
+# coordinate at 1, so that AM = n
+DIAG_ORLICZ_TABLE = [(0, 0), (0.3, 0), (0.6, 0.3), (1, 1), (2, 4)]
+MIDDLE_TABLE = [(0, 0), (0.3, 0), (0.7, 0.4), (1, 1), (2, 4)]
+UNIT_S_TABLE = [(0, 0), (0.3, 0.1), (1, 1)]
 
-def bracket(n, spec, salt=0):
-    return gm.am_pointwise(n, spec, budget=BUDGET, rng=np.random.default_rng(salt))
+
+def bracket(n, spec):
+    return gm.am_pointwise(n, spec, budget=BUDGET)
 
 
 class TestKnownValues:
     def test_euclidean_sharpness(self):
         for n in range(1, 5):
-            br = bracket(n, lt.lp_norm(2.0, n), salt=n)
+            br = bracket(n, lt.lp_norm(2.0, n))
             assert abs(br.lower - n) <= 1e-9 * n
             assert abs(br.upper - n) <= 1e-9 * n
 
     def test_plain_sup_is_one(self):
         for n in (1, 3, 6, 8):
-            br = bracket(n, lt.sup_norm(n), salt=n)
+            br = bracket(n, lt.sup_norm(n))
             assert abs(br.lower - 1.0) <= 1e-9
             assert abs(br.upper - 1.0) <= 1e-9
 
@@ -35,7 +43,7 @@ class TestKnownValues:
     def test_lp_above_two(self):
         for n, p in ((4, 3.0), (3, 4.0)):
             expected = float(n) ** (2.0 / p)
-            br = bracket(n, lt.lp_norm(p, n), salt=n)
+            br = bracket(n, lt.lp_norm(p, n))
             assert abs(br.lower - expected) <= 1e-9
             assert abs(br.upper - expected) <= 1e-9
 
@@ -112,7 +120,8 @@ class TestBracketMechanics:
                      lt.orlicz_norm(lt.OrliczFunction.shifted_ramp(0.5), 4),
                      lt.orlicz_norm(table, 4)):
             u = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-            pairs = gm._pairs_from_matrix(u)
+            v = np.linalg.inv(u).T
+            pairs = [(u[:, k], v[:, k]) for k in range(4)]
             want = sum(lt.norm_eval(spec, x) * lt.norm_eval(spec, y) for x, y in pairs)
             assert gm._decomposition_cost(spec, pairs) == want
 
@@ -136,8 +145,8 @@ class TestBracketMechanics:
         assert br.lower >= 4.0 / (1 + 3 * 0.25) - 1e-9
 
     def test_scaling_covariance(self):
-        base = bracket(3, lt.sup_norm(3), salt=1)
-        scaled = bracket(3, lt.weighted_sup([2.0, 2.0, 2.0]), salt=2)
+        base = bracket(3, lt.sup_norm(3))
+        scaled = bracket(3, lt.weighted_sup([2.0, 2.0, 2.0]))
         assert abs(scaled.lower - 4 * base.lower) <= 1e-9
         assert abs(scaled.upper - 4 * base.upper) <= 1e-9
 
@@ -146,9 +155,35 @@ class TestBracketMechanics:
             gm.am_pointwise(3, lt.sup_norm(4))
 
 
-# Lower-witness families that dual_pairing_lower does not score: under the
-# certificates none can exceed a spike or the identity (its docstring gives
-# the argument), so as oracles none may beat the bracket's lower bound.
+# Lower-witness families that dual_pairing_lower does not score: none may
+# beat the bracket's lower bound, which is AM itself.  They are scored with
+# _full_cert, which adds rules for general matrices, and two diagonal rules
+# that never beat max|f| S when S is exact, to bilinear_cert's.
+
+def _full_cert(spec, mat):
+    """The entry cover, the largest singular value for lp with p <= 2, the
+    largest entry for l1, and for a diagonal matrix bilinear_cert's rules,
+    max|f| n / ||chi_n|| and, for lp with p > 2, the r-norm of f."""
+    mat = np.asarray(mat, dtype=complex)
+    n = spec.index_size
+    sup = gm.coordinate_ball_sup(spec)
+    bounds = [float(np.abs(mat).ravel() @ np.outer(sup, sup).ravel())]
+    if spec.kind == "lp":
+        if spec.p <= 2.0:
+            # the lp ball is contained in the l2 ball for p <= 2
+            bounds.append(float(np.linalg.svd(mat, compute_uv=False)[0]))
+        if spec.p == 1.0:
+            bounds.append(float(np.abs(mat).max()))
+    off = mat - np.diag(np.diag(mat))
+    if np.abs(off).max() <= 1e-15 * max(1.0, np.abs(mat).max()):
+        f = np.abs(np.diag(mat))
+        bounds.append(gm.bilinear_cert(spec, mat))
+        bounds.append(float(f.max(initial=0.0)) * n / lt.chi_norm(spec, n))
+        if spec.kind == "lp" and spec.p > 2.0:
+            r = spec.p / (spec.p - 2.0)
+            bounds.append(float(np.sum(f ** r) ** (1.0 / r)))
+    return min(bounds)
+
 
 def _permutation_oracle(n):
     for perm in itertools.permutations(range(n)):
@@ -195,7 +230,7 @@ def test_dropped_lower_candidates_never_win(n):
         mats = itertools.chain(_permutation_oracle(n), _sign_diagonal_oracle(n, rng),
                                _ascent_oracle(spec, rng))
         for mat in mats:
-            value = gm._scaled_candidate(spec, mat, "oracle")[0]
+            value = float(np.trace(mat).real) / _full_cert(spec, mat)
             assert value <= lower * (1 + 1e-12), (spec, mat, value, lower)
 
 
@@ -206,31 +241,41 @@ class TestCertifiedBounds:
         m[1, 1] = 1.0
         assert abs(gm.bilinear_cert(spec, m) - 0.25) <= 1e-12
 
+    def test_off_diagonal_matrix_refused(self):
+        with pytest.raises(ValueError):
+            gm.bilinear_cert(lt.lp_norm(2.0, 2), np.array([[1.0, 0.5], [0.0, 1.0]]))
+
     def test_spectral_cert_for_l2(self):
         rng = np.random.default_rng(3)
         m = rng.standard_normal((4, 4))
-        assert abs(gm.bilinear_cert(lt.lp_norm(2.0, 4), m)
+        assert abs(_full_cert(lt.lp_norm(2.0, 4), m)
                    - np.linalg.svd(m, compute_uv=False)[0]) <= 1e-12
 
     def test_max_entry_cert_for_l1(self):
         m = np.array([[0.5, -2.0], [1.0, 0.25]])
-        assert gm.bilinear_cert(lt.lp_norm(1.0, 2), m) == 2.0
+        assert _full_cert(lt.lp_norm(1.0, 2), m) == 2.0
 
     def test_max_square_sum_values(self):
-        assert gm.max_square_sum(lt.sup_norm(5)) == 5.0
-        assert abs(gm.max_square_sum(lt.weighted_sup([1.0, 2.0])) - 1.25) <= 1e-12
-        assert gm.max_square_sum(lt.lp_norm(1.5, 7)) == 1.0
-        assert abs(gm.max_square_sum(lt.lp_norm(4.0, 4)) - 4.0 ** 0.5) <= 1e-12
+        assert gm.max_square_sum(lt.sup_norm(5))[0] == 5.0
+        assert abs(gm.max_square_sum(lt.weighted_sup([1.0, 2.0]))[0] - 1.25) <= 1e-12
+        assert gm.max_square_sum(lt.lp_norm(1.5, 7))[0] == 1.0
+        assert abs(gm.max_square_sum(lt.lp_norm(4.0, 4))[0] - 4.0 ** 0.5) <= 1e-12
         ramp = lt.orlicz_norm(lt.OrliczFunction.shifted_ramp(0.5), 4)
-        assert abs(gm.max_square_sum(ramp) - 1.75) <= 1e-12
+        assert abs(gm.max_square_sum(ramp)[0] - 1.75) <= 1e-12
+        unit = lt.orlicz_norm(lt.OrliczFunction.from_table(UNIT_S_TABLE), 5)
+        assert abs(gm.max_square_sum(unit)[0] - 1.0) <= 1e-15
 
     def test_max_square_sum_is_a_true_bound(self):
-        # sampled ball points never exceed the certified square-sum
+        # the maximiser lies in the ball and attains S; sampled ball points
+        # never exceed S
         rng = np.random.default_rng(9)
         for spec in (lt.sup_norm(4), lt.weighted_sup([1.0, 1.5, 2.0, 3.0]),
                      lt.lp_norm(3.0, 4),
-                     lt.orlicz_norm(lt.OrliczFunction.shifted_ramp(0.5), 4)):
-            q = gm.max_square_sum(spec)
+                     lt.orlicz_norm(lt.OrliczFunction.shifted_ramp(0.5), 4),
+                     lt.orlicz_norm(lt.OrliczFunction.from_table(DIAG_ORLICZ_TABLE), 4)):
+            q, top = gm.max_square_sum(spec)
+            assert lt.norm_eval(spec, top) <= 1.0 + 1e-12
+            assert abs(np.sum(top ** 2) - q) <= 1e-12 * q
             for _ in range(200):
                 x = rng.standard_normal(4) * rng.choice([0.2, 1.0, 3.0])
                 nx = lt.norm_eval(spec, x)
@@ -238,6 +283,99 @@ class TestCertifiedBounds:
                     continue
                 x = x / nx
                 assert np.sum(np.abs(x) ** 2) <= q * (1 + 1e-9)
+
+
+def _square_sum_oracle(phi, n, points=2000):
+    """max sum x^2 over a grid of ``points`` values per coordinate, the
+    nodes of phi included, on n - 1 coordinates, the last coordinate taking
+    the largest value the leftover modular budget allows."""
+    if phi.nodes is None:
+        top = 1.0
+        nodes = np.array([])
+
+        def last(r):
+            return r ** (1.0 / phi.params["p"])
+    else:
+        ts, ys, tail = phi.nodes
+        z = np.nonzero(ys == 0.0)[0][-1]          # a_phi: phi increases from here
+        far = ts[-1] + 10.0
+        inv_t = np.append(ts[z:], far)
+        inv_y = np.append(ys[z:], ys[-1] + tail * (far - ts[-1]))
+        top = float(np.interp(1.0, inv_y, inv_t))
+        nodes = ts[ts <= top]
+
+        def last(r):
+            return np.interp(r, inv_y, inv_t)
+    grid = np.union1d(np.linspace(0.0, top, points), nodes)
+    cost = phi(grid)
+    if n == 1:
+        return float(last(1.0)) ** 2
+    if n == 2:
+        used, sq = cost, grid ** 2
+    else:
+        used = (cost[:, None] + cost[None, :]).ravel()
+        sq = (grid[:, None] ** 2 + grid[None, :] ** 2).ravel()
+    ok = used <= 1.0
+    return float(np.max(sq[ok] + last(1.0 - used[ok]) ** 2))
+
+
+ORACLE_PHIS = (
+    lt.OrliczFunction.shifted_ramp(0.25), lt.OrliczFunction.shifted_ramp(0.5),
+    lt.OrliczFunction.power(3.0), lt.OrliczFunction.from_table(DIAG_ORLICZ_TABLE),
+    lt.OrliczFunction.from_table(MIDDLE_TABLE), lt.OrliczFunction.from_table(UNIT_S_TABLE),
+)
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_square_sum_against_grid_oracle(n):
+    for phi in ORACLE_PHIS:
+        exact = gm.max_square_sum(lt.orlicz_norm(phi, n))[0]
+        assert _square_sum_oracle(phi, n) <= exact * (1 + 1e-12), phi
+
+
+def _exact_families(n):
+    specs = [lt.sup_norm(n), lt.weighted_sup(2.0 ** np.arange(n))]
+    specs += [lt.lp_norm(p, n) for p in (1.0, 1.5, 2.0, 3.0, 5.0)]
+    phis = [lt.OrliczFunction.shifted_ramp(0.25), lt.OrliczFunction.shifted_ramp(0.5),
+            lt.OrliczFunction.power(1.5), lt.OrliczFunction.power(3.0)]
+    phis += [lt.OrliczFunction.from_table(t) for t in (DIAG_ORLICZ_TABLE, MIDDLE_TABLE,
+                                                      UNIT_S_TABLE)]
+    return specs + [lt.orlicz_norm(phi, n) for phi in phis]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_every_named_family_closes(n):
+    for spec in _exact_families(n):
+        br = bracket(n, spec)
+        assert not br.loose, spec
+        assert br.upper - br.lower <= 1e-12 * br.upper, (spec, br)
+    unit = bracket(n, lt.orlicz_norm(lt.OrliczFunction.from_table(UNIT_S_TABLE), n))
+    assert abs(unit.lower - n) <= 1e-12 * n
+
+
+def test_table_enumeration_cap_raises_quickly():
+    # t^2 on a 0.01 grid: 100 nodes with 0 < phi <= 1, the smallest worth
+    # 1e-4, so 29 free coordinates allow far more than 10**6 multisets
+    ts = np.linspace(0.0, 1.0, 101)
+    phi = lt.OrliczFunction.from_table(list(zip(ts, ts ** 2)) + [(2.0, 4.0)])
+    start = time.process_time()
+    with pytest.raises(lt.LatticeSpecError, match="node multisets"):
+        gm.max_square_sum(lt.orlicz_norm(phi, 30))
+    assert time.process_time() - start < 5.0
+
+
+def test_orbit_witness_at_n_64():
+    # 4096 orbit pairs: luxemburg_batch solves them in blocks of 2016 rows,
+    # and the bracket still closes
+    n = 64
+    spec = lt.orlicz_norm(lt.OrliczFunction.shifted_ramp(0.5), n)
+    br = bracket(n, spec)
+    assert br.witness_upper[2] == "orbit" and not br.loose
+    assert br.upper - br.lower <= 1e-12 * br.upper
+    rows = np.abs([x for x, _ in br.witness_upper[0]])
+    batch = lt.luxemburg_batch(spec.phi, rows)
+    for i in (0, 1, 2015, 2016, 2017, 4095):
+        assert lt.luxemburg_batch(spec.phi, rows[i:i + 1])[0] == batch[i]
 
 
 class TestTheoremChecks:

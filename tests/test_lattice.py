@@ -148,6 +148,22 @@ class TestSpecValidation:
         with pytest.raises(lt.LatticeSpecError):
             lt.orlicz_norm(flat, 4)
 
+    def test_non_convex_table_refused(self):
+        # Monotone tables whose slopes decrease: the first gave the AM
+        # bracket [3.75, 3.0] at n = 3, the second chi_norm(spec, 2) = 2.0
+        # against a norm of 1.25 for [1, 1].  from_table keeps accepting them.
+        for points in ([(0, 0), (0.8, 1), (1, 1), (2, 4)],
+                       [(0, 0), (0.5, 0.5), (0.8, 0.5), (1, 1), (2, 4)]):
+            phi = lt.OrliczFunction.from_table(points)
+            with pytest.raises(lt.LatticeSpecError, match="convex"):
+                lt.orlicz_norm(phi, 3)
+        # phi(t) = 3t on uneven nodes: the computed slopes dip by a few ulps
+        line = lt.OrliczFunction.from_table([(t, 3.0 * t) for t in (0, 0.5, 0.8, 0.9, 1.0)])
+        ts, ys, _ = line.nodes
+        slopes = np.diff(ys) / np.diff(ts)
+        assert np.any(slopes[1:] < slopes[:-1])
+        assert lt.orlicz_norm(line, 3).phi is line
+
     def test_vector_validation(self):
         spec = lt.lp_norm(2, 3)
         with pytest.raises(ValueError):
