@@ -149,9 +149,11 @@ def cmd_lp_demo(args):
         psi = np.zeros(base.dim)
         psi[1] = 1.0   # the (1,2) matrix-unit functional
     else:
-        raise SystemExit("--psi is required unless the base is a matrix algebra")
+        raise ValueError("--psi is required unless the base is a matrix algebra")
     sizes = [int(s) for s in args.sizes.split(",")]
-    _emit(dv.lp_obstruction_demo(base, psi, args.p, sizes, seed=args.seed))
+    if min(sizes) < 1:
+        raise ValueError(f"--sizes must list positive integers, got {args.sizes}")
+    _emit(dv.lp_obstruction_demo(base, psi, args.p, sizes))
 
 
 def cmd_verify(args):
@@ -234,7 +236,8 @@ def build_parser():
     p.add_argument("--psi", default=None, help="dual coefficient vector JSON")
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--sizes", default="2,4,8")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="has no effect: the demo is deterministic")
     p.set_defaults(fn=cmd_lp_demo)
 
     p = sub.add_parser("verify", help="run the full deterministic case suite")

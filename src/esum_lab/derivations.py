@@ -24,12 +24,13 @@ and a direct sum of summands splits at least along the summands:
 Ranks come from reduced SVDs at relative tolerance 1e-10, taken against
 the largest singular value over all blocks of the same kind of matrix.
 
-On top of that sit sampled weak-amenability constant brackets (minimum
-dual-norm implementing functionals over the affine solution set, against
-certified upper bounds on derivation operator norms) and the finite-scale
-coordinate mechanisms for direct sums: block-diagonality of derivations,
-two-sided transfer bounds, and the per-coordinate growth obstruction on
-p-summed copies of a noncommutative algebra.
+On top of that sit weak-amenability constant brackets (minimum dual-norm
+implementing functionals over the affine solution set, bracketed by a
+re-checked dual witness without search, against certified upper bounds on
+derivation operator norms) and the finite-scale coordinate mechanisms for
+direct sums: block-diagonality of derivations, two-sided transfer bounds,
+and the per-coordinate growth obstruction on p-summed copies of a
+noncommutative algebra.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .lattice import ce_constant, delta_norm
 
 RANK_TOL = 1e-10
 LEIBNIZ_TOL = 1e-10
+WITNESS_TOL = 1e-12
 
 
 def adjoint_map_matrix(c):
@@ -241,97 +243,56 @@ def derivation_norm_upper(algebra, D):
     return float(np.sum(cols))
 
 
-def _orthonormal_rows(mat, tol=1e-12):
-    mat = np.atleast_2d(np.asarray(mat, complex))
-    if mat.size == 0:
-        return np.zeros((0, mat.shape[-1]), complex)
-    u, s, vh = np.linalg.svd(mat, full_matrices=False)
-    rank = int(np.sum(s > tol * max(s[0], 1.0))) if s.size else 0
-    return vh[:rank]
-
-
-def blockwise_span_split(z_basis, blocks):
-    """Per-block orthonormal bases when span(z_basis) decomposes into
-    block-supported pieces; None otherwise.  Decomposability holds exactly
-    when the block restrictions' ranks add up to the span dimension."""
-    zb = np.asarray(z_basis, complex)
-    if zb.size == 0:
-        return [np.zeros((0, 0), complex) for _ in blocks]
-    pieces = []
-    total = 0
-    for block in blocks:
-        idx = np.asarray(block)
-        restricted = _orthonormal_rows(zb[:, idx])
-        full = np.zeros((restricted.shape[0], zb.shape[1]), complex)
-        full[:, idx] = restricted
-        pieces.append(full)
-        total += restricted.shape[0]
-    if total != zb.shape[0]:
-        return None
-    return pieces
-
-
 def minimize(*args, **kwargs):
-    """``scipy.optimize.minimize``, imported on the first call: importing
-    scipy.optimize takes about 50 MB of resident memory, and only the
-    Powell search of :func:`min_dual_over_affine` needs it.  It stays a
-    module-level name, which perfbench's tracer wraps."""
+    """``scipy.optimize.minimize``, imported on the first call.  No library
+    code calls it; it stays a module-level name for perfbench's tracer."""
     from scipy.optimize import minimize as scipy_minimize
     return scipy_minimize(*args, **kwargs)
 
 
-def min_dual_over_affine(norm, phi0, z_basis, seed=0, restarts=1, blocks=None):
-    """Minimize the dual norm over phi0 + span(z_basis) (convex, few dims).
+def witness_value(norm, phi0, z_basis, witness):
+    """Re sum_k phi0_k X_k / ||X|| (0 for X = 0), at most ||phi||_dual for
+    every phi in phi0 + span(z_basis) when X annihilates the span, as every
+    such phi then pairs with X as phi0 does.  An X whose pairing with a
+    unit row of z_basis exceeds WITNESS_TOL ||X|| raises AssertionError."""
+    size = float(norm.eval(witness))
+    if size == 0.0:
+        return 0.0
+    residual = float(np.abs(z_basis @ witness).max(initial=0.0)) / size
+    if residual > WITNESS_TOL:
+        raise AssertionError(f"dual witness does not annihilate the commutant: {residual:.3g}")
+    return float((phi0 @ witness).real) / size
 
-    The Euclidean case is closed-form.  When ``blocks`` are given, the norm
-    is a lattice aggregate of block duals and the span splits along the
-    blocks, the problem decomposes into independent small minimizations
-    (every lattice aggregate is monotone per block).  Otherwise Powell runs
-    from the orthogonal projection plus random offsets.
-    """
+
+def min_dual_over_affine(norm, phi0, z_basis):
+    """Bracket min{||phi||_dual : phi in phi0 + Z}, Z = span(z_basis) with
+    orthonormal rows, by one path for every norm.  Returns a dict: ``phi``,
+    phi0 minus its orthogonal projection onto Z, with ``upper`` = its dual
+    norm, and ``witness`` X, phi's norming element
+    (:meth:`~esum_lab.esum.CoordinateNorm.norming`) projected to annihilate
+    Z, with ``lower`` = :func:`witness_value` of X.  They meet when the
+    norming element already annihilates Z: for the Euclidean norm, and for
+    M_2 and lattice sums of M_2 blocks, whose Z is spanned by the blocks'
+    identities.  For a 2 x 2 A with eigenvalues mu +- delta and t' = t + mu,
+    ||A + tI||_1^2 = ||A - mu I||_F^2 + 2|t'|^2 + 2|t'^2 - delta^2| is least
+    at t' = 0, and the traceless minimiser has a traceless polar factor.
+    Elsewhere ``lower`` is valid but may be loose."""
     phi0 = np.asarray(phi0, complex)
-    zb = np.asarray(z_basis, complex)
-    if zb.size == 0 or float(np.abs(phi0).max(initial=0.0)) < 1e-15:
-        return phi0.copy(), float(norm.dual(phi0))
-    if isinstance(norm, EuclideanCoordinate):
-        # rows of z_basis are orthonormal: project
-        proj = -(zb.conj() @ phi0)
-        phi = phi0 + proj @ zb
-        return phi, float(norm.dual(phi))
-    if blocks is not None and len(blocks) > 1 and isinstance(norm, es.LatticeBlockNorm):
-        pieces = blockwise_span_split(zb, blocks)
-        if pieces is not None:
-            phi = phi0.copy()
-            for bnorm, block, piece in zip(norm.block_norms, blocks, pieces):
-                idx = np.asarray(block)
-                sub, _ = min_dual_over_affine(bnorm, phi0[idx], piece[:, idx],
-                                              seed=seed, restarts=0)
-                phi[idx] = sub
-            return phi, float(norm.dual(phi))
-
-    zb_on = _orthonormal_rows(zb)
-    k = zb_on.shape[0]
-    proj = -(zb_on.conj() @ phi0)
-
-    def objective(t):
-        coef = t[:k] + 1j * t[k:]
-        return float(norm.dual(phi0 + coef @ zb_on))
-
-    rng = np.random.default_rng(seed)
-    starts = [np.zeros(2 * k), np.concatenate([proj.real, proj.imag])]
-    starts += [rng.standard_normal(2 * k) * 0.5 for _ in range(restarts)]
-    best_x, best_f = None, np.inf
-    for x0 in starts:
-        res = minimize(objective, x0, method="Powell",
-                       options={"xtol": 1e-10, "ftol": 1e-12, "maxiter": 10000})
-        if res.fun < best_f:
-            best_x, best_f = res.x, float(res.fun)
-    coef = best_x[:k] + 1j * best_x[k:]
-    return phi0 + coef @ zb_on, best_f
+    zb = np.asarray(z_basis, complex).reshape(-1, len(phi0))
+    psi = phi0 - (zb.conj() @ phi0) @ zb
+    upper = float(norm.dual(psi))
+    witness = norm.norming(psi) if upper > 0.0 else np.zeros_like(psi)
+    # twice: when the projection cancels most of X, one pass leaves a
+    # rounding residual that is large relative to what is left
+    for _ in range(2):
+        witness = witness - (zb @ witness) @ zb.conj()
+    return {"phi": psi, "lower": witness_value(norm, phi0, zb, witness), "upper": upper,
+            "witness": witness}
 
 
-def minimal_implementing_functional(algebra, D, report=None, seed=0, blocks=None):
-    """Least dual-norm phi with ad_phi = D (the constraint set is affine)."""
+def minimal_implementing_functional(algebra, D, report=None):
+    """Least dual-norm phi with ad_phi = D, bracketed by
+    :func:`min_dual_over_affine` over the implementing functionals."""
     rep = report or derivation_space(algebra)
     admat = adjoint_map_matrix(algebra.structure)
     target = D.reshape(-1)
@@ -339,7 +300,7 @@ def minimal_implementing_functional(algebra, D, report=None, seed=0, blocks=None
     res = float(np.linalg.norm(admat @ phi0 - target))
     if res > 1e-8 * max(1.0, float(np.linalg.norm(target))):
         raise ValueError("derivation is not inner")
-    return min_dual_over_affine(algebra.norm, phi0, rep.z_basis, seed=seed, blocks=blocks)
+    return min_dual_over_affine(algebra.norm, phi0, rep.z_basis)
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +316,10 @@ def _project_onto_span(basis_rows, mat):
 
 
 def wam_bracket(algebra, samples=200, seed=0, blocks=None, report=None):
-    """Sampled lower / certified upper bracket for the best constant C with:
+    """Certified lower / certified upper bracket for the best constant C with:
     every derivation D admits an implementing phi with ||phi|| <= C ||D||.
+    The lower end is the best over sampled D of the re-checked dual witness
+    value of :func:`minimal_implementing_functional` over ||D||'s upper bound.
 
     Zero is returned exactly when there are no nonzero derivations; both
     ends are infinite when the algebra is not weakly amenable.  ``blocks``
@@ -396,9 +359,7 @@ def wam_bracket(algebra, samples=200, seed=0, blocks=None, report=None):
         nd = derivation_norm_upper(algebra, D)
         if nd < 1e-12:
             continue
-        _, phi_norm = minimal_implementing_functional(algebra, D, report=rep, seed=seed,
-                                                      blocks=blocks)
-        lower = max(lower, phi_norm / nd)
+        lower = max(lower, minimal_implementing_functional(algebra, D, report=rep)["lower"] / nd)
         used += 1
 
     admat = adjoint_map_matrix(algebra.structure)
@@ -535,14 +496,16 @@ def obstruction_weights(p, count):
     return np.ones(count) if p <= 2.0 else n ** (-1.0 / q)
 
 
-def lp_obstruction_demo(B, psi, p, sizes, seed=0, tol=1e-8):
+def lp_obstruction_demo(B, psi, p, sizes, tol=1e-8):
     """Per-coordinate growth mechanism on finite truncations of a p-sum of
     copies of B.
 
     With d the dual distance from psi to the commutant Z, the derivation
     sending (b_i) to (w_i ad_psi(b_i)) forces every implementing family to
     satisfy ||Phi_i|| >= d |w_i|; the l_q aggregate of the per-coordinate
-    minima is reported against d ||w||_q across the truncation sizes.
+    minima is reported against d ||w||_q across the truncation sizes.  d and
+    the per-coordinate minima are the re-checked witness values (the lower
+    ends) of :func:`min_dual_over_affine`.
     """
     psi = np.asarray(psi, complex)
     if psi.shape != (B.dim,):
@@ -552,7 +515,7 @@ def lp_obstruction_demo(B, psi, p, sizes, seed=0, tol=1e-8):
     ad_psi = (admat @ psi).reshape(B.dim, B.dim)
     if float(np.abs(ad_psi).max()) <= 1e-12:
         raise ValueError("psi lies in the commutant; the construction degenerates")
-    _, dist = min_dual_over_affine(B.norm, psi, rep.z_basis, seed=seed)
+    dist = min_dual_over_affine(B.norm, psi, rep.z_basis)["lower"]
     if dist <= 1e-12:
         raise ValueError("psi has zero distance to the commutant")
 
@@ -561,11 +524,8 @@ def lp_obstruction_demo(B, psi, p, sizes, seed=0, tol=1e-8):
     rows = []
     for size in sorted(sizes):
         w = weights[:size]
-        per_coord = []
-        for i in range(size):
-            _, val = min_dual_over_affine(B.norm, w[i] * psi, rep.z_basis, seed=seed)
-            per_coord.append(val)
-        per_coord = np.array(per_coord)
+        per_coord = np.array([min_dual_over_affine(B.norm, w[i] * psi, rep.z_basis)["lower"]
+                              for i in range(size)])
         floor = dist * np.abs(w)
         percoord_ok = bool(np.all(per_coord >= floor - tol))
         aggregate = float(np.sum(per_coord ** q) ** (1.0 / q))

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lattice import (LatticeNormSpec, chi_norm, delta_norm, dual_norm_batch, dual_vs_l2,
-                      integer_from_json, norm_eval, norm_eval_batch, required_key)
+from .lattice import (LatticeNormSpec, chi_norm, delta_norm, dual_extremal, dual_norm_batch,
+                      dual_vs_l2, integer_from_json, norm_eval, norm_eval_batch, required_key)
 
 SUBMULT_SAMPLES = 10_000
 SUBMULT_TOL = 1e-9
@@ -36,12 +36,11 @@ class CoordinateNorm:
     """Norm on coefficient vectors; ``eval`` is batched over leading axes.
 
     ``dual`` evaluates the dual norm under the bilinear pairing
-    phi(a) = sum_k phi_k a_k.  ``dual_vs_l2`` returns (r, s) with
+    phi(a) = sum_k phi_k a_k; ``norming`` returns X with ||X|| <= 1 and
+    sum_k phi_k X_k = ||phi||_dual for one phi.  ``dual_vs_l2`` returns (r, s) with
     ||phi||_dual <= r ||phi||_2 and ||phi||_2 <= s ||phi||_dual, used for the
     certified (loose) constants in weak-amenability bounds.
     """
-
-    name = "abstract"
 
     def eval(self, v):
         raise NotImplementedError
@@ -54,26 +53,28 @@ class CoordinateNorm:
 
 
 class MaxAbsCoordinate(CoordinateNorm):
-    name = "max_abs"
-
     def eval(self, v):
         return np.abs(np.asarray(v)).max(axis=-1)
 
     def dual(self, v):
         return np.abs(np.asarray(v)).sum(axis=-1)
 
+    def norming(self, phi):
+        return np.exp(-1j * np.angle(phi))
+
     def dual_vs_l2(self, dim):
         return (np.sqrt(dim), 1.0)
 
 
 class EuclideanCoordinate(CoordinateNorm):
-    name = "euclidean"
-
     def eval(self, v):
         return np.linalg.norm(np.asarray(v), axis=-1)
 
     def dual(self, v):
         return np.linalg.norm(np.asarray(v), axis=-1)
+
+    def norming(self, phi):
+        return np.conj(phi) / (np.linalg.norm(phi) or 1.0)
 
     def dual_vs_l2(self, dim):
         return (1.0, 1.0)
@@ -81,10 +82,8 @@ class EuclideanCoordinate(CoordinateNorm):
 
 class MatrixOperatorNorm(CoordinateNorm):
     """Spectral norm on an m x m matrix algebra in the matrix-unit basis
-    (row-major coefficients); the dual is the trace norm.  The 2 x 2 case
-    uses the closed forms through the Frobenius norm and determinant."""
-
-    name = "matrix_operator"
+    (row-major coefficients); the dual is the trace norm, which phi = U S V^H
+    attains on conj(U V^H).  The 2 x 2 case uses closed forms."""
 
     def __init__(self, side):
         self.side = int(side)
@@ -93,26 +92,37 @@ class MatrixOperatorNorm(CoordinateNorm):
         v = np.asarray(v)
         return v.reshape(v.shape[:-1] + (self.side, self.side))
 
-    def _two_by_two(self, mats):
-        fro2 = np.abs(mats[..., 0, 0]) ** 2 + np.abs(mats[..., 0, 1]) ** 2 \
-            + np.abs(mats[..., 1, 0]) ** 2 + np.abs(mats[..., 1, 1]) ** 2
-        det = np.abs(mats[..., 0, 0] * mats[..., 1, 1] - mats[..., 0, 1] * mats[..., 1, 0])
-        return fro2, det
+    def _scaled_entries(self, v):
+        """For 2 x 2 matrices [[a, b], [c, d]]: the largest entry modulus s (1
+        for zero), and the entries over s and their squared moduli over s^2, so
+        nothing overflows or underflows; by columns, as numpy reduces short axes slowly."""
+        v = np.asarray(v)
+        entries = [v[..., k] for k in range(4)]
+        mods = [np.abs(z) for z in entries]
+        scale = np.maximum(np.maximum(mods[0], mods[1]), np.maximum(mods[2], mods[3]))
+        scale = np.where(scale > 0, scale, 1.0)
+        return scale, [z / scale for z in entries], [(m / scale) ** 2 for m in mods]
 
     def eval(self, v):
-        mats = self._mats(v)
-        if self.side == 2:
-            fro2, det = self._two_by_two(mats)
-            gap = np.sqrt(np.maximum(fro2 * fro2 - 4.0 * det * det, 0.0))
-            return np.sqrt(0.5 * (fro2 + gap))
-        return np.linalg.svd(mats, compute_uv=False).max(axis=-1)
+        if self.side != 2:
+            return np.linalg.svd(self._mats(v), compute_uv=False).max(axis=-1)
+        # s1^2 = (tr + g) / 2 for M^H M = [[p, r], [conj(r), q]], whose
+        # eigenvalue gap g = sqrt((p - q)^2 + 4 |r|^2) cannot cancel
+        scale, (a, b, c, d), (pa, pb, pc, pd) = self._scaled_entries(v)
+        r = np.abs(np.conj(a) * b + np.conj(c) * d)
+        gap = np.sqrt((pa + pc - pb - pd) ** 2 + 4.0 * r * r)
+        return scale * np.sqrt(0.5 * (pa + pb + pc + pd + gap))
 
     def dual(self, v):
-        mats = self._mats(v)
-        if self.side == 2:
-            fro2, det = self._two_by_two(mats)
-            return np.sqrt(fro2 + 2.0 * det)
-        return np.linalg.svd(mats, compute_uv=False).sum(axis=-1)
+        if self.side != 2:
+            return np.linalg.svd(self._mats(v), compute_uv=False).sum(axis=-1)
+        # (s1 + s2)^2 = ||M||_F^2 + 2 |det M|
+        scale, (a, b, c, d), (pa, pb, pc, pd) = self._scaled_entries(v)
+        return scale * np.sqrt(pa + pb + pc + pd + 2.0 * np.abs(a * d - b * c))
+
+    def norming(self, phi):
+        u, _, vh = np.linalg.svd(self._mats(phi))
+        return np.conj(u @ vh).reshape(-1)
 
     def dual_vs_l2(self, dim):
         return (np.sqrt(self.side), 1.0)
@@ -121,9 +131,9 @@ class MatrixOperatorNorm(CoordinateNorm):
 class LatticeBlockNorm(CoordinateNorm):
     """E-sum norm on concatenated summand coefficients: the lattice norm of
     the per-block norms.  The dual applies the dual lattice norm
-    (:func:`~esum_lab.lattice.dual_norm_batch`) to the dual block norms."""
-
-    name = "lattice_block"
+    (:func:`~esum_lab.lattice.dual_norm_batch`) to the dual block norms;
+    :func:`~esum_lab.lattice.dual_extremal` weights the blocks' norming
+    elements."""
 
     def __init__(self, lattice, block_norms, block_dims):
         self.lattice = lattice
@@ -152,6 +162,11 @@ class LatticeBlockNorm(CoordinateNorm):
         vals = self._block_values(v, dual=True)
         flat = vals.reshape(-1, vals.shape[-1])
         return dual_norm_batch(self.lattice, flat).reshape(vals.shape[:-1])
+
+    def norming(self, phi):
+        weights = dual_extremal(self.lattice, self._block_values(phi, dual=True))
+        return np.concatenate([w * nrm.norming(phi[sl]) for w, nrm, sl
+                               in zip(weights, self.block_norms, self.slices)])
 
     def dual_vs_l2(self, dim):
         rs = [nrm.dual_vs_l2(d) for nrm, d in zip(self.block_norms, self.block_dims)]

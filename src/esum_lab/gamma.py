@@ -132,11 +132,11 @@ def coordinate_ball_sup(spec):
     return np.full(n, generalized_inverse(spec.phi, 1.0))
 
 
-def bilinear_cert(spec, mat):
+def bilinear_cert(spec, mat, square=None):
     """A certified upper bound on sup{|z^T M x| : ||x||, ||z|| <= 1} for a
     diagonal M = diag(f): the smaller of max|f| S, by Cauchy-Schwarz with
-    S from :func:`max_square_sum`, and sum_i |f_i| sup_ball |x_i|^2.  The
-    first is exact for the identity, the second for a spike, in every
+    S = ``square`` from :func:`max_square_sum`, and sum_i |f_i| sup_ball |x_i|^2.
+    The first is exact for the identity, the second for a spike, in every
     named family.  An off-diagonal M raises ValueError."""
     mat = np.asarray(mat, dtype=complex)
     f = np.abs(np.diag(mat))
@@ -144,19 +144,21 @@ def bilinear_cert(spec, mat):
     if np.abs(off).max() > 1e-15 * max(1.0, np.abs(mat).max()):
         raise ValueError("bilinear_cert certifies diagonal matrices only")
     sup = coordinate_ball_sup(spec)
-    return min(float(f.max(initial=0.0)) * max_square_sum(spec)[0], float(f @ (sup * sup)))
+    if square is None:
+        square = max_square_sum(spec)[0]
+    return min(float(f.max(initial=0.0)) * square, float(f @ (sup * sup)))
 
 
 # ---------------------------------------------------------------------------
 # Lower bound: certified dual witnesses
 # ---------------------------------------------------------------------------
 
-def _scaled_candidate(spec, mat, method):
-    cert = bilinear_cert(spec, mat)
+def _scaled_candidate(spec, mat, method, square):
+    cert = bilinear_cert(spec, mat, square)
     return (float(np.trace(mat).real) / cert, mat / cert, method)
 
 
-def dual_pairing_lower(spec, budget):
+def dual_pairing_lower(spec, budget, square):
     """Best certified witness value among the single-entry forms spike[m]
     and, when the budget allows a search, the identity.  These attain AM
     for every named lattice (module docstring), and no validly certified
@@ -168,9 +170,9 @@ def dual_pairing_lower(spec, budget):
     for m in range(n):
         e = np.zeros((n, n))
         e[m, m] = 1.0
-        cands.append(_scaled_candidate(spec, e, f"spike[{m}]"))
+        cands.append(_scaled_candidate(spec, e, f"spike[{m}]", square))
     if budget.search_enabled:
-        cands.append(_scaled_candidate(spec, np.eye(n), "identity-diagonal"))
+        cands.append(_scaled_candidate(spec, np.eye(n), "identity-diagonal", square))
     return max(cands, key=lambda c: c[0])
 
 
@@ -218,16 +220,15 @@ def orbit_decomposition(x):
     return [(v / scale, np.conj(v)) for v in vecs]
 
 
-def primal_decomposition_upper(spec, budget):
+def primal_decomposition_upper(spec, budget, extremal):
     n = spec.index_size
     candidates = [(separated_decomposition(n), "separated")]
     if budget.search_enabled:
         candidates.append((dft_decomposition(n), "fourier"))
         # the orbit keeps its norms only under a symmetric norm, and for a
         # spike or a constant x* it costs what the two above cost
-        x = max_square_sum(spec)[1]
-        if spec.kind != "weighted_sup" and np.count_nonzero(x) > 1 and np.ptp(x) > 0:
-            candidates.append((orbit_decomposition(x), "orbit"))
+        if spec.kind != "weighted_sup" and np.count_nonzero(extremal) > 1 and np.ptp(extremal) > 0:
+            candidates.append((orbit_decomposition(extremal), "orbit"))
     scored = [(_decomposition_cost(spec, pairs), pairs, method) for pairs, method in candidates]
     return min(scored, key=lambda c: c[0])
 
@@ -248,10 +249,11 @@ def am_pointwise(n, spec, budget=None, rng=None):
     if not isinstance(spec, LatticeNormSpec) or spec.index_size != n:
         raise ValueError("norm spec must live on exactly n indices")
     budget = budget or BracketBudget()
-    lower, wl_mat, wl_method = dual_pairing_lower(spec, budget)
-    upper, wu_pairs, wu_method = primal_decomposition_upper(spec, budget)
+    square, extremal = max_square_sum(spec)   # one table enumeration per bracket
+    lower, wl_mat, wl_method = dual_pairing_lower(spec, budget, square)
+    upper, wu_pairs, wu_method = primal_decomposition_upper(spec, budget, extremal)
 
-    recert = bilinear_cert(spec, wl_mat)
+    recert = bilinear_cert(spec, wl_mat, square)
     if recert > 1.0 + WITNESS_TOL:
         raise AssertionError(f"dual witness failed re-certification: {recert}")
     residual = decomposition_residual(n, wu_pairs)

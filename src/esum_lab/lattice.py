@@ -365,6 +365,25 @@ def dual_norm_batch(spec, rows):
     raise NotImplementedError("dual norm for Orlicz lattices is not implemented")
 
 
+def dual_extremal(spec, f):
+    """x with ||x|| <= 1 and sum_i f_i x_i = dual(f) (:func:`dual_norm_batch`):
+    f's conjugate phases times 1 (sup), 1/w (weighted sup), |f|^(q-1) (lp,
+    scaled by max |f|), or at the largest |f_i| alone (l1)."""
+    a = np.abs(np.asarray(f))
+    phase = np.exp(-1j * np.angle(f))
+    if spec.kind == "sup":
+        x = phase
+    elif spec.kind == "weighted_sup":
+        x = phase / spec.weights
+    elif spec.kind != "lp":
+        raise NotImplementedError("dual norm for Orlicz lattices is not implemented")
+    elif spec.p == 1.0:
+        x = np.where(np.arange(len(a)) == a.argmax(), phase, 0.0)
+    else:
+        x = phase * (a / (a.max() or 1.0)) ** (1.0 / (spec.p - 1.0))
+    return x / (norm_eval_batch(spec, x[None, :])[0] or 1.0)
+
+
 def dual_vs_l2(spec):
     """Constants (R, S) with dual(f) <= R ||f||_2 and ||f||_2 <= S dual(f)
     for every f on the index set, with ``dual`` as in :func:`dual_norm_batch`."""

@@ -637,7 +637,7 @@ def _wa_psum(ctx):
     ok = True
     worst = 0.0
     for p in (1.5, 2.0, 3.0):
-        rep = dv.lp_obstruction_demo(m2, psi, p, [2, 4, 8], seed=ctx.seed % 2 ** 32)
+        rep = dv.lp_obstruction_demo(m2, psi, p, [2, 4, 8])
         ok &= rep["ok"]
         for row in rep["rows"]:
             gap = min(np.array(row["per_coordinate"]) - np.array(row["floor"]))

@@ -214,7 +214,7 @@ def test_criterion_9_psum_growth_obstruction():
     ok = True
     detail = []
     for p in (1.5, 2.0, 3.0):
-        rep = dv.lp_obstruction_demo(m2, psi, p, [2, 4, 8], seed=6, tol=1e-8)
+        rep = dv.lp_obstruction_demo(m2, psi, p, [2, 4, 8], tol=1e-8)
         ok &= rep["ok"] and rep["monotone_growth"]
         ok &= all(r["per_coordinate_ok"] for r in rep["rows"])
         detail.append(f"p={p}: " + "->".join(f"{r['aggregate']:.3f}" for r in rep["rows"]))

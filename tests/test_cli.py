@@ -156,6 +156,22 @@ def test_bad_document_is_one_line_error(tmp_path, capsys, command, docs, message
     assert _error_line(capsys) == message
 
 
+M2_BASE = {"structure": M2_CUBE, "norm": {"kind": "matrix_operator", "side": 2}}
+
+
+@pytest.mark.parametrize("base, flags, message", [
+    ({"structure": [[[1.0]]], "norm": "max_abs"}, [],
+     "ValueError: --psi is required unless the base is a matrix algebra"),
+    (M2_BASE, ["--sizes", "0"], "ValueError: --sizes must list positive integers, got 0"),
+    (M2_BASE, ["--sizes=-2"], "ValueError: --sizes must list positive integers, got -2"),
+    (M2_BASE, ["--sizes", "2,0,4"], "ValueError: --sizes must list positive integers, got 2,0,4"),
+])
+def test_bad_lp_demo_argument_is_one_line_error(tmp_path, capsys, base, flags, message):
+    argv = ["lp-demo", "--base", write(tmp_path, "base.json", base), "--p", "2"] + flags
+    assert cli.main(argv) == 2
+    assert _error_line(capsys) == message
+
+
 def test_ce_command(tmp_path, capsys):
     spec = write(tmp_path, "spec.json",
                  {"kind": "orlicz", "phi": {"family": "shifted_ramp", "a": 0.25},

@@ -189,34 +189,15 @@ class TestMinimization:
         rep = dv.derivation_space(m2)
         psi = np.zeros(4)
         psi[1] = 1.0
-        _, dist = dv.min_dual_over_affine(m2.norm, psi, rep.z_basis)
+        dist = dv.min_dual_over_affine(m2.norm, psi, rep.z_basis)["lower"]
         assert abs(dist - 1.0) <= 1e-6
 
     def test_trace_multiple_projects_to_zero(self):
         m2 = es.matrix_units_algebra(2)
         rep = dv.derivation_space(m2)
         trace = np.array([1.0, 0.0, 0.0, 1.0])
-        _, dist = dv.min_dual_over_affine(m2.norm, trace, rep.z_basis)
+        dist = dv.min_dual_over_affine(m2.norm, trace, rep.z_basis)["lower"]
         assert dist <= 1e-8
-
-    def test_euclidean_shortcut_matches_powell(self):
-        rng = np.random.default_rng(0)
-        phi0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        z = dv._orthonormal_rows(rng.standard_normal((1, 4)))
-        _, via_l2 = dv.min_dual_over_affine(es.EuclideanCoordinate(), phi0, z)
-        norm = es.MaxAbsCoordinate()
-
-        def bruteforce(steps=400):
-            best = np.inf
-            for re in np.linspace(-3, 3, steps):
-                for im in np.linspace(-3, 3, 7):
-                    best = min(best, float(norm.dual(phi0 + (re + 1j * im) * z[0])))
-            return best
-
-        _, via_powell = dv.min_dual_over_affine(norm, phi0, z)
-        assert via_powell <= bruteforce() + 1e-4
-        # the Euclidean projection is never larger than the starting point
-        assert via_l2 <= float(np.linalg.norm(phi0)) + 1e-12
 
     def test_minimal_implementing_functional(self):
         m2 = es.matrix_units_algebra(2)
@@ -225,10 +206,10 @@ class TestMinimization:
         psi[1] = 1.0
         admat = dv.adjoint_map_matrix(m2.structure)
         D = (admat @ psi).reshape(4, 4)
-        phi, val = dv.minimal_implementing_functional(m2, D, report=rep)
-        recon = (admat @ phi).reshape(4, 4)
+        best = dv.minimal_implementing_functional(m2, D, report=rep)
+        recon = (admat @ best["phi"]).reshape(4, 4)
         assert np.abs(recon - D).max() <= 1e-8
-        assert val <= float(m2.norm.dual(psi)) + 1e-9
+        assert best["lower"] <= best["upper"] <= float(m2.norm.dual(psi)) + 1e-9
 
     def test_non_inner_rejected(self):
         sz = es.square_zero_algebra()
@@ -304,7 +285,7 @@ class TestObstruction:
         psi = np.zeros(4)
         psi[1] = 1.0
         for p in (1.5, 2.0, 3.0):
-            rep = dv.lp_obstruction_demo(m2, psi, p, [2, 4, 8], seed=4)
+            rep = dv.lp_obstruction_demo(m2, psi, p, [2, 4, 8])
             assert rep["ok"]
             assert abs(rep["distance"] - 1.0) <= 1e-6
             aggs = [row["aggregate"] for row in rep["rows"]]
@@ -317,7 +298,7 @@ class TestObstruction:
         m2 = es.matrix_units_algebra(2)
         psi = np.zeros(4)
         psi[1] = 1.0
-        rep = dv.lp_obstruction_demo(m2, psi, 2.0, [2, 4], seed=4)
+        rep = dv.lp_obstruction_demo(m2, psi, 2.0, [2, 4])
         for row in rep["rows"]:
             assert abs(row["aggregate"] - np.sqrt(row["size"])) <= 1e-6
 
@@ -331,14 +312,139 @@ class TestObstruction:
         # a vanished derivation component is implemented by the zero functional
         m2 = es.matrix_units_algebra(2)
         rep = dv.derivation_space(m2)
-        phi, val = dv.min_dual_over_affine(m2.norm, 0.0 * np.ones(4), rep.z_basis)
-        assert val == 0.0 and np.abs(phi).max() == 0.0
+        best = dv.min_dual_over_affine(m2.norm, 0.0 * np.ones(4), rep.z_basis)
+        assert best["lower"] == 0.0 and np.abs(best["phi"]).max() == 0.0
 
 
-def test_blockwise_span_split():
-    blocks = [[0, 1], [2, 3]]
-    decomposable = np.array([[1.0, 0, 0, 0], [0, 0, 0, 1.0]])
-    pieces = dv.blockwise_span_split(decomposable, blocks)
-    assert pieces is not None and [p.shape[0] for p in pieces] == [1, 1]
-    entangled = np.array([[1.0, 0, 1.0, 0]]) / np.sqrt(2)
-    assert dv.blockwise_span_split(entangled, blocks) is None
+def _powell_oracle(norm, phi0, z):
+    """The Powell search that the dual witness replaced, kept as an oracle:
+    its value is the dual norm at a point of phi0 + span(z), so it sits at
+    or above the true minimum."""
+    from scipy.optimize import minimize
+    k = len(z)
+
+    def objective(t):
+        return float(norm.dual(phi0 + (t[:k] + 1j * t[k:]) @ z))
+
+    proj = -(z.conj() @ phi0)
+    starts = [np.zeros(2 * k), np.concatenate([proj.real, proj.imag])]
+    return min(minimize(objective, x0, method="Powell",
+                        options={"xtol": 1e-10, "ftol": 1e-12, "maxiter": 10000}).fun
+               for x0 in starts)
+
+
+WITNESS_NORMS = {   # name: (norm, dimension)
+    "max_abs": (es.MaxAbsCoordinate(), 4),
+    "euclidean": (es.EuclideanCoordinate(), 4),
+    "M2": (es.MatrixOperatorNorm(2), 4),
+    "M3": (es.MatrixOperatorNorm(3), 9),
+    "sup(M2, M2)": (es.LatticeBlockNorm(lt.sup_norm(2), [es.MatrixOperatorNorm(2)] * 2, [4, 4]), 8),
+    "weighted_sup(M2, max_abs)": (es.LatticeBlockNorm(
+        lt.weighted_sup([1.0, 2.5]), [es.MatrixOperatorNorm(2), es.MaxAbsCoordinate()], [4, 2]), 6),
+    "lp(euclidean, M2)": (es.LatticeBlockNorm(
+        lt.lp_norm(1.5, 2), [es.EuclideanCoordinate(), es.MatrixOperatorNorm(2)], [3, 4]), 7),
+}
+
+
+def _orthonormal_rows(g):
+    q, _ = np.linalg.qr(g.T)
+    return q.T
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(WITNESS_NORMS)), k=st.integers(0, 2),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_witness_is_a_lower_bound(name, k, seed):
+    """On random phi0 and a random Z, which does not split by block, the
+    witness value sits below the dual norm of every sampled point of
+    phi0 + Z and below the Powell oracle; the upper end is attained."""
+    norm, d = WITNESS_NORMS[name]
+    rng = np.random.default_rng(seed)
+    phi0 = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    z = _orthonormal_rows(rng.standard_normal((k, d)) + 1j * rng.standard_normal((k, d)))
+    best = dv.min_dual_over_affine(norm, phi0, z)
+    assert dv.witness_value(norm, phi0, z, best["witness"]) == best["lower"]
+    assert abs(float(norm.dual(best["phi"])) - best["upper"]) <= 1e-12 * best["upper"]
+    step = best["phi"] - phi0   # lies in Z
+    assert np.abs((z.conj() @ step) @ z - step).max(initial=0.0) <= 1e-12
+    slack = 1e-12 * best["upper"]
+    assert best["lower"] <= best["upper"] + slack
+    for _ in range(20):
+        c = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+        assert best["lower"] <= float(norm.dual(phi0 + c @ z)) + slack
+    if k:
+        assert best["lower"] <= _powell_oracle(norm, phi0, z) + slack
+
+
+def test_witness_is_exact_on_m2():
+    """Z = span(I): the traceless part of phi0 is the minimiser, its trace
+    norm is the minimum, and the witness attains it."""
+    m2 = es.matrix_units_algebra(2)
+    z = dv.derivation_space(m2).z_basis
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        phi0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        best = dv.min_dual_over_affine(m2.norm, phi0, z)
+        a = phi0.reshape(2, 2)
+        traceless = a - np.trace(a) / 2 * np.eye(2)
+        exact = float(np.linalg.svd(traceless, compute_uv=False).sum())
+        assert abs(best["upper"] - exact) <= 1e-12 * exact
+        assert abs(best["lower"] - exact) <= 1e-12 * exact
+        for t in rng.standard_normal(10) + 1j * rng.standard_normal(10):
+            assert float(m2.norm.dual(phi0 + t * np.eye(2).reshape(-1))) >= best["lower"]
+
+
+@pytest.mark.parametrize("kind", ["sup", "weighted_sup", "lp"])
+@pytest.mark.parametrize("copies", range(1, 9))
+def test_witness_is_exact_on_m2_copies(kind, copies):
+    lattice = {"sup": lt.sup_norm(copies),
+               "weighted_sup": lt.weighted_sup(1.0 + 0.5 * np.arange(copies)),
+               "lp": lt.lp_norm(1.5, copies)}[kind]
+    alg = es.ESumAlgebra([es.matrix_units_algebra(2)] * copies, lattice).as_finite_algebra(samples=0)
+    z = dv.derivation_space(alg).z_basis
+    rng = np.random.default_rng(copies)
+    for _ in range(5):
+        phi0 = rng.standard_normal(alg.dim) + 1j * rng.standard_normal(alg.dim)
+        best = dv.min_dual_over_affine(alg.norm, phi0, z)
+        assert abs(best["lower"] - best["upper"]) <= 1e-12 * best["upper"]
+
+
+def test_witness_is_loose_on_m3():
+    """Beyond M_2 the witness is valid but may sit below the minimum: on M_3
+    it stays below Powell's value, which stays below the projection's, and
+    it sits 6-15% below Powell on these draws."""
+    m3 = es.matrix_units_algebra(3)
+    z = dv.derivation_space(m3).z_basis
+    rng = np.random.default_rng(3)
+    gaps = []
+    for _ in range(8):
+        phi0 = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+        best = dv.min_dual_over_affine(m3.norm, phi0, z)
+        oracle = _powell_oracle(m3.norm, phi0, z)
+        assert best["lower"] <= oracle <= best["upper"] * (1 + 1e-12)
+        gaps.append(1.0 - best["lower"] / oracle)
+    assert 1e-3 < max(gaps) < 0.2
+
+
+def test_tampered_witness_is_refused():
+    m2 = es.matrix_units_algebra(2)
+    z = dv.derivation_space(m2).z_basis
+    phi0 = np.array([0.3, 1.0, -0.5j, 2.0])
+    best = dv.min_dual_over_affine(m2.norm, phi0, z)
+    assert dv.witness_value(m2.norm, phi0, z, best["witness"]) == best["lower"]
+    moved = best["witness"] + 1e-6 * z[0].conj()
+    with pytest.raises(AssertionError, match="does not annihilate"):
+        dv.witness_value(m2.norm, phi0, z, moved)
+
+
+def test_brackets_run_no_search():
+    """No scipy optimiser is imported on the way to a WAM bracket or an
+    lp-demo report."""
+    import subprocess
+    import sys
+    code = ("import sys, numpy as np; from esum_lab import derivations as dv, esum as es, "
+            "lattice as lt; m2 = es.matrix_units_algebra(2); dv.wam_bracket(m2, samples=5); "
+            "dv.esum_wa_check([m2, m2], lt.lp_norm(1.5, 2), samples=5); "
+            "dv.lp_obstruction_demo(m2, np.eye(4)[1], 2.0, [2]); "
+            "assert 'scipy.optimize' not in sys.modules")
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=120)

@@ -211,3 +211,48 @@ class TestBlockNorm:
         norm = alg.as_finite_algebra(samples=0).norm
         with pytest.raises(NotImplementedError):
             norm.dual(np.ones(2))
+
+
+def _two_by_two_cases(rng, count=400):
+    """Unitary, rank-one, near-unitary and Gaussian complex 2 x 2 matrices."""
+    def gauss(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    unitary, _ = np.linalg.qr(gauss(count, 2, 2))
+    return {
+        "unitary": unitary,
+        "rank-one": gauss(count, 2, 1) @ gauss(count, 1, 2),
+        "near-unitary": unitary + 1e-7 * gauss(count, 2, 2),
+        "gaussian": gauss(count, 2, 2),
+    }
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1.0, 1e150])
+def test_two_by_two_closed_forms_match_svd(scale):
+    norm = es.MatrixOperatorNorm(2)
+    for kind, mats in _two_by_two_cases(np.random.default_rng(8)).items():
+        mats = scale * mats
+        s = np.linalg.svd(mats, compute_uv=False)
+        flat = mats.reshape(len(mats), 4)
+        assert np.abs(norm.eval(flat) / s[:, 0] - 1.0).max() <= 1e-14, kind
+        assert np.abs(norm.dual(flat) / s.sum(axis=1) - 1.0).max() <= 1e-14, kind
+    assert norm.eval(np.zeros(4)) == 0.0 and norm.dual(np.zeros(4)) == 0.0
+
+
+def test_norming_elements():
+    """X = norm.norming(phi) has ||X|| <= 1 and pairs with phi to its dual
+    norm, for every coordinate norm, zero blocks included."""
+    blocks = [es.MatrixOperatorNorm(2), es.EuclideanCoordinate(), es.MaxAbsCoordinate()]
+    norms = [(es.MaxAbsCoordinate(), 3), (es.EuclideanCoordinate(), 3),
+             (es.MatrixOperatorNorm(2), 4), (es.MatrixOperatorNorm(3), 9)]
+    norms += [(es.LatticeBlockNorm(lat, blocks, [4, 2, 3]), 9)
+              for lat in (lt.sup_norm(3), lt.weighted_sup([1.0, 3.0, 2.0]),
+                          lt.lp_norm(1.0, 3), lt.lp_norm(1.5, 3))]
+    rng = np.random.default_rng(9)
+    for norm, dim in norms:
+        for zeros in ([], [0, 1, 2, 3], [4, 5]):
+            phi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+            phi[[i for i in zeros if i < dim]] = 0.0
+            x = norm.norming(phi)
+            dual = float(norm.dual(phi))
+            assert float(norm.eval(x)) <= 1.0 + 1e-12
+            assert abs(phi @ x - dual) <= 1e-12 * dual

@@ -328,21 +328,6 @@ def _dual_spec_strategy(n):
     )
 
 
-def _dual_extremal(spec, f):
-    """A vector x of norm 1 with sum_i f_i x_i = dual(f), for f != 0."""
-    a = np.abs(f)
-    phase = np.exp(-1j * np.angle(f))
-    if spec.kind == "sup":
-        x = phase
-    elif spec.kind == "weighted_sup":
-        x = phase / spec.weights
-    elif spec.p == 1.0:
-        x = np.where(np.arange(len(f)) == a.argmax(), phase, 0.0)
-    else:
-        x = phase * (a / a.max()) ** (1.0 / (spec.p - 1.0))   # |f|^(q-1), scaled
-    return x / lt.norm_eval(spec, x)
-
-
 complex_row = st.lists(st.tuples(finite_entry, finite_entry), min_size=4, max_size=4).map(
     lambda pairs: np.array([complex(re, im) for re, im in pairs]))
 
@@ -356,9 +341,9 @@ def test_dual_norm_holder_and_extremal(spec, rows, x):
     for f, dual in zip(rows, duals):
         assert lt.dual_norm_batch(spec, f[None, :])[0] == dual
         assert abs(f @ x) <= dual * lt.norm_eval(spec, x) * (1 + 1e-9) + 1e-12
-        if np.abs(f).max() > 0:
-            pairing = f @ _dual_extremal(spec, f)
-            assert abs(pairing - dual) <= 1e-9 * dual + 1e-12
+        extremal = lt.dual_extremal(spec, f)
+        assert lt.norm_eval(spec, extremal) <= 1.0 + 1e-12
+        assert abs(f @ extremal - dual) <= 1e-9 * dual + 1e-12
 
 
 def test_dual_norm_values():
@@ -376,6 +361,8 @@ def test_dual_norm_values():
         lt.dual_norm_batch(ramp, np.ones((1, 2)))
     with pytest.raises(NotImplementedError):
         lt.dual_vs_l2(ramp)
+    with pytest.raises(NotImplementedError):
+        lt.dual_extremal(ramp, np.ones(2))
 
 
 def test_restrict_spec():
