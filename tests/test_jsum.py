@@ -1,5 +1,8 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from esum_lab import jsum as js
 
@@ -199,6 +202,32 @@ class TestJNorm:
         x = random_element(np.random.default_rng(6), system, support={1})
         with pytest.raises(ValueError):
             js.jnorm_bruteforce(x)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(dims=st.lists(st.integers(0, 3), min_size=1, max_size=5),
+       zero_bonds=st.lists(st.booleans(), min_size=5, max_size=5),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_jnorm_matches_chain_oracle(dims, zero_bonds, seed):
+    """On random contractive systems (zero bonds and zero-dimensional
+    levels included), jnorm equals the largest rho over every nonempty
+    chain in [0, top + 1], divided by sqrt(2).  rho composes the bonds
+    through JSystem.compose, so the oracle shares no table with jnorm or
+    jnorm_bruteforce; a longer horizon never changes the value."""
+    rng = np.random.default_rng(seed)
+    dims = [0] + dims
+    bonds = []
+    for (lo, hi), zero in zip(zip(dims, dims[1:]), zero_bonds):
+        raw = rng.standard_normal((hi, lo)) + 1j * rng.standard_normal((hi, lo))
+        top = np.linalg.svd(raw, compute_uv=False)[0] if raw.size else 0.0
+        bonds.append(np.zeros((hi, lo)) if zero or top == 0 else raw / (top * (1.0 + rng.random())))
+    system = js.JSystem(dims, bonds)
+    x = js.JElement(system, [rng.standard_normal(d) + 1j * rng.standard_normal(d) for d in dims])
+    h = system.top + 1
+    oracle = max(js.rho(x, chain) for size in range(1, h + 2)
+                 for chain in combinations(range(h + 1), size)) / np.sqrt(2.0)
+    assert abs(js.jnorm(x) - oracle) <= 1e-12
+    assert abs(js.jnorm(x, horizon=system.top + 3) - oracle) <= 1e-12
 
 
 class TestMultiplication:
