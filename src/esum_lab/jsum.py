@@ -193,7 +193,9 @@ def rho(x, chain, horizon=None):
 
 def _chain_tables(x, horizon):
     """t[p][q] = ||bond(p->q)(x_p) - x_q||^2 for p < q, and the terminal
-    weights ||x_p||^2, computed by marching each coordinate forward once."""
+    weights ||x_p||^2, marching each coordinate forward on its own.  Only
+    :func:`jnorm_bruteforce` reads these tables, so the enumeration checks
+    :func:`jnorm` against a separate computation of every link."""
     system = x.system
     h = horizon
     link = np.zeros((h + 1, h + 1))
@@ -209,21 +211,24 @@ def _chain_tables(x, horizon):
 def jnorm(x, horizon=None):
     """Exact J-norm by dynamic programming over chain endpoints.
 
-    State p holds the best accumulated sigma^2 over chains ending at p;
-    the default horizon is one past the top level, which suffices for any
-    finitely supported element under contractive bonds.
+    ``best[q]`` holds the largest sigma^2 over chains ending at q.  One
+    forward pass carries the columns bond(p->q)(x_p) for every p < q, so
+    level q costs one product with bond(q-1 -> q) and one batched norm of
+    its q links.  The default horizon is one past the top level, which
+    suffices for any finitely supported element under contractive bonds.
     """
     system = x.system
     h = system.top + 1 if horizon is None else int(horizon)
-    link, terminal = _chain_tables(x, h)
     best = np.zeros(h + 1)
+    carried = np.zeros((system.level_dim(0), 0), complex)
     answer = 0.0
-    for p in range(h + 1):
-        answer = max(answer, best[p] + terminal[p])
-        for q in range(p + 1, h + 1):
-            cand = best[p] + link[p, q]
-            if cand > best[q]:
-                best[q] = cand
+    for q in range(h + 1):
+        xq = x.coord(q)
+        if q:
+            carried = system.bond_at(q - 1) @ np.column_stack([carried, x.coord(q - 1)])
+            diff = carried - xq[:, None]
+            best[q] = np.max(best[:q] + (diff.real ** 2 + diff.imag ** 2).sum(axis=0))
+        answer = max(answer, best[q] + float(np.linalg.norm(xq)) ** 2)
     return float(np.sqrt(answer / 2.0))
 
 
