@@ -47,7 +47,6 @@ from .esum import (
     unit_and_bai_bound_check,
 )
 from .gamma import (
-    BracketBudget,
     NormBracket,
     am_pointwise,
     verify_main_theorem,

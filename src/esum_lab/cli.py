@@ -2,7 +2,7 @@
 
 All inputs are JSON documents (schemas under ``docs/schemas/``); all
 subcommands print JSON to stdout.  ``verify`` runs the deterministic case
-suite and exits nonzero when any non-loose case fails.  Bad input ends in
+suite and exits 1 when any case fails or errors.  Bad input ends in
 one ``{"error": ...}`` line on stderr and exit code 2.
 """
 
@@ -97,8 +97,7 @@ def cmd_bai_check(args):
 
 def cmd_am(args):
     spec = lt.load_spec(args.spec)
-    budget = gm.BracketBudget(scale=args.budget)
-    bracket = gm.am_pointwise(args.n, spec, budget=budget)
+    bracket = gm.am_pointwise(args.n, spec)
     payload = bracket.as_dict()
     if not args.witnesses:
         payload.pop("witness_lower")
@@ -158,7 +157,7 @@ def cmd_lp_demo(args):
 
 def cmd_verify(args):
     start = time.perf_counter()
-    report = verify_all(seed=args.seed, budget=args.budget)
+    report = verify_all(seed=args.seed)
     elapsed = time.perf_counter() - start
     if args.out:
         formats = ("csv", "json") if args.format == "both" else (args.format,)
@@ -203,10 +202,6 @@ def build_parser():
     p = sub.add_parser("am", help="diagonal tensor-norm bracket for C^n")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--spec", required=True)
-    p.add_argument("--budget", type=float, default=1.0,
-                   help="0 drops the identity, Fourier and orbit candidates")
-    p.add_argument("--seed", type=int, default=0,
-                   help="has no effect: every AM bracket is deterministic")
     p.add_argument("--witnesses", action="store_true")
     p.set_defaults(fn=cmd_am)
 
@@ -236,13 +231,10 @@ def build_parser():
     p.add_argument("--psi", default=None, help="dual coefficient vector JSON")
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--sizes", default="2,4,8")
-    p.add_argument("--seed", type=int, default=0,
-                   help="has no effect: the demo is deterministic")
     p.set_defaults(fn=cmd_lp_demo)
 
     p = sub.add_parser("verify", help="run the full deterministic case suite")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=float, default=1.0)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=["csv", "json", "both"], default="both")
     p.set_defaults(fn=cmd_verify)

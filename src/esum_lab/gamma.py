@@ -39,7 +39,9 @@ and cost n ||x*||^2 / S = n / S.  Convexity of the ball, that is of phi
 for an Orlicz norm, is required; ``LatticeNormSpec`` refuses a table whose
 slopes decrease.
 
-The amenability constant of these pointwise algebras equals the diagonal's
+Every candidate is scored on every call, so ``NormBracket.loose`` (a gap
+above ``DEFAULT_TOL`` relative) can only come from a fault.  The
+amenability constant of these pointwise algebras equals the diagonal's
 projective norm, so the returned bracket is an AM bracket.
 """
 
@@ -61,20 +63,12 @@ WITNESS_TOL = 1e-9
 
 
 class BracketBudget:
-    """Bracket effort.  Any ``scale > 0`` adds the identity witness and the
-    Fourier and orbit decompositions, which close the bracket for every
-    named lattice; ``scale == 0`` keeps only the always-on candidates
-    (separated decomposition, single-entry witnesses), which is enough for
-    validity but usually leaves the bracket loose.  A bracket whose gap
-    exceeds ``tol`` relative is flagged loose."""
+    """Kept only for ``perfbench/workloads.py``, which builds one and reads
+    its ``tol``.  ``scale`` is ignored: every bracket scores every
+    candidate."""
 
-    def __init__(self, scale=1.0):
-        self.scale = float(scale)
+    def __init__(self, scale=None):
         self.tol = DEFAULT_TOL
-
-    @property
-    def search_enabled(self):
-        return self.scale > 0
 
 
 class NormBracket:
@@ -153,27 +147,27 @@ def bilinear_cert(spec, mat, square=None):
 # Lower bound: certified dual witnesses
 # ---------------------------------------------------------------------------
 
-def _scaled_candidate(spec, mat, method, square):
-    cert = bilinear_cert(spec, mat, square)
-    return (float(np.trace(mat).real) / cert, mat / cert, method)
-
-
-def dual_pairing_lower(spec, budget, square):
+def dual_pairing_lower(spec, square):
     """Best certified witness value among the single-entry forms spike[m]
-    and, when the budget allows a search, the identity.  These attain AM
-    for every named lattice (module docstring), and no validly certified
-    form scores above AM, so no other family (permutations, sign diagonals,
-    gradient ascent) is scored.  Ties go to the earlier candidate.
+    and the identity.  These attain AM for every named lattice (module
+    docstring), and no validly certified form scores above AM, so no other
+    family (permutations, sign diagonals, gradient ascent) is scored.
+
+    The spike e_mm scores 1 / min(S, sup_ball |x_m|^2), the reciprocal of
+    its :func:`bilinear_cert`, so all n are scored as one vector and only
+    the winner's matrix is built.  Ties go to the lower index, and the
+    identity wins only when it scores strictly higher.
     """
     n = spec.index_size
-    cands = []
-    for m in range(n):
-        e = np.zeros((n, n))
-        e[m, m] = 1.0
-        cands.append(_scaled_candidate(spec, e, f"spike[{m}]", square))
-    if budget.search_enabled:
-        cands.append(_scaled_candidate(spec, np.eye(n), "identity-diagonal", square))
-    return max(cands, key=lambda c: c[0])
+    sup = coordinate_ball_sup(spec)
+    values = 1.0 / np.minimum(square, sup * sup)
+    m = int(np.argmax(values))
+    cert = bilinear_cert(spec, np.eye(n), square)
+    if n / cert > values[m]:
+        return (n / cert, np.eye(n) / cert, "identity-diagonal")
+    spike = np.zeros((n, n))
+    spike[m, m] = values[m]
+    return (float(values[m]), spike, f"spike[{m}]")
 
 
 # ---------------------------------------------------------------------------
@@ -220,15 +214,13 @@ def orbit_decomposition(x):
     return [(v / scale, np.conj(v)) for v in vecs]
 
 
-def primal_decomposition_upper(spec, budget, extremal):
+def primal_decomposition_upper(spec, extremal):
     n = spec.index_size
-    candidates = [(separated_decomposition(n), "separated")]
-    if budget.search_enabled:
-        candidates.append((dft_decomposition(n), "fourier"))
-        # the orbit keeps its norms only under a symmetric norm, and for a
-        # spike or a constant x* it costs what the two above cost
-        if spec.kind != "weighted_sup" and np.count_nonzero(extremal) > 1 and np.ptp(extremal) > 0:
-            candidates.append((orbit_decomposition(extremal), "orbit"))
+    candidates = [(separated_decomposition(n), "separated"), (dft_decomposition(n), "fourier")]
+    # the orbit keeps its norms only under a symmetric norm, and for a
+    # spike or a constant x* it costs what the two above cost
+    if spec.kind != "weighted_sup" and np.count_nonzero(extremal) > 1 and np.ptp(extremal) > 0:
+        candidates.append((orbit_decomposition(extremal), "orbit"))
     scored = [(_decomposition_cost(spec, pairs), pairs, method) for pairs, method in candidates]
     return min(scored, key=lambda c: c[0])
 
@@ -240,7 +232,8 @@ def primal_decomposition_upper(spec, budget, extremal):
 def am_pointwise(n, spec, budget=None, rng=None):
     """AM bracket of the pointwise algebra C^n under the given norm: the
     diagonal is the unique candidate, so AM equals its projective norm.
-    Every candidate is deterministic; ``rng`` is accepted and ignored.
+    Every candidate is deterministic.  ``budget`` and ``rng`` are accepted
+    and ignored, for the calls in ``perfbench/workloads.py`` only.
 
     Both witnesses are re-verified independently: the stored dual matrix is
     re-certified to bilinear bound <= 1 + 1e-9, and the stored decomposition
@@ -248,10 +241,9 @@ def am_pointwise(n, spec, budget=None, rng=None):
     """
     if not isinstance(spec, LatticeNormSpec) or spec.index_size != n:
         raise ValueError("norm spec must live on exactly n indices")
-    budget = budget or BracketBudget()
     square, extremal = max_square_sum(spec)   # one table enumeration per bracket
-    lower, wl_mat, wl_method = dual_pairing_lower(spec, budget, square)
-    upper, wu_pairs, wu_method = primal_decomposition_upper(spec, budget, extremal)
+    lower, wl_mat, wl_method = dual_pairing_lower(spec, square)
+    upper, wu_pairs, wu_method = primal_decomposition_upper(spec, extremal)
 
     recert = bilinear_cert(spec, wl_mat, square)
     if recert > 1.0 + WITNESS_TOL:
@@ -264,7 +256,7 @@ def am_pointwise(n, spec, budget=None, rng=None):
     if upper < lower - 1e-9 * max(1.0, upper):
         raise AssertionError(f"bracket inversion: lower {lower} > upper {upper}")
     lower = min(lower, upper)
-    loose = (upper - lower) > budget.tol * max(upper, 1.0)
+    loose = (upper - lower) > DEFAULT_TOL * max(upper, 1.0)
     return NormBracket(
         lower, upper,
         (wl_mat, recert, wl_method),
@@ -273,13 +265,12 @@ def am_pointwise(n, spec, budget=None, rng=None):
     )
 
 
-def verify_main_theorem(n, spec, budget=None):
+def verify_main_theorem(n, spec):
     """Check 1 <= AM <= C_E^2 through the bracket, with C_E at horizon n."""
-    bracket = am_pointwise(n, spec, budget=budget)
+    bracket = am_pointwise(n, spec)
     ce = ce_constant(spec).value
-    tol = (budget or BracketBudget()).tol
-    lower_ok = bracket.lower >= 1.0 - tol
-    upper_ok = bracket.upper <= ce * ce + tol
+    lower_ok = bracket.lower >= 1.0 - DEFAULT_TOL
+    upper_ok = bracket.upper <= ce * ce + DEFAULT_TOL
     return {
         "n": n,
         "am_lower": bracket.lower,
@@ -289,19 +280,18 @@ def verify_main_theorem(n, spec, budget=None):
         "lower_ok": lower_ok,
         "upper_ok": upper_ok,
         "ratio_upper": bracket.upper / (ce * ce),
-        "loose": bracket.loose,
         "ok": lower_ok and upper_ok,
     }
 
 
-def verify_quotient_bound(spec, keep_indices, budget=None, tol=1e-9):
+def verify_quotient_bound(spec, keep_indices, tol=1e-9):
     """Coordinate selection is a norm-one surjective homomorphism onto the
     restricted pointwise algebra, so the target AM upper bound must not
     exceed the source one."""
     keep = list(keep_indices)
-    source = am_pointwise(spec.index_size, spec, budget=budget)
+    source = am_pointwise(spec.index_size, spec)
     target_spec = restrict_spec(spec, keep)
-    target = am_pointwise(len(keep), target_spec, budget=budget)
+    target = am_pointwise(len(keep), target_spec)
     q_norm = 1.0  # attained on coordinate vectors; <= 1 by solidity
     ok = target.upper <= q_norm ** 2 * source.upper + tol
     return {

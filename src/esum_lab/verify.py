@@ -3,11 +3,10 @@
 Every case replays one finite-scale claim with frozen inputs and a
 deterministic per-case random stream (derived by hashing the master seed
 with the case id).  Cases never abort the suite: exceptions become
-per-case ``error`` rows.  The AM brackets close for every named lattice;
-only a zero budget (no identity, Fourier or orbit candidates) leaves them
-open, and then the bracket-based equality cases degrade to a ``loose`` flag
-instead of failing.  Reports carry no timing, so two runs with one seed
-are byte-identical.
+per-case ``error`` rows, so every case ends ``pass``, ``fail`` or
+``error``.  The AM brackets close for every named lattice, and a bracket
+that fails to close fails its case.  Reports carry no timing, so two runs
+with one seed are byte-identical.
 """
 
 from __future__ import annotations
@@ -42,18 +41,14 @@ def _fmt(x):
 
 
 class CaseContext:
-    def __init__(self, master_seed, budget_scale, case_id):
+    def __init__(self, master_seed, case_id):
         digest = hashlib.sha256(f"{master_seed}:{case_id}".encode()).digest()
         self.seed = int.from_bytes(digest[:8], "big")
-        self.budget_scale = budget_scale
         self.case_id = case_id
 
     def rng(self):
         # [seed, 0] fixes the per-case streams behind the golden report
         return np.random.default_rng([self.seed, 0])
-
-    def bracket_budget(self):
-        return gm.BracketBudget(scale=self.budget_scale)
 
 
 def case(case_id, anchor, tol):
@@ -63,9 +58,8 @@ def case(case_id, anchor, tol):
     return register
 
 
-def _result(expected, got, ok, loose=False):
-    return {"expected": _fmt(expected), "got": _fmt(got), "ok": bool(ok),
-            "loose": bool(loose)}
+def _result(expected, got, ok):
+    return {"expected": _fmt(expected), "got": _fmt(got), "ok": bool(ok)}
 
 
 # ---------------------------------------------------------------------------
@@ -253,28 +247,20 @@ def _esum_unit(ctx):
 
 @case("am-c0-formula", "plain-sup-sum-constant", 1e-6)
 def _am_sup(ctx):
-    budget = ctx.bracket_budget()
     worst = 0.0
-    loose = False
     for n in range(1, 9):
-        br = gm.am_pointwise(n, lt.sup_norm(n), budget=budget)
+        br = gm.am_pointwise(n, lt.sup_norm(n))
         worst = max(worst, abs(br.lower - 1.0), abs(br.upper - 1.0))
-        loose |= br.loose
-    ok = worst <= 1e-6
-    return _result("1 for n = 1..8", f"max deviation {worst:.3g}", ok, loose=loose and not ok)
+    return _result("1 for n = 1..8", f"max deviation {worst:.3g}", worst <= 1e-6)
 
 
 @case("am-sharp-euclidean", "euclidean-diagonal-sharpness", 1e-6)
 def _am_sharp(ctx):
-    budget = ctx.bracket_budget()
     worst = 0.0
-    loose = False
     for n in range(1, 7):
-        br = gm.am_pointwise(n, lt.lp_norm(2.0, n), budget=budget)
+        br = gm.am_pointwise(n, lt.lp_norm(2.0, n))
         worst = max(worst, abs(br.lower - n) / n, abs(br.upper - n) / n)
-        loose |= br.loose
-    ok = worst <= 1e-6
-    return _result("n for n = 1..6", f"max relative deviation {worst:.3g}", ok, loose=loose and not ok)
+    return _result("n for n = 1..6", f"max relative deviation {worst:.3g}", worst <= 1e-6)
 
 
 def _random_sandwich_specs(rng):
@@ -295,21 +281,13 @@ def _random_sandwich_specs(rng):
 
 @case("am-sandwich-random", "two-sided-uniformity-estimate", 1e-6)
 def _am_sandwich(ctx):
-    budget = ctx.bracket_budget()
-    rng = ctx.rng()
-    bad = 0
-    loose = False
-    for spec in _random_sandwich_specs(rng):
-        rep = gm.verify_main_theorem(spec.index_size, spec, budget=budget)
-        loose |= rep["loose"]
-        if not rep["ok"]:
-            bad += 1
-    return _result(0, bad, bad == 0, loose=loose and bad > 0)
+    specs = _random_sandwich_specs(ctx.rng())
+    bad = sum(not gm.verify_main_theorem(spec.index_size, spec)["ok"] for spec in specs)
+    return _result(0, bad, bad == 0)
 
 
 @case("am-lp-regression", "lp-diagonal-values", 1e-6)
 def _am_lp(ctx):
-    budget = ctx.bracket_budget()
     checks = [
         (3, 1.0, 3.0),            # both routes meet at the dimension
         (4, 1.5, 4.0),
@@ -317,22 +295,18 @@ def _am_lp(ctx):
         (4, 3.0, 4.0 ** (2.0 / 3.0)),
     ]
     worst = 0.0
-    loose = False
     for n, p, expected in checks:
-        br = gm.am_pointwise(n, lt.lp_norm(p, n), budget=budget)
+        br = gm.am_pointwise(n, lt.lp_norm(p, n))
         worst = max(worst, abs(br.lower - expected), abs(br.upper - expected))
-        loose |= br.loose
-    ok = worst <= 1e-6
-    return _result("frozen lp diagonal values", f"max deviation {worst:.3g}", ok, loose=loose and not ok)
+    return _result("frozen lp diagonal values", f"max deviation {worst:.3g}", worst <= 1e-6)
 
 
 @case("am-quotient-monotone", "coordinate-quotient-bound", 1e-9)
 def _am_quotient(ctx):
-    budget = ctx.bracket_budget()
     reports = [
-        gm.verify_quotient_bound(lt.lp_norm(2.0, 4), [0, 1], budget=budget),
-        gm.verify_quotient_bound(lt.lp_norm(2.0, 3), [0, 1, 2], budget=budget),
-        gm.verify_quotient_bound(lt.sup_norm(5), [1, 3], budget=budget),
+        gm.verify_quotient_bound(lt.lp_norm(2.0, 4), [0, 1]),
+        gm.verify_quotient_bound(lt.lp_norm(2.0, 3), [0, 1, 2]),
+        gm.verify_quotient_bound(lt.sup_norm(5), [1, 3]),
     ]
     ok = all(r["ok"] for r in reports)
     return _result("upper bounds contract", "ok" if ok else "violated", ok)
@@ -340,14 +314,12 @@ def _am_quotient(ctx):
 
 @case("am-scaling-covariance", "norm-rescaling", 1e-6)
 def _am_scaling(ctx):
-    budget = ctx.bracket_budget()
-    base = gm.am_pointwise(3, lt.sup_norm(3), budget=budget)
-    scaled = gm.am_pointwise(3, lt.weighted_sup([2.0, 2.0, 2.0]), budget=budget)
+    base = gm.am_pointwise(3, lt.sup_norm(3))
+    scaled = gm.am_pointwise(3, lt.weighted_sup([2.0, 2.0, 2.0]))
     got = [scaled.lower, scaled.upper]
     expected = [4 * base.lower, 4 * base.upper]
     worst = max(abs(g - e) for g, e in zip(got, expected))
-    ok = worst <= 1e-6
-    return _result(expected, got, ok, loose=(base.loose or scaled.loose) and not ok)
+    return _result(expected, got, worst <= 1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -649,26 +621,20 @@ def _wa_psum(ctx):
 # Runner and reports
 # ---------------------------------------------------------------------------
 
-def verify_all(seed=0, budget=1.0):
+def verify_all(seed=0):
     """Run every case with the master seed; per-case errors are contained."""
     rows = []
     for spec in sorted(CASES, key=lambda c: c["id"]):
-        ctx = CaseContext(seed, budget, spec["id"])
+        ctx = CaseContext(seed, spec["id"])
         try:
             out = spec["runner"](ctx)
-            if out["ok"]:
-                status = "pass"
-            elif out["loose"]:
-                status = "loose"
-            else:
-                status = "fail"
             row = {
                 "case_id": spec["id"],
                 "anchor": spec["anchor"],
                 "expected": out["expected"],
                 "got": out["got"],
                 "tol": spec["tol"],
-                "status": status,
+                "status": "pass" if out["ok"] else "fail",
             }
         except Exception as exc:  # fault isolation: one bad case never aborts the suite
             row = {
@@ -680,8 +646,8 @@ def verify_all(seed=0, budget=1.0):
                 "status": "error",
             }
         rows.append(row)
-    passed = all(r["status"] in ("pass", "loose") for r in rows)
-    return {"seed": seed, "budget": budget, "passed": passed, "cases": rows}
+    passed = all(r["status"] == "pass" for r in rows)
+    return {"seed": seed, "passed": passed, "cases": rows}
 
 
 def report_json(report):

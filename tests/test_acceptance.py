@@ -16,8 +16,6 @@ from esum_lab.verify import report_csv, report_json, verify_all
 
 GOLDEN_CSV = Path(__file__).parent / "data" / "verify_seed42.csv"
 
-BUDGET = gm.BracketBudget()
-
 
 def verdict(name, ok, detail=""):
     print(f"[{'PASS' if ok else 'FAIL'}] {name}" + (f"  ({detail})" if detail else ""))
@@ -29,7 +27,7 @@ def test_criterion_1_euclidean_sharpness():
     slowest = 0.0
     for n in range(1, 7):
         t0 = time.perf_counter()
-        br = gm.am_pointwise(n, lt.lp_norm(2.0, n), budget=BUDGET)
+        br = gm.am_pointwise(n, lt.lp_norm(2.0, n))
         elapsed = time.perf_counter() - t0
         slowest = max(slowest, elapsed)
         worst = max(worst, abs(br.lower - n) / n, abs(br.upper - n) / n)
@@ -41,7 +39,7 @@ def test_criterion_1_euclidean_sharpness():
 def test_criterion_2_sup_formula():
     worst = 0.0
     for n in range(1, 9):
-        br = gm.am_pointwise(n, lt.sup_norm(n), budget=BUDGET)
+        br = gm.am_pointwise(n, lt.sup_norm(n))
         worst = max(worst, abs(br.lower - 1.0), abs(br.upper - 1.0))
     verdict("criterion 2: plain sup-sum constant is 1 (n=1..8)",
             worst <= 1e-6, f"max dev {worst:.2e}")
@@ -62,7 +60,7 @@ def test_criterion_3_sandwich_30_random_specs():
                 lt.OrliczFunction.shifted_ramp(float(rng.choice([0.25, 0.5]))), n))
     bad = []
     for spec in specs:
-        br = gm.am_pointwise(spec.index_size, spec, budget=BUDGET)
+        br = gm.am_pointwise(spec.index_size, spec)
         ce = lt.ce_constant(spec).value
         if not (br.lower >= 1.0 - 1e-6 and br.upper <= ce * ce + 1e-6):
             bad.append(spec)
@@ -226,9 +224,9 @@ def test_criterion_10_verify_suite_deterministic():
     """Two runs at seed 42 agree, and the CSV equals the committed golden
     report; a deliberate change to the report updates that file."""
     t0 = time.perf_counter()
-    first = verify_all(seed=42, budget=1.0)
+    first = verify_all(seed=42)
     elapsed = time.perf_counter() - t0
-    second = verify_all(seed=42, budget=1.0)
+    second = verify_all(seed=42)
     identical = report_json(first) == report_json(second)
     csv_text, golden = report_csv(first), GOLDEN_CSV.read_text()
     changed = sorted(set(csv_text.splitlines()) ^ set(golden.splitlines()))

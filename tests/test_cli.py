@@ -182,7 +182,7 @@ def test_ce_command(tmp_path, capsys):
 
 
 def test_am_command(tmp_path, capsys, spec_path):
-    code, out = run_cli(capsys, ["am", "--n", "3", "--spec", spec_path, "--seed", "1"])
+    code, out = run_cli(capsys, ["am", "--n", "3", "--spec", spec_path])
     assert code == 0
     assert abs(out["lower"] - 3.0) <= 1e-6 and abs(out["upper"] - 3.0) <= 1e-6
     assert not out["loose"]
@@ -248,13 +248,12 @@ def test_wa_commands(tmp_path, capsys):
 def _tiny_report():
     return {
         "seed": 1,
-        "budget": 1.0,
-        "passed": True,
+        "passed": False,
         "cases": [
             {"case_id": "a", "anchor": "x", "expected": "1", "got": "1",
              "tol": 0.0, "status": "pass"},
             {"case_id": "b", "anchor": "y", "expected": "2", "got": "2",
-             "tol": 1e-6, "status": "loose"},
+             "tol": 1e-6, "status": "fail"},
         ],
     }
 
@@ -274,7 +273,7 @@ def test_report_roundtrip(tmp_path):
 
 
 def test_report_empty_is_header_only():
-    empty = {"seed": 0, "budget": 1.0, "passed": True, "cases": []}
+    empty = {"seed": 0, "passed": True, "cases": []}
     assert report_csv(empty) == "case_id,anchor,expected,got,tol,status\n"
 
 
@@ -311,8 +310,7 @@ def test_verify_exit_code_and_fault_isolation(tmp_path, capsys, monkeypatch):
         "id": "always-fails",
         "anchor": "synthetic",
         "tol": 0.0,
-        "runner": lambda ctx: {"expected": "1", "got": "2", "ok": False,
-                               "loose": False, "note": ""},
+        "runner": lambda ctx: {"expected": "1", "got": "2", "ok": False},
     }
     crashing = {"id": "crashes", "anchor": "synthetic", "tol": 0.0, "runner": explode}
     healthy = next(c for c in vf.CASES if c["id"] == "esum-norm-values")
@@ -327,13 +325,36 @@ def test_verify_exit_code_and_fault_isolation(tmp_path, capsys, monkeypatch):
     assert rows["esum-norm-values"]["status"] == "pass"
 
 
-def test_verify_budget_zero_goes_loose_not_failed(capsys, monkeypatch):
+def test_open_bracket_fails_its_case(capsys, monkeypatch):
+    """With the separated decomposition as the only upper witness the sup
+    norm's bracket stays open at [1, n]; its case fails, verify exits 1."""
+    from esum_lab import gamma as gm
+    from esum_lab import lattice as lt
     from esum_lab import verify as vf
 
-    sharp = next(c for c in vf.CASES if c["id"] == "am-sharp-euclidean")
-    monkeypatch.setattr(vf, "CASES", [sharp])
-    code = cli.main(["verify", "--seed", "0", "--budget", "0"])
-    out = capsys.readouterr().out
-    rows = list(csv.DictReader(io.StringIO(out)))
-    assert code == 0
-    assert rows[0]["status"] == "loose"
+    def separated_only(spec, extremal):
+        pairs = gm.separated_decomposition(spec.index_size)
+        return gm._decomposition_cost(spec, pairs), pairs, "separated"
+
+    monkeypatch.setattr(gm, "primal_decomposition_upper", separated_only)
+    assert gm.am_pointwise(4, lt.sup_norm(4)).loose
+    c0 = next(c for c in vf.CASES if c["id"] == "am-c0-formula")
+    monkeypatch.setattr(vf, "CASES", [c0])
+    code = cli.main(["verify", "--seed", "0"])
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert code == 1
+    assert rows[0]["status"] == "fail"
+
+
+@pytest.mark.parametrize("argv", [
+    ["am", "--n", "3", "--budget", "0"],
+    ["verify", "--budget", "1"],
+    ["am", "--n", "3", "--seed", "1"],
+    ["lp-demo", "--p", "2", "--seed", "1"],
+])
+def test_removed_flags_are_usage_errors(tmp_path, capsys, spec_path, argv):
+    argv = argv + {"am": ["--spec", spec_path], "lp-demo": ["--base", spec_path]}.get(argv[0], [])
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -7,9 +7,6 @@ import pytest
 from esum_lab import gamma as gm
 from esum_lab import lattice as lt
 
-# any positive scale enables every candidate
-BUDGET = gm.BracketBudget(scale=0.3)
-
 # convex tables: the one of the diag-orlicz benchmark, one with a different
 # middle node, and one whose square-sum S = 1 is attained by a single
 # coordinate at 1, so that AM = n
@@ -18,43 +15,39 @@ MIDDLE_TABLE = [(0, 0), (0.3, 0), (0.7, 0.4), (1, 1), (2, 4)]
 UNIT_S_TABLE = [(0, 0), (0.3, 0.1), (1, 1)]
 
 
-def bracket(n, spec):
-    return gm.am_pointwise(n, spec, budget=BUDGET)
-
-
 class TestKnownValues:
     def test_euclidean_sharpness(self):
         for n in range(1, 5):
-            br = bracket(n, lt.lp_norm(2.0, n))
+            br = gm.am_pointwise(n, lt.lp_norm(2.0, n))
             assert abs(br.lower - n) <= 1e-9 * n
             assert abs(br.upper - n) <= 1e-9 * n
 
     def test_plain_sup_is_one(self):
         for n in (1, 3, 6, 8):
-            br = bracket(n, lt.sup_norm(n))
+            br = gm.am_pointwise(n, lt.sup_norm(n))
             assert abs(br.lower - 1.0) <= 1e-9
             assert abs(br.upper - 1.0) <= 1e-9
 
     def test_l1_value(self):
-        br = bracket(3, lt.lp_norm(1.0, 3))
+        br = gm.am_pointwise(3, lt.lp_norm(1.0, 3))
         assert abs(br.lower - 3.0) <= 1e-9
         assert abs(br.upper - 3.0) <= 1e-9
 
     def test_lp_above_two(self):
         for n, p in ((4, 3.0), (3, 4.0)):
             expected = float(n) ** (2.0 / p)
-            br = bracket(n, lt.lp_norm(p, n))
+            br = gm.am_pointwise(n, lt.lp_norm(p, n))
             assert abs(br.lower - expected) <= 1e-9
             assert abs(br.upper - expected) <= 1e-9
 
     def test_single_coordinate_any_norm(self):
         for spec in (lt.sup_norm(1), lt.lp_norm(3.0, 1),
                      lt.orlicz_norm(lt.OrliczFunction.shifted_ramp(0.5), 1)):
-            br = bracket(1, spec)
+            br = gm.am_pointwise(1, spec)
             assert abs(br.lower - 1.0) <= 1e-9 and abs(br.upper - 1.0) <= 1e-9
 
     def test_weighted_sup_collapses_at_top_weight_squared(self):
-        br = bracket(3, lt.weighted_sup([1.0, 1.0, 2.0]))
+        br = gm.am_pointwise(3, lt.weighted_sup([1.0, 1.0, 2.0]))
         assert abs(br.lower - 4.0) <= 1e-9
         assert abs(br.upper - 4.0) <= 1e-9
         assert 1.0 - 1e-9 <= br.lower and br.upper <= 4.0 + 1e-9
@@ -69,7 +62,7 @@ class TestBracketMechanics:
             lt.orlicz_norm(lt.OrliczFunction.shifted_ramp(0.25), 4),
         ]
         for spec in specs:
-            br = bracket(4, spec)
+            br = gm.am_pointwise(4, spec)
             assert br.lower <= br.upper + 1e-12
             assert br.lower >= 1.0 - 1e-9
 
@@ -84,12 +77,12 @@ class TestBracketMechanics:
             lt.orlicz_norm(table, 4),
         ]
         for spec in specs:
-            br = bracket(4, spec)
+            br = gm.am_pointwise(4, spec)
             floor = lt.norm_eval(spec, np.ones(4))
             assert br.lower >= floor - 1e-9
 
     def test_witness_fields(self):
-        br = bracket(3, lt.lp_norm(2.0, 3))
+        br = gm.am_pointwise(3, lt.lp_norm(2.0, 3))
         mat, cert, method = br.witness_lower
         assert cert <= 1.0 + 1e-9
         assert gm.bilinear_cert(lt.lp_norm(2.0, 3), mat) <= 1.0 + 1e-9
@@ -100,7 +93,7 @@ class TestBracketMechanics:
     def test_dual_witness_sampled_feasibility(self):
         # |z^T M x| stays within the certified bound on random ball points
         spec = lt.lp_norm(2.0, 4)
-        br = bracket(4, spec)
+        br = gm.am_pointwise(4, spec)
         mat, cert, _ = br.witness_lower
         rng = np.random.default_rng(11)
         for _ in range(300):
@@ -129,24 +122,19 @@ class TestBracketMechanics:
         for n in (2, 3, 5):
             assert gm.decomposition_residual(n, gm.dft_decomposition(n)) <= 1e-12
 
-    def test_budget_zero_goes_loose(self):
-        br = gm.am_pointwise(4, lt.lp_norm(2.0, 4), budget=gm.BracketBudget(scale=0.0))
-        assert br.loose
-        assert br.lower >= 1.0 - 1e-12
-        assert br.upper >= br.lower
-
-    def test_orlicz_bracket_flagged_but_sandwiched(self):
+    def test_orlicz_bracket_closes_at_n_over_square_sum(self):
+        # the ramp at a = 0.5 has S = 1.75, so both ends sit at n / S
         spec = lt.orlicz_norm(lt.OrliczFunction.shifted_ramp(0.5), 4)
-        br = bracket(4, spec)
+        br = gm.am_pointwise(4, spec)
         ce = lt.ce_constant(spec).value
         assert br.lower >= 1.0 - 1e-9
         assert br.upper <= ce * ce + 1e-9
-        # uniform diagonal witness beats the trivial floor here
-        assert br.lower >= 4.0 / (1 + 3 * 0.25) - 1e-9
+        assert abs(br.lower - 4.0 / 1.75) <= 1e-12
+        assert abs(br.upper - 4.0 / 1.75) <= 1e-12
 
     def test_scaling_covariance(self):
-        base = bracket(3, lt.sup_norm(3))
-        scaled = bracket(3, lt.weighted_sup([2.0, 2.0, 2.0]))
+        base = gm.am_pointwise(3, lt.sup_norm(3))
+        scaled = gm.am_pointwise(3, lt.weighted_sup([2.0, 2.0, 2.0]))
         assert abs(scaled.lower - 4 * base.lower) <= 1e-9
         assert abs(scaled.upper - 4 * base.upper) <= 1e-9
 
@@ -226,7 +214,7 @@ def _oracle_specs(n):
 def test_dropped_lower_candidates_never_win(n):
     rng = np.random.default_rng(n)
     for spec in _oracle_specs(n):
-        lower = gm.am_pointwise(n, spec, budget=gm.BracketBudget(scale=0.01)).lower
+        lower = gm.am_pointwise(n, spec).lower
         mats = itertools.chain(_permutation_oracle(n), _sign_diagonal_oracle(n, rng),
                                _ascent_oracle(spec, rng))
         for mat in mats:
@@ -346,10 +334,10 @@ def _exact_families(n):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_every_named_family_closes(n):
     for spec in _exact_families(n):
-        br = bracket(n, spec)
+        br = gm.am_pointwise(n, spec)
         assert not br.loose, spec
         assert br.upper - br.lower <= 1e-12 * br.upper, (spec, br)
-    unit = bracket(n, lt.orlicz_norm(lt.OrliczFunction.from_table(UNIT_S_TABLE), n))
+    unit = gm.am_pointwise(n, lt.orlicz_norm(lt.OrliczFunction.from_table(UNIT_S_TABLE), n))
     assert abs(unit.lower - n) <= 1e-12 * n
 
 
@@ -369,7 +357,7 @@ def test_orbit_witness_at_n_64():
     # and the bracket still closes
     n = 64
     spec = lt.orlicz_norm(lt.OrliczFunction.shifted_ramp(0.5), n)
-    br = bracket(n, spec)
+    br = gm.am_pointwise(n, spec)
     assert br.witness_upper[2] == "orbit" and not br.loose
     assert br.upper - br.lower <= 1e-12 * br.upper
     rows = np.abs([x for x, _ in br.witness_upper[0]])
@@ -380,22 +368,22 @@ def test_orbit_witness_at_n_64():
 
 class TestTheoremChecks:
     def test_main_sandwich_report(self):
-        rep = gm.verify_main_theorem(4, lt.lp_norm(2.0, 4), budget=BUDGET)
+        rep = gm.verify_main_theorem(4, lt.lp_norm(2.0, 4))
         assert rep["ok"] and abs(rep["ratio_upper"] - 1.0) <= 1e-9
-        rep = gm.verify_main_theorem(4, lt.sup_norm(4), budget=BUDGET)
+        rep = gm.verify_main_theorem(4, lt.sup_norm(4))
         assert rep["ok"] and rep["ce_squared"] == 1.0
 
     def test_weighted_sandwich(self):
-        rep = gm.verify_main_theorem(3, lt.weighted_sup([1.0, 1.0, 2.0]), budget=BUDGET)
+        rep = gm.verify_main_theorem(3, lt.weighted_sup([1.0, 1.0, 2.0]))
         assert rep["ok"]
         assert rep["am_lower"] >= 1.0 - 1e-9 and rep["am_upper"] <= 4.0 + 1e-9
 
     def test_quotient_bound(self):
-        rep = gm.verify_quotient_bound(lt.lp_norm(2.0, 4), [0, 1], budget=BUDGET)
+        rep = gm.verify_quotient_bound(lt.lp_norm(2.0, 4), [0, 1])
         assert rep["ok"]
         assert abs(rep["target_upper"] - 2.0) <= 1e-9
         assert abs(rep["source_upper"] - 4.0) <= 1e-9
-        ident = gm.verify_quotient_bound(lt.lp_norm(2.0, 3), [0, 1, 2], budget=BUDGET)
+        ident = gm.verify_quotient_bound(lt.lp_norm(2.0, 3), [0, 1, 2])
         assert ident["ok"] and abs(ident["target_upper"] - ident["source_upper"]) <= 1e-9
-        sup = gm.verify_quotient_bound(lt.sup_norm(5), [2, 4], budget=BUDGET)
+        sup = gm.verify_quotient_bound(lt.sup_norm(5), [2, 4])
         assert sup["ok"]
