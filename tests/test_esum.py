@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from esum_lab import esum as es
 from esum_lab import lattice as lt
@@ -174,23 +175,54 @@ class TestUnitBound:
             es.unit_and_bai_bound_check(alg)
 
 
+BLOCK_SUMMANDS = {
+    "C": es.scalar_algebra(),
+    "M2": es.matrix_units_algebra(2),
+    "C^2": es.pointwise_algebra(2),
+    "square-zero": es.square_zero_algebra(),
+}
+CONVEX_TABLE = lt.OrliczFunction.from_table([(0, 0), (0.5, 0.25), (1, 1), (2, 3)])
+BLOCK_LATTICES = {
+    "sup": lt.sup_norm,
+    "weighted_sup": lambda k: lt.weighted_sup(np.linspace(1.0, 2.5, k)),
+    "lp(1.5)": lambda k: lt.lp_norm(1.5, k),
+    "ramp(0.5)": lambda k: lt.orlicz_norm(lt.OrliczFunction.shifted_ramp(0.5), k),
+    "table": lambda k: lt.orlicz_norm(CONVEX_TABLE, k),
+}
+block_entry = st.floats(min_value=-50, max_value=50, allow_nan=False)
+
+
+@st.composite
+def block_sums(draw):
+    """An E-sum of 1-4 summands over one of the lattices above, with two
+    distinct elements u and v."""
+    names = draw(st.lists(st.sampled_from(sorted(BLOCK_SUMMANDS)), min_size=1, max_size=4))
+    lattice = BLOCK_LATTICES[draw(st.sampled_from(sorted(BLOCK_LATTICES)))](len(names))
+    alg = es.ESumAlgebra([BLOCK_SUMMANDS[n] for n in names], lattice)
+
+    def element():
+        return [np.array([complex(re, im) for re, im in draw(st.lists(
+            st.tuples(block_entry, block_entry), min_size=a.dim, max_size=a.dim))])
+            for a in alg.summands]
+
+    u, v = element(), element()
+    assume(not np.array_equal(np.concatenate(u), np.concatenate(v)))
+    return alg, u, v
+
+
 class TestBlockNorm:
-    def test_matches_esum_norm(self):
-        rng = np.random.default_rng(5)
-        for lattice in (lt.sup_norm(2), lt.lp_norm(1.5, 2), lt.weighted_sup([1.0, 2.0])):
-            alg = es.ESumAlgebra(
-                [es.matrix_units_algebra(2), es.scalar_algebra()], lattice
-            )
-            big = alg.as_finite_algebra(samples=2000)
-            for _ in range(30):
-                vals = [rng.standard_normal(4) + 1j * rng.standard_normal(4),
-                        rng.standard_normal(1)]
-                element = alg.element(vals)
-                flat = np.concatenate(vals).astype(complex)
-                assert abs(es.esum_norm(element) - big.norm_of(flat)) <= 1e-9
-                blocked = big.multiply(flat, flat)
-                coord = es.esum_mul(element, element)
-                assert np.allclose(blocked, np.concatenate(coord.values))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(case=block_sums())
+    def test_matches_esum_norm(self, case):
+        """The assembled block algebra has the E-sum's norm and product."""
+        alg, u, v = case
+        big = alg.as_finite_algebra(samples=0)
+        for vals in (u, v):
+            want = es.esum_norm(alg.element(vals))
+            assert abs(big.norm_of(np.concatenate(vals)) - want) <= 1e-12 * want
+        blocked = big.multiply(np.concatenate(u), np.concatenate(v))
+        direct = np.concatenate(es.esum_mul(alg.element(u), alg.element(v)).values)
+        assert np.abs(blocked - direct).max() <= 1e-12 * max(1.0, np.abs(direct).max())
 
     def test_dual_is_block_sum_for_sup(self):
         alg = es.ESumAlgebra(

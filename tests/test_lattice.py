@@ -365,6 +365,34 @@ def test_dual_norm_values():
         lt.dual_extremal(ramp, np.ones(2))
 
 
+def test_sup_is_unit_weighted_sup():
+    """The sup norm and the weighted sup norm with unit weights agree bit
+    for bit in every closed form."""
+    from esum_lab import gamma as gm
+
+    rng = np.random.default_rng(12)
+    for n in range(1, 7):
+        sup, unit = lt.sup_norm(n), lt.weighted_sup(np.ones(n))
+        rows = rng.standard_normal((5, n)) + 1j * rng.standard_normal((5, n))
+        assert np.array_equal(lt.norm_eval_batch(sup, rows), lt.norm_eval_batch(unit, rows))
+        assert np.array_equal(lt.dual_norm_batch(sup, rows), lt.dual_norm_batch(unit, rows))
+        for f in rows:
+            assert np.array_equal(lt.dual_extremal(sup, f), lt.dual_extremal(unit, f))
+        assert lt.dual_vs_l2(sup) == lt.dual_vs_l2(unit)
+        assert np.array_equal(gm.coordinate_ball_sup(sup), gm.coordinate_ball_sup(unit))
+        for i in range(n):
+            assert lt.delta_norm(sup, i) == lt.delta_norm(unit, i)
+            assert lt.chi_norm(sup, i + 1) == lt.chi_norm(unit, i + 1)
+        s_sup, x_sup = lt.max_square_sum(sup)
+        s_unit, x_unit = lt.max_square_sum(unit)
+        assert s_sup == s_unit and np.array_equal(x_sup, x_unit)
+        assert lt.ce_constant(sup).as_dict() == lt.ce_constant(unit).as_dict()
+        b_sup, b_unit = gm.am_pointwise(n, sup), gm.am_pointwise(n, unit)
+        assert (b_sup.lower, b_sup.upper) == (b_unit.lower, b_unit.upper)
+        assert b_sup.witness_lower[2] == b_unit.witness_lower[2]
+        assert b_sup.witness_upper[2] == b_unit.witness_upper[2]
+
+
 def test_restrict_spec():
     spec = lt.weighted_sup([1.0, 2.0, 3.0])
     sub = lt.restrict_spec(spec, [0, 2])
