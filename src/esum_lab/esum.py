@@ -207,8 +207,7 @@ def _as_complex_cube(structure, dim=None):
 class FiniteAlgebra:
     """Associative algebra on C^dim given by structure constants and a norm."""
 
-    def __init__(self, structure, norm, *, samples=SUBMULT_SAMPLES, seed=0,
-                 certified=False, label=""):
+    def __init__(self, structure, norm, *, samples=SUBMULT_SAMPLES, seed=0, label=""):
         self.structure = _as_complex_cube(structure)
         self.dim = self.structure.shape[0]
         self.norm = norm
@@ -217,8 +216,8 @@ class FiniteAlgebra:
         c = self.structure
         self.commutative = bool(np.allclose(c, c.transpose(1, 0, 2), atol=1e-12))
         self.unit = self._find_unit()
-        if not certified:
-            self._certify_submultiplicative(samples, seed)
+        rng = np.random.default_rng(seed)
+        _worst_ratio(self.label, *_sample_pair_norms(rng, self, samples))
 
     # b_i b_j = sum_k c[i,j,k] b_k
     def multiply(self, u, v):
@@ -255,17 +254,6 @@ class FiniteAlgebra:
     def unital(self):
         return self.unit is not None
 
-    def _certify_submultiplicative(self, samples, seed):
-        rng = np.random.default_rng(seed)
-        batch = 2000
-        for start in range(0, samples, batch):
-            nu, nv, np_ = _sample_pair_norms(rng, self, min(batch, samples - start))
-            if np.any(np_ > nu * nv * (1.0 + SUBMULT_TOL) + 1e-12):
-                raise AlgebraError(
-                    f"{self.label}: norm is not submultiplicative "
-                    f"(violation ratio {float((np_ / (nu * nv)).max()):.6g})"
-                )
-
 
 def _sample_pair_norms(rng, algebra, count):
     """Norms of ``count`` random pairs u, v and of their products uv.  The
@@ -276,9 +264,18 @@ def _sample_pair_norms(rng, algebra, count):
     return algebra.norm.eval(u), algebra.norm.eval(v), algebra.norm.eval(algebra.multiply(u, v))
 
 
+def _worst_ratio(label, nu, nv, nuv):
+    """The worst sampled ratio ||uv|| / (||u|| ||v||), 0 without samples;
+    above 1 + SUBMULT_TOL it raises AlgebraError."""
+    worst = float((nuv / np.maximum(nu * nv, 1e-300)).max(initial=0.0))
+    if worst > 1.0 + SUBMULT_TOL:
+        raise AlgebraError(f"{label}: norm is not submultiplicative (ratio {worst:.6g})")
+    return worst
+
+
 def scalar_algebra():
     """C with |.|."""
-    return FiniteAlgebra([[[1.0]]], MaxAbsCoordinate(), certified=True, label="C")
+    return FiniteAlgebra([[[1.0]]], MaxAbsCoordinate(), samples=0, label="C")
 
 
 def pointwise_algebra(n, norm=None):
@@ -286,7 +283,7 @@ def pointwise_algebra(n, norm=None):
     c = np.zeros((n, n, n))
     for i in range(n):
         c[i, i, i] = 1.0
-    return FiniteAlgebra(c, norm or MaxAbsCoordinate(), certified=True, label=f"C^{n}")
+    return FiniteAlgebra(c, norm or MaxAbsCoordinate(), samples=0, label=f"C^{n}")
 
 
 def matrix_units_algebra(m):
@@ -299,12 +296,12 @@ def matrix_units_algebra(m):
                 for l in range(m):
                     if j == k:
                         c[i * m + j, k * m + l, i * m + l] = 1.0
-    return FiniteAlgebra(c, MatrixOperatorNorm(m), certified=True, label=f"M_{m}")
+    return FiniteAlgebra(c, MatrixOperatorNorm(m), samples=0, label=f"M_{m}")
 
 
 def square_zero_algebra():
     """span{b} with b^2 = 0."""
-    return FiniteAlgebra([[[0.0]]], MaxAbsCoordinate(), certified=True, label="square-zero")
+    return FiniteAlgebra([[[0.0]]], MaxAbsCoordinate(), samples=0, label="square-zero")
 
 
 # ---------------------------------------------------------------------------
@@ -359,25 +356,30 @@ class ESumAlgebra:
             raise AlgebraError("not unital: some summand lacks a unit")
         return self.element(units)
 
-    def certify_submultiplicative(self, samples=SUBMULT_SAMPLES, seed=0, tol=SUBMULT_TOL):
-        """Sample ||ab|| <= ||a|| ||b|| on random element pairs, batched per
-        summand; raises on any violation."""
+    def certify_submultiplicative(self, samples=SUBMULT_SAMPLES, seed=0):
+        """Sample ||ab|| <= ||a|| ||b|| on random element pairs, drawn per
+        summand and normed by the lattice; raises on any violation."""
         rng = np.random.default_rng(seed)
         cols = [_sample_pair_norms(rng, alg, samples) for alg in self.summands]
         nu, nv, nuv = (norm_eval_batch(self.lattice, np.stack(c, axis=1)) for c in zip(*cols))
-        worst = float((nuv / np.maximum(nu * nv, 1e-300)).max())
-        if worst > 1.0 + tol:
-            raise AlgebraError(f"E-sum norm is not submultiplicative (ratio {worst:.6g})")
+        worst = _worst_ratio(self._label, nu, nv, nuv)
         return {"samples": samples, "worst_ratio": worst, "ok": True}
 
     def as_finite_algebra(self, *, samples=SUBMULT_SAMPLES, seed=0):
         """The same algebra as one block FiniteAlgebra (block-diagonal
-        structure constants, lattice-of-blocks norm)."""
+        structure constants, lattice-of-blocks norm).  It is certified once,
+        block by block, by :meth:`certify_submultiplicative`: a Gaussian pair
+        on the blocks is a Gaussian pair on the whole space, so sampling the
+        block cube again would only repeat the same law."""
+        self.certify_submultiplicative(samples, seed)
         dims = [a.dim for a in self.summands]
         c = block_cube([a.structure for a in self.summands])
         norm = LatticeBlockNorm(self.lattice, [a.norm for a in self.summands], dims)
-        return FiniteAlgebra(c, norm, samples=samples, seed=seed,
-                             label=f"esum({self.lattice.kind})")
+        return FiniteAlgebra(c, norm, samples=0, label=self._label)
+
+    @property
+    def _label(self):
+        return f"esum({self.lattice.kind})"
 
 
 def block_cube(structures):

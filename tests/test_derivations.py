@@ -27,7 +27,7 @@ def _en_algebra():
     c = np.zeros((2, 2, 2))
     c[0, 0, 0] = 1.0
     c[0, 1, 1] = 1.0
-    return es.FiniteAlgebra(c, es.MaxAbsCoordinate(), certified=True, label="en")
+    return es.FiniteAlgebra(c, es.MaxAbsCoordinate(), samples=0, label="en")
 
 
 def _nilpotent_algebra():
@@ -35,7 +35,7 @@ def _nilpotent_algebra():
     neither 0 nor A, so the annihilator of the products is a proper part."""
     c = np.zeros((2, 2, 2))
     c[0, 0, 1] = 1.0
-    return es.FiniteAlgebra(c, es.MaxAbsCoordinate(), certified=True, label="nil2")
+    return es.FiniteAlgebra(c, es.MaxAbsCoordinate(), samples=0, label="nil2")
 
 
 SUMMANDS = {
@@ -59,7 +59,7 @@ def _permuted_sum(names, scales, perm):
     its scale, with coordinates relabelled by ``perm``."""
     c = es.block_cube([_rebased(SUMMANDS[n].structure, s) for n, s in zip(names, scales)])
     c = c[np.ix_(perm, perm, perm)]
-    return es.FiniteAlgebra(c, es.MaxAbsCoordinate(), certified=True)
+    return es.FiniteAlgebra(c, es.MaxAbsCoordinate(), samples=0)
 
 
 def _flat(basis):

@@ -139,6 +139,18 @@ class TestESumOperations:
         rep = alg.certify_submultiplicative(samples=10_000, seed=3)
         assert rep["ok"] and rep["worst_ratio"] <= 1 + 1e-9
 
+    def test_certification_without_samples(self):
+        alg = es.ESumAlgebra([es.matrix_units_algebra(2)] * 2, lt.lp_norm(2, 2))
+        rep = alg.certify_submultiplicative(samples=0)
+        assert rep["worst_ratio"] == 0.0 and rep["ok"]
+
+    def test_assembly_certifies_the_sum(self):
+        broken = es.FiniteAlgebra([[[1.0]]], BrokenNorm(), samples=0)
+        alg = es.ESumAlgebra([es.scalar_algebra(), broken], lt.sup_norm(2))
+        with pytest.raises(es.AlgebraError, match="not submultiplicative"):
+            alg.as_finite_algebra(samples=500)
+        assert alg.as_finite_algebra(samples=0).dim == 2
+
     def test_truncate(self):
         alg = scalar_sum(lt.lp_norm(2, 3))
         a = alg.element([[1], [2], [3]])
