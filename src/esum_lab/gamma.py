@@ -52,7 +52,7 @@ import numpy as np
 from .lattice import (
     LatticeNormSpec,
     ce_constant,
-    generalized_inverse,
+    coordinate_ball_sup,
     max_square_sum,
     norm_eval_batch,
     restrict_spec,
@@ -113,18 +113,6 @@ def _cplx_list(a):
 # ---------------------------------------------------------------------------
 # Certified bilinear bounds
 # ---------------------------------------------------------------------------
-
-def coordinate_ball_sup(spec):
-    """Per-coordinate sup of |x_i| over the unit ball: 1/||delta_i||."""
-    n = spec.index_size
-    if spec.kind == "sup":
-        return np.ones(n)
-    if spec.kind == "weighted_sup":
-        return 1.0 / spec.weights
-    if spec.kind == "lp":
-        return np.ones(n)
-    return np.full(n, generalized_inverse(spec.phi, 1.0))
-
 
 def bilinear_cert(spec, mat, square=None):
     """A certified upper bound on sup{|z^T M x| : ||x||, ||z|| <= 1} for a

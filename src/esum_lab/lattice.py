@@ -8,6 +8,12 @@ length:
   - ``lp``            (sum_i |x_i|^p)^(1/p)      (p >= 1)
   - ``orlicz``        Luxemburg norm inf{lam > 0 : sum_i phi(|x_i|/lam) <= 1}
 
+The sup norm is stored as the weighted sup norm with unit weights
+(``spec.weights`` is all ones, ``spec.kind`` stays "sup"), so every closed
+form below branches on ``spec.weights is not None`` and is written once for
+both; multiplying and dividing by 1.0 is exact, so the values are the same
+bit for bit.
+
 Every family is solid (|x| <= |y| pointwise implies norm(x) <= norm(y)) and
 dominates the sup norm.  The module also computes indicator norms, the
 uniformity constant ``ce_constant`` (the largest indicator norm, together
@@ -176,7 +182,7 @@ class LatticeNormSpec:
         self.p = None
         self.phi = None
         if kind == "sup":
-            pass
+            self.weights = np.ones(self.index_size)
         elif kind == "weighted_sup":
             w = np.asarray(weights, dtype=float)
             if w.shape != (self.index_size,):
@@ -244,13 +250,8 @@ def restrict_spec(spec, indices):
         raise LatticeSpecError("cannot restrict to an empty index set")
     if any(i < 0 or i >= spec.index_size for i in indices):
         raise LatticeSpecError("restriction indices out of range")
-    if spec.kind == "sup":
-        return sup_norm(len(indices))
-    if spec.kind == "weighted_sup":
-        return weighted_sup(spec.weights[indices])
-    if spec.kind == "lp":
-        return lp_norm(spec.p, len(indices))
-    return orlicz_norm(spec.phi, len(indices))
+    weights = None if spec.weights is None else spec.weights[indices]
+    return LatticeNormSpec(spec.kind, len(indices), weights=weights, p=spec.p, phi=spec.phi)
 
 
 # ---------------------------------------------------------------------------
@@ -333,9 +334,7 @@ def luxemburg_batch(phi, rows):
 def norm_eval_batch(spec, rows):
     """Norms of the rows of a (batch, index_size) array of moduli."""
     rows = np.abs(np.asarray(rows)).astype(float)
-    if spec.kind == "sup":
-        return rows.max(axis=1)
-    if spec.kind == "weighted_sup":
+    if spec.weights is not None:
         return (rows * spec.weights).max(axis=1)
     if spec.kind == "lp":
         return _lp_batch(rows, spec.p)
@@ -354,9 +353,7 @@ def dual_norm_batch(spec, rows):
     sum_i |f_i| / w_i, lp <-> lq (the max for p = 1).  The Orlicz dual is
     not implemented."""
     rows = np.abs(np.asarray(rows)).astype(float)
-    if spec.kind == "sup":
-        return rows.sum(axis=1)
-    if spec.kind == "weighted_sup":
+    if spec.weights is not None:
         return (rows / spec.weights).sum(axis=1)
     if spec.kind == "lp":
         if spec.p == 1.0:
@@ -371,9 +368,7 @@ def dual_extremal(spec, f):
     scaled by max |f|), or at the largest |f_i| alone (l1)."""
     a = np.abs(np.asarray(f))
     phase = np.exp(-1j * np.angle(f))
-    if spec.kind == "sup":
-        x = phase
-    elif spec.kind == "weighted_sup":
+    if spec.weights is not None:
         x = phase / spec.weights
     elif spec.kind != "lp":
         raise NotImplementedError("dual norm for Orlicz lattices is not implemented")
@@ -388,9 +383,7 @@ def dual_vs_l2(spec):
     """Constants (R, S) with dual(f) <= R ||f||_2 and ||f||_2 <= S dual(f)
     for every f on the index set, with ``dual`` as in :func:`dual_norm_batch`."""
     k = spec.index_size
-    if spec.kind == "sup":            # dual lattice ell_1
-        return np.sqrt(k), 1.0
-    if spec.kind == "weighted_sup":   # dual lattice sum(u_i / w_i)
+    if spec.weights is not None:      # dual lattice sum(u_i / w_i)
         return np.sqrt(float(np.sum(1.0 / spec.weights ** 2))), float(np.max(spec.weights))
     if spec.kind == "lp":             # dual lattice ell_q, q = inf for p = 1
         q = np.inf if spec.p == 1.0 else spec.p / (spec.p - 1.0)
@@ -402,13 +395,20 @@ def delta_norm(spec, i):
     """Norm of the i-th coordinate unit vector."""
     if not (0 <= i < spec.index_size):
         raise IndexError(f"index {i} out of range")
-    if spec.kind == "sup":
-        return 1.0
-    if spec.kind == "weighted_sup":
+    if spec.weights is not None:
         return float(spec.weights[i])
     if spec.kind == "lp":
         return 1.0
     return 1.0 / generalized_inverse(spec.phi, 1.0)
+
+
+def coordinate_ball_sup(spec):
+    """Per-coordinate sup of |x_i| over the unit ball: 1/||delta_i||."""
+    if spec.weights is not None:
+        return 1.0 / spec.weights
+    if spec.kind == "lp":
+        return np.ones(spec.index_size)
+    return np.full(spec.index_size, generalized_inverse(spec.phi, 1.0))
 
 
 def chi_norm(spec, subset_size):
@@ -421,9 +421,7 @@ def chi_norm(spec, subset_size):
     n = int(subset_size)
     if n < 1 or n > spec.index_size:
         raise ValueError(f"subset size must lie in [1, {spec.index_size}], got {subset_size}")
-    if spec.kind == "sup":
-        return 1.0
-    if spec.kind == "weighted_sup":
+    if spec.weights is not None:
         return float(np.max(spec.weights))
     if spec.kind == "lp":
         return float(n) ** (1.0 / spec.p)
@@ -434,9 +432,8 @@ def worst_indicator(spec, subset_size):
     """An explicit indicator vector attaining :func:`chi_norm`."""
     n = int(subset_size)
     x = np.zeros(spec.index_size)
-    if spec.kind == "weighted_sup":
-        order = np.argsort(spec.weights)[::-1]
-        x[order[:n]] = 1.0
+    if spec.weights is not None:
+        x[np.argsort(-spec.weights, kind="stable")[:n]] = 1.0
     else:
         x[:n] = 1.0
     return x
@@ -447,9 +444,7 @@ def max_square_sum(spec):
     as (S, x*): closed forms for sup, weighted sup, lp, power and the ramp,
     an exact enumeration for a table (:func:`_table_square_sum`)."""
     n = spec.index_size
-    if spec.kind == "sup":
-        return float(n), np.ones(n)
-    if spec.kind == "weighted_sup":
+    if spec.weights is not None:
         return float(np.sum(1.0 / spec.weights ** 2)), 1.0 / spec.weights
     if spec.kind == "lp" or spec.phi.family == "power":
         p = spec.p if spec.kind == "lp" else spec.phi.params["p"]
@@ -545,15 +540,11 @@ def ce_constant(spec):
     n**(1/p), and an Orlicz family is bounded exactly when phi degenerates
     near 0 (a_phi > 0), with limit 1/a_phi.
     """
-    n = spec.index_size
-    if spec.kind == "sup":
-        return CeReport(1.0, True, 1.0, "constant")
-    if spec.kind == "weighted_sup":
-        top = float(np.max(spec.weights))
-        return CeReport(top, True, top, "constant")
+    value = chi_norm(spec, spec.index_size)
+    if spec.weights is not None:
+        return CeReport(value, True, value, "constant")
     if spec.kind == "lp":
-        return CeReport(n ** (1.0 / spec.p), False, None, f"n**(1/{spec.p:g})")
-    value = chi_norm(spec, n)
+        return CeReport(value, False, None, f"n**(1/{spec.p:g})")
     if spec.phi.a_phi > 0:
         return CeReport(value, True, 1.0 / spec.phi.a_phi, "constant")
     return CeReport(value, False, None, "1/phi_inv(1/n)")

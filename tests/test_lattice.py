@@ -379,10 +379,12 @@ def test_sup_is_unit_weighted_sup():
         for f in rows:
             assert np.array_equal(lt.dual_extremal(sup, f), lt.dual_extremal(unit, f))
         assert lt.dual_vs_l2(sup) == lt.dual_vs_l2(unit)
-        assert np.array_equal(gm.coordinate_ball_sup(sup), gm.coordinate_ball_sup(unit))
+        assert np.array_equal(lt.coordinate_ball_sup(sup), lt.coordinate_ball_sup(unit))
         for i in range(n):
             assert lt.delta_norm(sup, i) == lt.delta_norm(unit, i)
             assert lt.chi_norm(sup, i + 1) == lt.chi_norm(unit, i + 1)
+            assert np.array_equal(lt.worst_indicator(sup, i + 1),
+                                  lt.worst_indicator(unit, i + 1))
         s_sup, x_sup = lt.max_square_sum(sup)
         s_unit, x_unit = lt.max_square_sum(unit)
         assert s_sup == s_unit and np.array_equal(x_sup, x_unit)
