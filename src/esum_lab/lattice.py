@@ -570,21 +570,17 @@ def required_key(doc, key, what, error=LatticeSpecError, array=False):
 
 def values_from_json(raw):
     """A complex coefficient vector from a JSON array whose entries are
-    numbers or [re, im] pairs; a malformed entry raises ValueError naming
-    its position."""
+    numbers or [re, im] pairs of numbers; any other entry (a string, a
+    boolean, null) raises ValueError naming its position."""
     if not isinstance(raw, list):
         raise ValueError(f"coefficients must be a JSON array, got {type(raw).__name__}")
     out = []
     for i, v in enumerate(raw):
-        try:
-            if isinstance(v, list):
-                re, im = v
-                out.append(complex(re, im))
-            else:
-                out.append(complex(v))
-        except (TypeError, ValueError):
+        pair = v if isinstance(v, list) else [v, 0]
+        if len(pair) != 2 or not all(map(_is_number, pair)):
             raise ValueError(f"coefficient {i} must be a number or an [re, im] pair, "
-                             f"got {json.dumps(v)}") from None
+                             f"got {json.dumps(v)}")
+        out.append(complex(*pair))
     return np.asarray(out, dtype=complex)
 
 
@@ -647,8 +643,8 @@ def spec_from_dict(d):
     if kind == "weighted_sup":
         w = numbers_from_json(required_key(d, "weights", "weighted_sup spec", array=True),
                               "weighted_sup spec key 'weights'")
-        n = d.get("index_size")
-        if n is not None and len(w) != integer_from_json(n, "weighted_sup spec key 'index_size'"):
+        if "index_size" in d and len(w) != integer_from_json(
+                d["index_size"], "weighted_sup spec key 'index_size'"):
             raise LatticeSpecError("index_size disagrees with the weight list")
         return weighted_sup(w)
     if kind not in ("sup", "lp", "orlicz"):

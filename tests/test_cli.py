@@ -1,9 +1,13 @@
+import contextlib
 import csv
 import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from esum_lab import cli
 from esum_lab import esum as es
@@ -147,6 +151,16 @@ LP2 = {"kind": "lp", "p": 2.0, "index_size": 2}
                                "lattice": {"kind": "sup", "index_size": 1}},
                    "element": {"values": [[1.0]]}},
      "AlgebraError: algebra key 'structure' must hold only numbers, got {}"),
+    ("norm", {"spec": LP2, "vector": ["1.5", True, "1+2j"]},
+     'ValueError: coefficient 0 must be a number or an [re, im] pair, got "1.5"'),
+    ("norm", {"spec": LP2, "vector": [1.0, [True, 0]]},
+     "ValueError: coefficient 1 must be a number or an [re, im] pair, got [true, 0]"),
+    ("esum-norm", {"algebra": SCALARS, "element": {"values": [["2"]]}},
+     'ValueError: coefficient 0 must be a number or an [re, im] pair, got "2"'),
+    ("jnorm", {"system": CHAIN, "element": {"coords": [[], [False]]}},
+     "ValueError: coefficient 0 must be a number or an [re, im] pair, got false"),
+    ("ce", {"spec": {"kind": "weighted_sup", "weights": [1, 2], "index_size": None}},
+     "LatticeSpecError: weighted_sup spec key 'index_size' must be an integer, got null"),
 ])
 def test_bad_document_is_one_line_error(tmp_path, capsys, command, docs, message):
     argv = [command]
@@ -243,6 +257,72 @@ def test_wa_commands(tmp_path, capsys):
     assert code == 0 and 0 < out["lower"] <= out["upper"]
     code, out = run_cli(capsys, ["lp-demo", "--base", algebra, "--p", "2", "--sizes", "2,4"])
     assert code == 0 and out["ok"]
+
+
+RAMP2 = {"kind": "orlicz", "phi": {"family": "shifted_ramp", "a": 0.5}, "index_size": 2}
+TABLE2 = {"kind": "orlicz", "phi": {"family": "table", "points": [[0, 0], [0.5, 0.25], [1, 1]]},
+          "index_size": 2}
+M2_SUM = {"summands": [M2_BASE, {"structure": [[[1.0]]], "norm": "max_abs"}],
+          "lattice": {"kind": "weighted_sup", "weights": [1.0, 2.0], "index_size": 2}}
+LEVELS = {"dims": [0, 1, 1], "bonds": [[], [[1.0]]], "algebra": [[], [[[1.0]]], [[[1.0]]]]}
+# one valid invocation per command: its flags and its input documents
+VALID_RUNS = [
+    (["norm"], {"spec": TABLE2, "vector": [3.0, [0.0, 4.0]]}),
+    (["ce"], {"spec": {"kind": "weighted_sup", "weights": [1.0, 2.0], "index_size": 2}}),
+    (["am", "--n", "2"], {"spec": RAMP2}),
+    (["esum-norm"], {"algebra": M2_SUM, "element": {"values": [[1, 0, [0, 1], 2], [0.5]]}}),
+    (["esum-mul"], {"algebra": SCALARS, "x": {"values": [[2.0]]}, "y": {"values": [[[0, 1]]]}}),
+    (["bai-check"], {"algebra": {"summands": [SCALARS["summands"][0]] * 2,
+                                 "lattice": {"kind": "lp", "p": 2, "index_size": 2}}}),
+    (["jnorm"], {"system": LEVELS, "element": {"coords": [[], [1.0], [[0.5, 0.5]]]}}),
+    (["jcheck", "--samples", "3"], {"system": LEVELS}),
+    (["wa"], {"algebra": M2_BASE}),
+    (["wam", "--samples", "2"], {"algebra": M2_SUM}),
+    (["lp-demo", "--sizes", "2", "--p", "2"], {"base": M2_BASE, "psi": [0, 1, 0, 0]}),
+]
+REPLACEMENTS = [{}, [], "x", "1.5", None, True, [5], 5, -1, 0, 2.5, [[1, {}]]]
+
+
+def _paths(doc, prefix=()):
+    """Every position in a JSON document, the root included."""
+    yield prefix
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _paths(value, prefix + (key,))
+
+
+def _replaced(doc, path, value):
+    if not path:
+        return value
+    out = dict(doc) if isinstance(doc, dict) else list(doc)
+    out[path[0]] = _replaced(doc[path[0]], path[1:], value)
+    return out
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_mutated_document_exits_cleanly(data):
+    """One value anywhere in a valid document replaced by a wrong-typed or
+    out-of-range one: the command either succeeds with JSON on stdout or
+    exits 2 with one {"error": ...} line on stderr, never a traceback."""
+    flags, docs = data.draw(st.sampled_from(VALID_RUNS))
+    name = data.draw(st.sampled_from(sorted(docs)))
+    path = data.draw(st.sampled_from(list(_paths(docs[name]))))
+    docs = dict(docs, **{name: _replaced(docs[name], path, data.draw(st.sampled_from(REPLACEMENTS)))})
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = list(flags)
+        for key, doc in docs.items():
+            argv += [f"--{key}", str(Path(tmp) / f"{key}.json")]
+            Path(argv[-1]).write_text(json.dumps(doc))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    if code == 0:
+        json.loads(out.getvalue())
+    else:
+        assert code == 2 and out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and isinstance(json.loads(lines[0])["error"], str)
 
 
 def _tiny_report():
