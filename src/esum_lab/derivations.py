@@ -44,6 +44,8 @@ from .lattice import ce_constant, delta_norm
 RANK_TOL = 1e-10
 LEIBNIZ_TOL = 1e-10
 WITNESS_TOL = 1e-12
+BRACKET_TOL = 1e-9   # slack when one constant bracket is compared with another
+FLOOR_TOL = 1e-8     # slack of the per-coordinate floors in lp_obstruction_demo
 
 
 def adjoint_map_matrix(c):
@@ -398,7 +400,7 @@ def _off_block_mass(mat, blocks):
     return float(off.max(initial=0.0))
 
 
-def esum_wa_check(summands, lattice, samples=120, seed=0, tol=1e-9):
+def esum_wa_check(summands, lattice, samples=120, seed=0):
     """Assemble the sum as one block algebra and check the finite-scale
     coordinate claims: commutative weakly amenable summands force a zero
     derivation space; weak amenability passes to summands; derivations of a
@@ -448,16 +450,16 @@ def esum_wa_check(summands, lattice, samples=120, seed=0, tol=1e-9):
         ce = ce_constant(lattice).value
         max_lower = max(b["lower"] for b in br_small)
         max_upper = max(b["upper"] for b in br_small)
-        if max_lower > br_big["upper"] + tol:
+        if max_lower > br_big["upper"] + BRACKET_TOL:
             report["failures"].append("summand lower bracket exceeds the sum upper bracket")
-        if br_big["lower"] > ce * ce * max_upper + tol:
+        if br_big["lower"] > ce * ce * max_upper + BRACKET_TOL:
             report["failures"].append("sum lower bracket exceeds CE^2 times the summand upper bracket")
 
     report["ok"] = not report["failures"]
     return report
 
 
-def wa_quotient_transfer_check(summands, lattice, samples=120, seed=0, tol=1e-9):
+def wa_quotient_transfer_check(summands, lattice, samples=120, seed=0):
     """Summand constants are controlled by the embedding norm times the sum
     constant; checked on the sampled brackets."""
     esum = ESumAlgebra(summands, lattice)
@@ -470,7 +472,7 @@ def wa_quotient_transfer_check(summands, lattice, samples=120, seed=0, tol=1e-9)
         br = wam_bracket(alg, samples=samples, seed=seed)
         factor = delta_norm(lattice, i)
         bound = factor * br_big["upper"]
-        row_ok = br["lower"] <= bound + tol
+        row_ok = br["lower"] <= bound + BRACKET_TOL
         ok = ok and row_ok
         rows.append({
             "summand": i,
@@ -496,7 +498,7 @@ def obstruction_weights(p, count):
     return np.ones(count) if p <= 2.0 else n ** (-1.0 / q)
 
 
-def lp_obstruction_demo(B, psi, p, sizes, tol=1e-8):
+def lp_obstruction_demo(B, psi, p, sizes):
     """Per-coordinate growth mechanism on finite truncations of a p-sum of
     copies of B.
 
@@ -527,7 +529,7 @@ def lp_obstruction_demo(B, psi, p, sizes, tol=1e-8):
         per_coord = np.array([min_dual_over_affine(B.norm, w[i] * psi, rep.z_basis)["lower"]
                               for i in range(size)])
         floor = dist * np.abs(w)
-        percoord_ok = bool(np.all(per_coord >= floor - tol))
+        percoord_ok = bool(np.all(per_coord >= floor - FLOOR_TOL))
         aggregate = float(np.sum(per_coord ** q) ** (1.0 / q))
         reference = float(dist * np.sum(np.abs(w) ** q) ** (1.0 / q))
 

@@ -190,17 +190,13 @@ def coordinate_norm_from_json(d):
 # Finite-dimensional algebras
 # ---------------------------------------------------------------------------
 
-def _as_complex_cube(structure, dim=None):
+def _as_complex_cube(structure):
     c = np.asarray(structure)
-    if c.dtype == object:  # nested lists of [re, im] pairs
-        c = np.asarray(structure, dtype=float)
-    if c.ndim == 4 and c.shape[-1] == 2:
+    if c.ndim == 4 and c.shape[-1] == 2:   # [re, im] pairs
         c = c[..., 0] + 1j * c[..., 1]
     c = c.astype(complex)
     if c.ndim != 3 or len({c.shape[0], c.shape[1], c.shape[2]}) != 1:
         raise AlgebraError(f"structure constants must form a cube, got shape {c.shape}")
-    if dim is not None and c.shape[0] != dim:
-        raise AlgebraError("structure constant cube disagrees with dim")
     return c
 
 

@@ -60,6 +60,7 @@ from .lattice import (
 
 DEFAULT_TOL = 1e-6
 WITNESS_TOL = 1e-9
+QUOTIENT_TOL = 1e-9   # slack of verify_quotient_bound's comparison of upper ends
 
 
 class BracketBudget:
@@ -272,7 +273,7 @@ def verify_main_theorem(n, spec):
     }
 
 
-def verify_quotient_bound(spec, keep_indices, tol=1e-9):
+def verify_quotient_bound(spec, keep_indices):
     """Coordinate selection is a norm-one surjective homomorphism onto the
     restricted pointwise algebra, so the target AM upper bound must not
     exceed the source one."""
@@ -281,7 +282,7 @@ def verify_quotient_bound(spec, keep_indices, tol=1e-9):
     target_spec = restrict_spec(spec, keep)
     target = am_pointwise(len(keep), target_spec)
     q_norm = 1.0  # attained on coordinate vectors; <= 1 by solidity
-    ok = target.upper <= q_norm ** 2 * source.upper + tol
+    ok = target.upper <= q_norm ** 2 * source.upper + QUOTIENT_TOL
     return {
         "kept": keep,
         "q_norm": q_norm,

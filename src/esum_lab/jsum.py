@@ -32,6 +32,7 @@ from .lattice import (integer_from_json, numbers_from_json, required_key,
                       values_from_json)
 
 BOND_TOL = 1e-9
+BIMONOTONE_TOL = 1e-9   # relative slack of the window comparisons in bimonotone_check
 MUL_BOUND = 3.0 / np.sqrt(2.0)
 
 
@@ -358,7 +359,7 @@ def _coordinate_window(x, lo, hi):
     return JElement(x.system, coords)
 
 
-def bimonotone_check(x, samples, rng=None, tol=1e-9):
+def bimonotone_check(x, samples, rng=None):
     """Inner coordinate windows never beat the enclosing window in J-norm,
     and the norm is the maximum over prefixes at finite support."""
     rng = rng or np.random.default_rng(0)
@@ -371,12 +372,13 @@ def bimonotone_check(x, samples, rng=None, tol=1e-9):
         r = int(rng.integers(0, top - p - q + 1))
         inner = jnorm(_coordinate_window(x, p + 1, p + q))
         outer = jnorm(_coordinate_window(x, 1, p + q + r))
-        if inner > outer * (1 + tol) + 1e-12:
+        if inner > outer * (1 + BIMONOTONE_TOL) + 1e-12:
             failures.append((p, q, r, inner, outer))
     prefixes = [jnorm(_coordinate_window(x, 1, n)) for n in range(1, top + 1)]
     full = jnorm(x)
-    prefix_ok = abs(max(prefixes) - full) <= 1e-12 + tol * full
-    monotone_ok = all(a <= b * (1 + tol) + 1e-12 for a, b in zip(prefixes, prefixes[1:]))
+    prefix_ok = abs(max(prefixes) - full) <= 1e-12 + BIMONOTONE_TOL * full
+    monotone_ok = all(a <= b * (1 + BIMONOTONE_TOL) + 1e-12
+                      for a, b in zip(prefixes, prefixes[1:]))
     return {
         "samples": samples,
         "violations": failures,

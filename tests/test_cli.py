@@ -286,9 +286,9 @@ REPLACEMENTS = [{}, [], "x", "1.5", None, True, [5], 5, -1, 0, 2.5, [[1, {}]]]
 def _paths(doc, prefix=()):
     """Every position in a JSON document, the root included."""
     yield prefix
-    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
-    for key, value in items:
-        yield from _paths(value, prefix + (key,))
+    if isinstance(doc, (dict, list)):
+        for key, value in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+            yield from _paths(value, prefix + (key,))
 
 
 def _replaced(doc, path, value):
@@ -308,7 +308,8 @@ def test_mutated_document_exits_cleanly(data):
     flags, docs = data.draw(st.sampled_from(VALID_RUNS))
     name = data.draw(st.sampled_from(sorted(docs)))
     path = data.draw(st.sampled_from(list(_paths(docs[name]))))
-    docs = dict(docs, **{name: _replaced(docs[name], path, data.draw(st.sampled_from(REPLACEMENTS)))})
+    value = data.draw(st.sampled_from(REPLACEMENTS))
+    docs = dict(docs, **{name: _replaced(docs[name], path, value)})
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         argv = list(flags)
