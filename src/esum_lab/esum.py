@@ -3,14 +3,23 @@
 A :class:`FiniteAlgebra` is a basis-free description by structure constants
 ``c[i][j][k]`` (``b_i b_j = sum_k c[i][j][k] b_k``) together with a norm on
 coefficient vectors.  Associativity is verified exactly at construction and
-submultiplicativity of the norm is certified on random samples; failures
-abort construction.
+submultiplicativity of the norm is sampled; failures abort construction.
 
 An :class:`ESumAlgebra` glues finitely many summands along a
 :class:`~esum_lab.lattice.LatticeNormSpec`: elements are per-summand
 coefficient vectors, the norm is the lattice norm of the summand norms, and
 multiplication is coordinatewise.  Coordinate projections are contractive;
 the embedding of summand i has norm exactly ||delta_i||.
+
+The sum is a Banach algebra coordinatewise: each summand is
+submultiplicative, E is solid and E dominates the sup norm, so
+||ab|| = E(||a_i b_i||) <= E(||a_i|| ||b_i||) <= E(||a_i||) max_i ||b_i||
+<= ||a|| ||b||.  Every algebra is checked by one rule: over Gaussian pairs
+u, v the worst ratio ||uv|| / (||u|| ||v||) may not exceed 1 + SUBMULT_TOL.
+A sum is checked once, summand by summand under the lattice norm
+(:meth:`ESumAlgebra.certify_submultiplicative`); its assembled block
+algebra (:meth:`ESumAlgebra.as_finite_algebra`) is not sampled again,
+because a Gaussian pair on the whole space is a Gaussian pair on each block.
 """
 
 from __future__ import annotations
@@ -332,6 +341,7 @@ class ESumAlgebra:
             raise AlgebraError("one summand per lattice index is required")
         self.summands = list(summands)
         self.lattice = lattice
+        self.label = f"esum({lattice.kind})"
 
     @property
     def size(self):
@@ -358,7 +368,7 @@ class ESumAlgebra:
         rng = np.random.default_rng(seed)
         cols = [_sample_pair_norms(rng, alg, samples) for alg in self.summands]
         nu, nv, nuv = (norm_eval_batch(self.lattice, np.stack(c, axis=1)) for c in zip(*cols))
-        worst = _worst_ratio(self._label, nu, nv, nuv)
+        worst = _worst_ratio(self.label, nu, nv, nuv)
         return {"samples": samples, "worst_ratio": worst, "ok": True}
 
     def as_finite_algebra(self, *, samples=SUBMULT_SAMPLES, seed=0):
@@ -371,11 +381,7 @@ class ESumAlgebra:
         dims = [a.dim for a in self.summands]
         c = block_cube([a.structure for a in self.summands])
         norm = LatticeBlockNorm(self.lattice, [a.norm for a in self.summands], dims)
-        return FiniteAlgebra(c, norm, samples=0, label=self._label)
-
-    @property
-    def _label(self):
-        return f"esum({self.lattice.kind})"
+        return FiniteAlgebra(c, norm, samples=0, label=self.label)
 
 
 def block_cube(structures):
