@@ -71,7 +71,6 @@ from .derivations import (
     esum_wa_check,
     is_weakly_amenable,
     lp_obstruction_demo,
-    wa_quotient_transfer_check,
     wam_bracket,
 )
 from .verify import emit_tables, verify_all

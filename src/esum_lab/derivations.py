@@ -23,14 +23,16 @@ and a direct sum of summands splits at least along the summands:
 
 Ranks come from reduced SVDs at relative tolerance 1e-10, taken against
 the largest singular value over all blocks of the same kind of matrix.
+The adjoint map is solved once: the report keeps each block's singular
+triplets above that threshold and implements every derivation with them.
 
 On top of that sit weak-amenability constant brackets (minimum dual-norm
 implementing functionals over the affine solution set, bracketed by a
 re-checked dual witness without search, against certified upper bounds on
 derivation operator norms) and the finite-scale coordinate mechanisms for
-direct sums: block-diagonality of derivations, two-sided transfer bounds,
-and the per-coordinate growth obstruction on p-summed copies of a
-noncommutative algebra.
+direct sums: block-diagonality of derivations, the two-sided estimate
+with its transfer bound, and the per-coordinate growth obstruction on
+p-summed copies of a noncommutative algebra.
 """
 
 from __future__ import annotations
@@ -39,10 +41,11 @@ import numpy as np
 
 from . import esum as es
 from .esum import ESumAlgebra, EuclideanCoordinate
-from .lattice import ce_constant, delta_norm
+from .lattice import ce_constant
 
 RANK_TOL = 1e-10
 LEIBNIZ_TOL = 1e-10
+INNER_TOL = 1e-8     # relative least-squares residual of an inner derivation
 WITNESS_TOL = 1e-12
 BRACKET_TOL = 1e-9   # slack when one constant bracket is compared with another
 FLOOR_TOL = 1e-8     # slack of the per-coordinate floors in lp_obstruction_demo
@@ -75,22 +78,19 @@ def _leibniz_system(c):
 
 
 def _rank_split(mats):
-    """Reduced-SVD column space / nullspace split of matrices of one kind.
+    """Reduced SVDs of matrices of one kind, each with its rank.
 
     Each rank counts the singular values above RANK_TOL times the largest
     singular value of all ``mats`` together: the threshold of the one
     block-diagonal matrix they form, whose singular values are the union of
     theirs.  Every matrix here has at least as many rows as columns, so the
-    reduced ``vh`` is square and its trailing rows span the whole nullspace.
-    Returns one (rank, column basis, nullspace rows) triple per matrix.
+    reduced ``vh`` is square: its leading ``rank`` rows with ``u`` and ``s``
+    are the kept singular triplets, and its trailing rows span the whole
+    nullspace.  Returns one (rank, u, s, vh) per matrix.
     """
     factors = [np.linalg.svd(m, full_matrices=False) for m in mats]
     top = max((float(s[0]) for _, s, _ in factors if s.size), default=0.0)
-    out = []
-    for u, s, vh in factors:
-        rank = int(np.sum(s > RANK_TOL * top))
-        out.append((rank, u[:, :rank], vh[rank:].conj()))
-    return out
+    return [(int(np.sum(s > RANK_TOL * top)), u, s, vh) for u, s, vh in factors]
 
 
 def _structure_blocks(c):
@@ -122,15 +122,41 @@ def _embed(rows, d, *index):
 # ---------------------------------------------------------------------------
 
 class DerivationSpaceReport:
-    def __init__(self, algebra, derivation_basis, inner_basis, z_basis):
+    """Derivations of an algebra, with the map phi -> ad_phi solved once.
+
+    ``adjoint`` holds, per structure block b, the (rank, u, s, vh) of
+    :func:`_rank_split` for :func:`adjoint_map_matrix` of the block's cube.
+    Embedded on b, the kept triplets give the orthonormal inner basis u_i,
+    its preimages conj(v_i) / s_i (ad of preimage i is inner basis element
+    i) and ``sigma_min``, the least kept singular value over all blocks;
+    the trailing rows of vh span the commutant Z.
+    """
+
+    def __init__(self, algebra, derivation_basis, adjoint):
+        d = algebra.dim
         self.algebra = algebra
-        self.derivation_basis = derivation_basis   # (k, d, d)
-        self.inner_basis = inner_basis             # (r, d, d)
-        self.z_basis = z_basis                     # (z, d), orthonormal rows
+        self.derivation_basis = derivation_basis   # (k, d, d), orthonormal rows
+        self.inner_basis = np.concatenate([        # (r, d, d), orthonormal rows
+            _embed(u[:, :r].T.reshape(-1, len(b), len(b)), d, b, b) for b, (r, u, _, _) in adjoint])
+        self.preimages = np.concatenate([          # (r, d)
+            _embed(vh[:r].conj() / s[:r, None], d, b) for b, (r, _, s, vh) in adjoint])
+        self.z_basis = np.concatenate([            # (z, d), orthonormal rows
+            _embed(vh[r:].conj(), d, b) for b, (r, _, _, vh) in adjoint])
+        self.sigma_min = float(min((s[r - 1] for _, (r, _, s, _) in adjoint if r), default=np.inf))
         self.dim_derivations = len(derivation_basis)
-        self.dim_inner = len(inner_basis)
-        self.center_annihilator_dim = len(z_basis)
+        self.dim_inner = len(self.inner_basis)
+        self.center_annihilator_dim = len(self.z_basis)
         self.weakly_amenable = self.dim_derivations == self.dim_inner
+
+    def implement(self, D):
+        """(phi, residual): the least-l2 phi whose ad_phi is nearest to D,
+        and that distance ||ad_phi - D||_F.  With a_i = <u_i, D>, ad_phi =
+        sum a_i u_i is the projection of D onto the inner span and phi =
+        sum a_i conj(v_i) / s_i, the pseudo-inverse solution."""
+        target = np.reshape(D, -1)
+        flat = self.inner_basis.reshape(self.dim_inner, target.size)
+        coef = flat.conj() @ target
+        return coef @ self.preimages, float(np.linalg.norm(target - coef @ flat))
 
     def as_dict(self):
         return {
@@ -175,59 +201,52 @@ def derivation_space(algebra):
     cubes = [c[np.ix_(b, b, b)] for b in blocks]
 
     derivations = [
-        _embed(null.reshape(-1, len(b), len(b)), d, b, b)
-        for b, (_, _, null) in zip(blocks, _rank_split([_leibniz_system(cb) for cb in cubes]))
+        _embed(vh[r:].conj().reshape(-1, len(b), len(b)), d, b, b)
+        for b, (r, _, _, vh) in zip(blocks, _rank_split([_leibniz_system(cb) for cb in cubes]))
     ]
-    annihilators = [null for _, _, null in
+    annihilators = [vh[r:].conj() for r, _, _, vh in
                     _rank_split([cb.reshape(len(cb) ** 2, len(cb)) for cb in cubes])]
     for K, u in zip(blocks, annihilators):
         for P, v in zip(blocks, annihilators):
             if K is not P:
                 outer = np.einsum("ak,bp->abkp", u, v).reshape(-1, len(K), len(P))
                 derivations.append(_embed(outer, d, K, P))
-    derivations = np.concatenate(derivations)
-
-    adjoint = _rank_split([adjoint_map_matrix(cb) for cb in cubes])
-    inner = np.concatenate([_embed(col.T.reshape(-1, len(b), len(b)), d, b, b)
-                            for b, (_, col, _) in zip(blocks, adjoint)])
-    z_null = np.concatenate([_embed(null, d, b) for b, (_, _, null) in zip(blocks, adjoint)])
-    rank = sum(r for r, _, _ in adjoint)
+    report = DerivationSpaceReport(algebra, np.concatenate(derivations), list(zip(
+        blocks, _rank_split([adjoint_map_matrix(cb) for cb in cubes]))))
 
     scale = max(1.0, float(np.abs(c).max()))
-    for mat in inner:
+    for mat in report.inner_basis:
         res = leibniz_residual(algebra, mat)
         if res > LEIBNIZ_TOL * scale * 10:
             raise AssertionError(f"inner derivation violates the Leibniz identity: {res}")
-    if rank != d - len(z_null):
+    if report.dim_inner != d - report.center_annihilator_dim:
         raise AssertionError("rank-nullity mismatch in the adjoint map")
-    return DerivationSpaceReport(algebra, derivations, inner, z_null)
+    return report
 
 
 def is_weakly_amenable(algebra, report=None):
-    """Containment test derivations <= inner span, with a certificate.
-
-    Returns (flag, certificate): the certificate lists implementing
-    functional coordinates per derivation basis element, or exhibits one
-    derivation outside the inner span.
-    """
+    """(flag, certificate): the report's verdict dim Der = dim Inn, and the
+    implementing functional of each derivation basis element or one basis
+    element whose least-squares residual exceeds INNER_TOL.  A certificate
+    that disagrees with the verdict raises AssertionError."""
     rep = report or derivation_space(algebra)
-    admat = adjoint_map_matrix(algebra.structure)
-    implementations = []
+    cert = {"implementations": []}
     for mat in rep.derivation_basis:
-        target = mat.reshape(-1)
-        phi, *_ = np.linalg.lstsq(admat, target, rcond=None)
-        res = float(np.linalg.norm(admat @ phi - target))
-        if res > 1e-8 * max(1.0, float(np.linalg.norm(target))):
-            return False, {"outside_derivation": mat, "residual": res}
-        implementations.append(phi)
-    return True, {"implementations": implementations}
+        phi, res = rep.implement(mat)
+        if res > INNER_TOL * max(1.0, float(np.linalg.norm(mat))):
+            cert = {"outside_derivation": mat, "residual": res}
+            break
+        cert["implementations"].append(phi)
+    if ("implementations" in cert) != rep.weakly_amenable:
+        raise AssertionError("the least-squares certificate contradicts the dimension count")
+    return rep.weakly_amenable, cert
 
 
 def essential_check(algebra):
     """span{ab : a, b in A} = A, via the rank of the multiplication image."""
     c = algebra.structure
     d = algebra.dim
-    [(rank, _, _)] = _rank_split([c.reshape(d * d, d)])
+    [(rank, _, _, _)] = _rank_split([c.reshape(d * d, d)])
     return rank == d
 
 
@@ -296,11 +315,8 @@ def minimal_implementing_functional(algebra, D, report=None):
     """Least dual-norm phi with ad_phi = D, bracketed by
     :func:`min_dual_over_affine` over the implementing functionals."""
     rep = report or derivation_space(algebra)
-    admat = adjoint_map_matrix(algebra.structure)
-    target = D.reshape(-1)
-    phi0, *_ = np.linalg.lstsq(admat, target, rcond=None)
-    res = float(np.linalg.norm(admat @ phi0 - target))
-    if res > 1e-8 * max(1.0, float(np.linalg.norm(target))):
+    phi0, res = rep.implement(D)
+    if res > INNER_TOL * max(1.0, float(np.linalg.norm(D))):
         raise ValueError("derivation is not inner")
     return min_dual_over_affine(algebra.norm, phi0, rep.z_basis)
 
@@ -308,14 +324,6 @@ def minimal_implementing_functional(algebra, D, report=None):
 # ---------------------------------------------------------------------------
 # Weak amenability constant brackets
 # ---------------------------------------------------------------------------
-
-def _project_onto_span(basis_rows, mat):
-    """Orthogonal projection of mat onto the span of the (orthonormal-row)
-    basis of vectorized matrices."""
-    v = mat.reshape(-1)
-    flat = basis_rows.reshape(len(basis_rows), -1)
-    return (flat.conj() @ v) @ flat
-
 
 def wam_bracket(algebra, samples=200, seed=0, blocks=None, report=None):
     """Certified lower / certified upper bracket for the best constant C with:
@@ -354,8 +362,9 @@ def wam_bracket(algebra, samples=200, seed=0, blocks=None, report=None):
 
     lower = 0.0
     used = 0
+    flat = rep.derivation_basis.reshape(rep.dim_derivations, d * d)   # orthonormal rows
     for g in draws:
-        D = _project_onto_span(rep.derivation_basis, g).reshape(d, d)
+        D = ((flat.conj() @ g.reshape(-1)) @ flat).reshape(d, d)   # projection onto Der
         if leibniz_residual(algebra, D) > 1e-8 * max(1.0, float(np.abs(D).max())):
             continue
         nd = derivation_norm_upper(algebra, D)
@@ -364,12 +373,9 @@ def wam_bracket(algebra, samples=200, seed=0, blocks=None, report=None):
         lower = max(lower, minimal_implementing_functional(algebra, D, report=rep)["lower"] / nd)
         used += 1
 
-    admat = adjoint_map_matrix(algebra.structure)
-    s = np.linalg.svd(admat, compute_uv=False)
-    sigma_min = float(s[s > RANK_TOL * s[0]].min())
     r_phi, s_phi = algebra.norm.dual_vs_l2(d)
     basis_sq = float(sum(algebra.norm.eval(np.eye(d, dtype=complex)[j]) ** 2 for j in range(d)))
-    upper = r_phi * s_phi * np.sqrt(basis_sq) / sigma_min
+    upper = r_phi * s_phi * np.sqrt(basis_sq) / rep.sigma_min
     upper = max(upper, lower)
     return {
         "lower": lower,
@@ -384,14 +390,6 @@ def wam_bracket(algebra, samples=200, seed=0, blocks=None, report=None):
 # Direct-sum checks
 # ---------------------------------------------------------------------------
 
-def _block_index_lists(summands):
-    blocks, start = [], 0
-    for alg in summands:
-        blocks.append(list(range(start, start + alg.dim)))
-        start += alg.dim
-    return blocks
-
-
 def _off_block_mass(mat, blocks):
     mask = np.zeros(mat.shape, dtype=bool)
     for block in blocks:
@@ -405,10 +403,14 @@ def esum_wa_check(summands, lattice, samples=120, seed=0):
     coordinate claims: commutative weakly amenable summands force a zero
     derivation space; weak amenability passes to summands; derivations of a
     sum of weakly amenable summands are block-diagonal; and the constant
-    brackets obey the two-sided uniformity estimate."""
+    brackets obey the two-sided uniformity estimate max_i lower_i <=
+    upper(sum), lower(sum) <= C_E^2 max_i upper_i.  Its first half implies
+    the transfer bound lower_i <= ||delta_i|| upper(sum), as every lattice
+    has embedding norms ||delta_i|| >= 1."""
     esum = ESumAlgebra(summands, lattice)
     big = esum.as_finite_algebra(seed=seed)
-    blocks = _block_index_lists(summands)
+    ends = np.cumsum([a.dim for a in summands])
+    blocks = [list(range(end - a.dim, end)) for a, end in zip(summands, ends)]
     rep_big = derivation_space(big)
     reps = [derivation_space(a) for a in summands]
 
@@ -457,31 +459,6 @@ def esum_wa_check(summands, lattice, samples=120, seed=0):
 
     report["ok"] = not report["failures"]
     return report
-
-
-def wa_quotient_transfer_check(summands, lattice, samples=120, seed=0):
-    """Summand constants are controlled by the embedding norm times the sum
-    constant; checked on the sampled brackets."""
-    esum = ESumAlgebra(summands, lattice)
-    big = esum.as_finite_algebra(seed=seed)
-    blocks = _block_index_lists(summands)
-    br_big = wam_bracket(big, samples=samples, seed=seed, blocks=blocks)
-    rows = []
-    ok = True
-    for i, alg in enumerate(summands):
-        br = wam_bracket(alg, samples=samples, seed=seed)
-        factor = delta_norm(lattice, i)
-        bound = factor * br_big["upper"]
-        row_ok = br["lower"] <= bound + BRACKET_TOL
-        ok = ok and row_ok
-        rows.append({
-            "summand": i,
-            "lower": br["lower"],
-            "embedding_norm": factor,
-            "bound": bound,
-            "ok": row_ok,
-        })
-    return {"rows": rows, "sum_bracket": br_big, "ok": ok}
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ Luxemburg norm come from interpolating between nodes.
 from __future__ import annotations
 
 import json
+import sys
 import numpy as np
 
 
@@ -585,7 +586,9 @@ def values_from_json(raw):
 
 
 def _is_number(v):
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """A JSON number within the float range; booleans are not numbers."""
+    return isinstance(v, float) or (isinstance(v, int) and not isinstance(v, bool)
+                                    and abs(v) <= sys.float_info.max)
 
 
 def numbers_from_json(raw, what, error=LatticeSpecError):

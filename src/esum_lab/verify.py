@@ -592,12 +592,14 @@ def _wam_copies(ctx):
 @case("wam-transfer-bound", "embedding-transfer", 1e-9)
 def _wam_transfer(ctx):
     seed = ctx.seed % 2 ** 32
-    summands = [es.matrix_units_algebra(2), es.matrix_units_algebra(2)]
-    rep = dv.wa_quotient_transfer_check(summands, lt.weighted_sup([1.0, 2.0]), samples=80, seed=seed)
-    zero = dv.wa_quotient_transfer_check(
-        [es.scalar_algebra(), es.scalar_algebra()], lt.sup_norm(2), samples=10, seed=seed
-    )
-    ok = rep["ok"] and zero["ok"]
+    m2, scalar = es.matrix_units_algebra(2), es.scalar_algebra()
+    ok = True
+    for summands, lattice, samples in (([m2, m2], lt.weighted_sup([1.0, 2.0]), 80),
+                                       ([scalar, scalar], lt.sup_norm(2), 10)):
+        rep = dv.esum_wa_check(summands, lattice, samples=samples, seed=seed)
+        bound = rep["bracket_sum"]["upper"]
+        ok &= all(br["lower"] <= lt.delta_norm(lattice, i) * bound + dv.BRACKET_TOL
+                  for i, br in enumerate(rep["bracket_summands"]))
     return _result("transfer bounds hold", "ok" if ok else "violated", ok)
 
 

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -104,6 +105,7 @@ CHAIN = {"dims": [0, 1], "bonds": [[[]]]}
 SCALARS = {"summands": [{"structure": [[[1.0]]], "norm": "max_abs"}],
            "lattice": {"kind": "sup", "index_size": 1}}
 LP2 = {"kind": "lp", "p": 2.0, "index_size": 2}
+HUGE_INT = 10 ** 400   # a JSON integer that no float holds
 
 
 @pytest.mark.parametrize("command, docs, message", [
@@ -161,6 +163,10 @@ LP2 = {"kind": "lp", "p": 2.0, "index_size": 2}
      "ValueError: coefficient 0 must be a number or an [re, im] pair, got false"),
     ("ce", {"spec": {"kind": "weighted_sup", "weights": [1, 2], "index_size": None}},
      "LatticeSpecError: weighted_sup spec key 'index_size' must be an integer, got null"),
+    ("norm", {"spec": LP2, "vector": [HUGE_INT]},
+     f"ValueError: coefficient 0 must be a number or an [re, im] pair, got {HUGE_INT}"),
+    ("ce", {"spec": {"kind": "lp", "p": HUGE_INT, "index_size": 3}},
+     f"LatticeSpecError: lp spec key 'p' must be a number, got {HUGE_INT}"),
 ])
 def test_bad_document_is_one_line_error(tmp_path, capsys, command, docs, message):
     argv = [command]
@@ -171,6 +177,35 @@ def test_bad_document_is_one_line_error(tmp_path, capsys, command, docs, message
 
 
 M2_BASE = {"structure": M2_CUBE, "norm": {"kind": "matrix_operator", "side": 2}}
+HEAVY = {"summands": [{"structure": [[[1.0]]], "norm": "max_abs"}],
+         "lattice": {"kind": "weighted_sup", "weights": [1e308]}}
+
+
+@pytest.mark.parametrize("command, docs, key", [
+    ("norm", {"spec": {"kind": "weighted_sup", "weights": [1e308]}, "vector": [10.0]}, "norm"),
+    ("esum-norm", {"algebra": HEAVY, "element": {"values": [[10.0]]}}, "norm"),
+    ("esum-mul", {"algebra": HEAVY, "x": {"values": [[10.0]]}, "y": {"values": [[1.0]]}}, "norm"),
+    ("jnorm", {"system": CHAIN, "element": {"coords": [[], [1e308]]}}, "jnorm"),
+])
+def test_overflowing_norm_is_one_line_error(tmp_path, capsys, command, docs, key):
+    """Finite input whose norm overflows a float: no Infinity on stdout and
+    no numpy warning, only the error line."""
+    argv = [command]
+    for name, doc in docs.items():
+        argv += [f"--{name}", write(tmp_path, f"{name}.json", doc)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(argv) == 2
+    assert _error_line(capsys) == f"ValueError: the {key} of this input overflows a float (inf)"
+
+
+def test_wam_infinity_is_exact(tmp_path, capsys):
+    """Infinity stays the exact wam answer for an algebra that is not weakly
+    amenable."""
+    sz = {"structure": es.square_zero_algebra().structure.real.tolist(), "norm": "max_abs"}
+    code, out = run_cli(capsys, ["wam", "--algebra", write(tmp_path, "sz.json", sz)])
+    assert code == 0
+    assert out["lower"] == out["upper"] == np.inf and not out["weakly_amenable"]
 
 
 @pytest.mark.parametrize("base, flags, message", [

@@ -119,6 +119,13 @@ class TestSpaces:
         flag, cert = dv.is_weakly_amenable(sz)
         assert not flag and "outside_derivation" in cert
 
+    def test_certificate_rechecks_the_dimension_count(self):
+        for alg in (es.matrix_units_algebra(2), es.square_zero_algebra()):
+            rep = dv.derivation_space(alg)
+            rep.weakly_amenable = not rep.weakly_amenable
+            with pytest.raises(AssertionError, match="contradicts the dimension count"):
+                dv.is_weakly_amenable(alg, rep)
+
     def test_essential(self):
         assert dv.essential_check(es.pointwise_algebra(3))
         assert dv.essential_check(es.matrix_units_algebra(2))
@@ -161,17 +168,21 @@ class TestSpaces:
             assert abs(dv.leibniz_residual(alg, D) - ref) <= 1e-13 * ref
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(data=st.data())
-def test_blockwise_matches_monolithic(data):
-    names = data.draw(st.lists(st.sampled_from(sorted(SUMMANDS)), min_size=1, max_size=4)
-                      .filter(lambda ns: sum(SUMMANDS[n].dim for n in ns) <= 10))
-    scales = data.draw(st.lists(st.sampled_from([1e-2, 0.5, 1.0, 3.0, 1e2, 1j, 0.5 - 2j]),
-                                min_size=len(names), max_size=len(names)))
+@st.composite
+def block_sums(draw):
+    """Permuted block sums of one to four named summands in rescaled
+    complex bases, of dimension at most 10."""
+    names = draw(st.lists(st.sampled_from(sorted(SUMMANDS)), min_size=1, max_size=4)
+                 .filter(lambda ns: sum(SUMMANDS[n].dim for n in ns) <= 10))
+    scales = draw(st.lists(st.sampled_from([1e-2, 0.5, 1.0, 3.0, 1e2, 1j, 0.5 - 2j]),
+                           min_size=len(names), max_size=len(names)))
     dim = sum(SUMMANDS[n].dim for n in names)
-    perm = data.draw(st.permutations(range(dim)))
-    alg = _permuted_sum(names, scales, perm)
+    return _permuted_sum(names, scales, draw(st.permutations(range(dim))))
 
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(alg=block_sums())
+def test_blockwise_matches_monolithic(alg):
     rep = dv.derivation_space(alg)
     oracle = _monolithic_derivations(alg)
     basis = rep.derivation_basis
@@ -181,6 +192,32 @@ def test_blockwise_matches_monolithic(data):
     assert np.abs(flat.conj() @ flat.T - np.eye(len(basis))).max(initial=0.0) <= 1e-10
     for mat in basis:
         assert dv.leibniz_residual(alg, mat) <= 1e-10
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(alg=block_sums(), seed=st.integers(0, 2 ** 32 - 1))
+def test_report_implements_like_the_dense_solve(alg, seed):
+    """Oracle: the least-squares solve of the whole dim^2 x dim adjoint
+    matrix at RANK_TOL, and the least kept value of its full SVD.  Checked
+    on an inner derivation ad_psi and on a matrix that is not one."""
+    rep = dv.derivation_space(alg)
+    admat = dv.adjoint_map_matrix(alg.structure)
+    s = np.linalg.svd(admat, compute_uv=False)
+    kept = s[s > dv.RANK_TOL * s[0]]
+    if kept.size:
+        assert abs(rep.sigma_min - kept.min()) <= 1e-10 * kept.min()
+    else:
+        assert rep.sigma_min == np.inf
+    rng = np.random.default_rng(seed)
+    d = alg.dim
+    psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    for D in ((admat @ psi).reshape(d, d), g):
+        phi, res = rep.implement(D)
+        oracle, *_ = np.linalg.lstsq(admat, D.reshape(-1), rcond=dv.RANK_TOL)
+        assert np.linalg.norm(phi - oracle) <= 1e-10 * np.linalg.norm(oracle)
+        oracle_res = np.linalg.norm(admat @ oracle - D.reshape(-1))
+        assert abs(res - oracle_res) <= 1e-10 * np.linalg.norm(D)
 
 
 class TestMinimization:
@@ -260,15 +297,17 @@ class TestEsumChecks:
         assert rel <= 0.1
 
     def test_transfer_bound(self):
-        rep = dv.wa_quotient_transfer_check(
-            [es.matrix_units_algebra(2), es.matrix_units_algebra(2)],
-            lt.weighted_sup([1.0, 2.0]), samples=30, seed=3)
-        assert rep["ok"]
-        assert rep["rows"][1]["embedding_norm"] == 2.0
-        zero = dv.wa_quotient_transfer_check(
-            [es.scalar_algebra(), es.scalar_algebra()], lt.sup_norm(2),
-            samples=5, seed=3)
-        assert zero["ok"]
+        # summand lower <= ||delta_i|| * sum upper, from esum_wa_check's brackets
+        lattice = lt.weighted_sup([1.0, 2.0])
+        assert lt.delta_norm(lattice, 1) == 2.0
+        for summands, lat, samples in (
+                ([es.matrix_units_algebra(2), es.matrix_units_algebra(2)], lattice, 30),
+                ([es.scalar_algebra(), es.scalar_algebra()], lt.sup_norm(2), 5)):
+            rep = dv.esum_wa_check(summands, lat, samples=samples, seed=3)
+            assert rep["ok"]
+            bound = rep["bracket_sum"]["upper"]
+            for i, br in enumerate(rep["bracket_summands"]):
+                assert br["lower"] <= lt.delta_norm(lat, i) * bound + dv.BRACKET_TOL
 
 
 class TestObstruction:

@@ -295,21 +295,6 @@ finite_entry = st.floats(min_value=-50, max_value=50, allow_nan=False)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
-@given(spec=_spec_strategy(5),
-       y=st.lists(finite_entry, min_size=5, max_size=5),
-       shrink=st.lists(st.floats(0, 1), min_size=5, max_size=5))
-def test_solidity_and_domination(spec, y, shrink):
-    y = np.asarray(y)
-    x = y * np.asarray(shrink)
-    ny = lt.norm_eval(spec, y)
-    nx = lt.norm_eval(spec, x)
-    assert nx <= ny * (1 + 1e-9) + 1e-12
-    assert ny >= np.abs(y).max() * (1 - 1e-9)
-    ce = lt.ce_constant(spec).value
-    assert ny <= ce * np.abs(y).max() * (1 + 1e-9) + 1e-12
-
-
-@settings(max_examples=80, deadline=None, derandomize=True)
 @given(spec=_spec_strategy(4),
        x=st.lists(finite_entry, min_size=4, max_size=4),
        y=st.lists(finite_entry, min_size=4, max_size=4))
@@ -451,6 +436,36 @@ orlicz_functions = st.one_of(
     monotone_tables(convex=True),
 )
 modulus = st.one_of(st.just(0.0), st.floats(1e-300, 1e3))
+
+
+def _every_family(n):
+    """sup, weighted sup, lp with p in [1, 6], and the Orlicz norms of a
+    shifted ramp, a power and a convex table."""
+    return st.one_of(
+        st.just(lt.sup_norm(n)),
+        st.builds(lambda ws: lt.weighted_sup(1.0 + np.asarray(ws)),
+                  st.lists(st.floats(0, 3), min_size=n, max_size=n)),
+        st.floats(1.0, 6.0).map(lambda p: lt.lp_norm(p, n)),
+        orlicz_functions.map(lambda phi: lt.orlicz_norm(phi, n)),
+    )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(spec=_every_family(5),
+       y=st.lists(st.tuples(finite_entry, finite_entry), min_size=5, max_size=5),
+       shrink=st.lists(st.floats(0, 1), min_size=5, max_size=5),
+       phase=st.lists(st.floats(0, 2 * np.pi), min_size=5, max_size=5))
+def test_solidity_and_domination(spec, y, shrink, phase):
+    """|x| <= |y| entrywise gives ||x|| <= ||y||, and ||y|| >= max |y_i|
+    (the lattice dominates the sup norm), for complex x and y."""
+    y = np.array([complex(re, im) for re, im in y])
+    x = np.abs(y) * np.asarray(shrink) * np.exp(1j * np.asarray(phase))
+    ny = lt.norm_eval(spec, y)
+    nx = lt.norm_eval(spec, x)
+    assert nx <= ny * (1 + 1e-9) + 1e-12
+    assert ny >= np.abs(y).max() * (1 - 1e-9)
+    ce = lt.ce_constant(spec).value
+    assert ny <= ce * np.abs(y).max() * (1 + 1e-9) + 1e-12
 
 
 @st.composite
