@@ -62,16 +62,27 @@ def _finite_algebra_from_dict(d):
     return _summand_from_dict(d)
 
 
+def _require_finite(payload, key=None):
+    """Raise ValueError at the first float in a (nested) payload that
+    overflowed (inf or nan), naming its key."""
+    if isinstance(payload, dict):
+        for k, value in payload.items():
+            _require_finite(value, k)
+    elif isinstance(payload, list):
+        for value in payload:
+            _require_finite(value, key)
+    elif isinstance(payload, float) and not np.isfinite(payload):
+        raise ValueError(f"the {key} of this input overflows a float ({payload})")
+
+
 def _finite_norms(command):
     """A command whose payload holds norms of a finite input.  numpy's
-    overflow warnings stay quiet, and a norm that overflowed a float (inf
+    overflow warnings stay quiet, and a number that overflowed a float (inf
     or nan) raises ValueError instead of printing Infinity."""
     def run(args):
         with np.errstate(over="ignore", invalid="ignore"):
             payload = command(args)
-        for key, value in payload.items():
-            if isinstance(value, float) and not np.isfinite(value):
-                raise ValueError(f"the {key} of this input overflows a float ({value})")
+        _require_finite(payload)
         _emit(payload)
     return run
 
@@ -107,9 +118,10 @@ def cmd_esum_mul(args):
     }
 
 
+@_finite_norms
 def cmd_bai_check(args):
     algebra = _algebra_from_dict(_load(args.algebra))
-    _emit(es.unit_and_bai_bound_check(algebra))
+    return es.unit_and_bai_bound_check(algebra)
 
 
 def cmd_am(args):
@@ -129,6 +141,7 @@ def cmd_jnorm(args):
     return {"jnorm": js.jnorm(element)}
 
 
+@_finite_norms
 def cmd_jcheck(args):
     system = js.system_from_dict(_load(args.system))
     rng = np.random.default_rng(args.seed)
@@ -140,7 +153,7 @@ def cmd_jcheck(args):
     if system.has_algebra:
         report["omega_submultiplicative"] = js.omega_submult_check(
             system, samples=args.samples, rng=rng)
-    _emit(report)
+    return report
 
 
 def cmd_wa(args):
@@ -153,10 +166,15 @@ def cmd_wa(args):
 
 
 def cmd_wam(args):
-    algebra = _finite_algebra_from_dict(_load(args.algebra))
-    _emit(dv.wam_bracket(algebra, samples=args.samples, seed=args.seed))
+    with np.errstate(over="ignore", invalid="ignore"):
+        algebra = _finite_algebra_from_dict(_load(args.algebra))
+        out = dv.wam_bracket(algebra, samples=args.samples, seed=args.seed)
+    if out["weakly_amenable"]:   # otherwise both ends are infinite by definition
+        _require_finite(out)
+    _emit(out)
 
 
+@_finite_norms
 def cmd_lp_demo(args):
     base = _finite_algebra_from_dict(_load(args.base))
     if args.psi:
@@ -169,7 +187,7 @@ def cmd_lp_demo(args):
     sizes = [int(s) for s in args.sizes.split(",")]
     if min(sizes) < 1:
         raise ValueError(f"--sizes must list positive integers, got {args.sizes}")
-    _emit(dv.lp_obstruction_demo(base, psi, args.p, sizes))
+    return dv.lp_obstruction_demo(base, psi, args.p, sizes)
 
 
 def cmd_verify(args):

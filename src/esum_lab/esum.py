@@ -31,6 +31,7 @@ from .lattice import (LatticeNormSpec, chi_norm, delta_norm, dual_extremal, dual
 
 SUBMULT_SAMPLES = 10_000
 SUBMULT_TOL = 1e-9
+MULTIPLY_BLOCK = 2 ** 18   # complex entries of one block's (rows, d, d) partial products
 
 
 class AlgebraError(ValueError):
@@ -219,6 +220,7 @@ class FiniteAlgebra:
         self.label = label or f"algebra(dim={self.dim})"
         self._check_associativity()
         c = self.structure
+        self._right = c.transpose(1, 0, 2).reshape(self.dim, -1)   # [j, (i, k)] = c[i, j, k]
         self.commutative = bool(np.allclose(c, c.transpose(1, 0, 2), atol=1e-12))
         self.unit = self._find_unit()
         rng = np.random.default_rng(seed)
@@ -226,7 +228,19 @@ class FiniteAlgebra:
 
     # b_i b_j = sum_k c[i,j,k] b_k
     def multiply(self, u, v):
-        return np.einsum("...i,...j,ijk->...k", u, v, self.structure)
+        """Products of u and v, broadcast over leading axes.  The partial
+        products w[i, k] = sum_j v_j c[i, j, k] are one BLAS product per
+        block of rows, each block holding at most ``MULTIPLY_BLOCK`` of
+        them; then (uv)_k = sum_i u_i w[i, k]."""
+        u, v = np.broadcast_arrays(u, v)
+        shape, d = u.shape, self.dim
+        u, v = u.reshape(-1, d), v.reshape(-1, d)
+        out = np.empty(u.shape, dtype=np.result_type(u, v, self._right))
+        step = max(1, MULTIPLY_BLOCK // (d * d))
+        for a in range(0, len(u), step):
+            w = (v[a:a + step] @ self._right).reshape(-1, d, d)
+            out[a:a + step] = np.einsum("ni,nik->nk", u[a:a + step], w)
+        return out.reshape(shape)
 
     def norm_of(self, v):
         return float(self.norm.eval(np.asarray(v, complex)))

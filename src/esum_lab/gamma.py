@@ -40,7 +40,10 @@ for an Orlicz norm, is required; ``LatticeNormSpec`` refuses a table whose
 slopes decrease.
 
 Every candidate is scored on every call, so ``NormBracket.loose`` (a gap
-above ``DEFAULT_TOL`` relative) can only come from a fault.  The
+above ``DEFAULT_TOL`` relative) can only come from a fault.  The lattice
+layer runs once for the whole candidate set, one ``norm_eval_batch`` call
+over every candidate's vectors, and once more when ``am_pointwise`` re-costs
+the winner; a bracket therefore makes two lattice calls.  The
 amenability constant of these pointwise algebras equals the diagonal's
 projective norm, so the returned bracket is an AM bracket.
 """
@@ -163,13 +166,22 @@ def dual_pairing_lower(spec, square):
 # Upper bound: explicit decompositions
 # ---------------------------------------------------------------------------
 
+def _candidate_costs(spec, candidates):
+    """sum_k ||x_k|| ||y_k|| for every pair list in ``candidates``, from one
+    ``norm_eval_batch`` call over all their x's and y's stacked, each sum
+    taken in pair order.  A row's norm does not depend on the other rows of
+    its batch, so each cost is the float that norming its vectors one at a
+    time gives."""
+    rows = [v for pairs in candidates for pair in pairs for v in pair]
+    norms = norm_eval_batch(spec, np.array(rows)).reshape(-1, 2)
+    products = iter((norms[:, 0] * norms[:, 1]).tolist())
+    return [float(sum(next(products) for _ in pairs)) for pairs in candidates]
+
+
 def _decomposition_cost(spec, pairs):
-    """sum_k ||x_k|| ||y_k||, from one batched norm call per side, summed
-    in pair order."""
-    xs, ys = zip(*pairs)
-    nx = norm_eval_batch(spec, np.array(xs))
-    ny = norm_eval_batch(spec, np.array(ys))
-    return float(sum((nx * ny).tolist()))
+    """sum_k ||x_k|| ||y_k||, from one batched norm call over all the
+    vectors, summed in pair order."""
+    return _candidate_costs(spec, [pairs])[0]
 
 
 def decomposition_residual(n, pairs):
@@ -197,20 +209,29 @@ def orbit_decomposition(x):
     n = len(x)
     k = np.arange(n)
     phases = np.exp(2j * np.pi * np.outer(k, k) / n)
-    shifts = np.array([np.roll(x, s) for s in range(n)])
+    shifts = np.asarray(x)[(k[None, :] - k[:, None]) % n]   # row s is np.roll(x, s)
     vecs = (phases[:, None, :] * shifts[None, :, :]).reshape(n * n, n)
     scale = n * float(np.sum(np.square(x)))
     return [(v / scale, np.conj(v)) for v in vecs]
 
 
-def primal_decomposition_upper(spec, extremal):
+def upper_candidates(spec, extremal):
+    """The (pairs, method) decompositions scored for the upper side."""
     n = spec.index_size
     candidates = [(separated_decomposition(n), "separated"), (dft_decomposition(n), "fourier")]
     # the orbit keeps its norms only under a symmetric norm, and for a
     # spike or a constant x* it costs what the two above cost
     if spec.kind != "weighted_sup" and np.count_nonzero(extremal) > 1 and np.ptp(extremal) > 0:
         candidates.append((orbit_decomposition(extremal), "orbit"))
-    scored = [(_decomposition_cost(spec, pairs), pairs, method) for pairs, method in candidates]
+    return candidates
+
+
+def primal_decomposition_upper(spec, extremal):
+    """(cost, pairs, method) of the cheapest candidate, the first on ties;
+    all candidates are costed in one lattice call."""
+    candidates = upper_candidates(spec, extremal)
+    costs = _candidate_costs(spec, [pairs for pairs, _ in candidates])
+    scored = [(cost, pairs, method) for cost, (pairs, method) in zip(costs, candidates)]
     return min(scored, key=lambda c: c[0])
 
 
@@ -226,7 +247,9 @@ def am_pointwise(n, spec, budget=None, rng=None):
 
     Both witnesses are re-verified independently: the stored dual matrix is
     re-certified to bilinear bound <= 1 + 1e-9, and the stored decomposition
-    is re-multiplied to the exact diagonal with its cost recomputed.
+    is re-multiplied to the exact diagonal with its cost recomputed.  The
+    candidates are costed in one ``norm_eval_batch`` call and the re-cost
+    makes one more, so a bracket makes two lattice calls in all.
     """
     if not isinstance(spec, LatticeNormSpec) or spec.index_size != n:
         raise ValueError("norm spec must live on exactly n indices")

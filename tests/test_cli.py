@@ -315,7 +315,7 @@ VALID_RUNS = [
     (["wam", "--samples", "2"], {"algebra": M2_SUM}),
     (["lp-demo", "--sizes", "2", "--p", "2"], {"base": M2_BASE, "psi": [0, 1, 0, 0]}),
 ]
-REPLACEMENTS = [{}, [], "x", "1.5", None, True, [5], 5, -1, 0, 2.5, [[1, {}]]]
+REPLACEMENTS = [{}, [], "x", "1.5", None, True, [5], 5, -1, 0, 2.5, [[1, {}]], 1e308, -1e308]
 
 
 def _paths(doc, prefix=()):

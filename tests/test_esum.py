@@ -55,6 +55,22 @@ class TestFiniteAlgebra:
         assert np.allclose(m2.multiply(a, b), direct)
         assert abs(m2.norm_of(a) - np.linalg.svd(a.reshape(2, 2), compute_uv=False)[0]) <= 1e-12
 
+    @pytest.mark.parametrize("block", [es.MULTIPLY_BLOCK, 40])
+    def test_blocked_product_equals_einsum(self, block, monkeypatch):
+        # the BLAS partial products give the three-operand einsum's floats
+        # on matrix-unit cubes, in one block or in many, broadcast or not
+        monkeypatch.setattr(es, "MULTIPLY_BLOCK", block)
+        rng = np.random.default_rng(1)
+        for alg in (es.scalar_algebra(), es.matrix_units_algebra(2), es.matrix_units_algebra(3)):
+            d = alg.dim
+            for ushape, vshape in (((d,), (d,)), ((50, d), (50, d)), ((d,), (7, d)),
+                                   ((3, 1, d), (1, 5, d))):
+                u = rng.standard_normal(ushape) + 1j * rng.standard_normal(ushape)
+                v = rng.standard_normal(vshape) + 1j * rng.standard_normal(vshape)
+                want = np.einsum("...i,...j,ijk->...k", u, v, alg.structure)
+                got = alg.multiply(u, v)
+                assert got.shape == want.shape and np.array_equal(got, want), (alg.label, ushape)
+
 
 class TestESumOperations:
     def test_norm_examples(self):

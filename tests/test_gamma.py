@@ -3,6 +3,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from esum_lab import gamma as gm
 from esum_lab import lattice as lt
@@ -104,8 +105,8 @@ class TestBracketMechanics:
             assert abs(z @ mat @ x) <= cert * (1 + 1e-9)
 
     def test_decomposition_cost_equals_pairwise_sum(self):
-        # one batched norm call per side, summed in pair order: the same
-        # float as norming each vector on its own
+        # one batched norm call over every vector, summed in pair order:
+        # the same float as norming each vector on its own
         table = lt.OrliczFunction.from_table([(0, 0), (0.3, 0), (0.7, 0.4), (1, 1), (2, 4)])
         rng = np.random.default_rng(4)
         for spec in (lt.sup_norm(4), lt.weighted_sup([1.0, 1.5, 2.0, 3.0]),
@@ -364,6 +365,64 @@ def test_orbit_witness_at_n_64():
     batch = lt.luxemburg_batch(spec.phi, rows)
     for i in (0, 1, 2015, 2016, 2017, 4095):
         assert lt.luxemburg_batch(spec.phi, rows[i:i + 1])[0] == batch[i]
+
+
+def _single_row_cost(spec, pairs):
+    return sum(lt.norm_eval(spec, x) * lt.norm_eval(spec, y) for x, y in pairs)
+
+
+@st.composite
+def _spec_and_extremal(draw):
+    """A spec of one named family at n = 1..8, with either its true extremal
+    vector or a random nonnegative one (any x* gives a valid orbit)."""
+    n = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["sup", "weighted", "lp", "power", "ramp", "table"]))
+    if kind == "sup":
+        spec = lt.sup_norm(n)
+    elif kind == "weighted":
+        spec = lt.weighted_sup(draw(st.lists(st.floats(1.0, 4.0), min_size=n, max_size=n)))
+    elif kind == "lp":
+        spec = lt.lp_norm(draw(st.sampled_from([1.0, 1.5, 3.0])), n)
+    else:
+        phi = {"power": lt.OrliczFunction.power(1.5),
+               "ramp": lt.OrliczFunction.shifted_ramp(0.5),
+               "table": lt.OrliczFunction.from_table(DIAG_ORLICZ_TABLE)}[kind]
+        spec = lt.orlicz_norm(phi, n)
+    extremal = gm.max_square_sum(spec)[1]
+    if draw(st.booleans()):
+        extremal = np.array(draw(st.lists(st.floats(0.0, 3.0), min_size=n, max_size=n)))
+    return spec, extremal
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=_spec_and_extremal())
+def test_batched_candidate_costs_equal_single_row_sums(case):
+    # one norm_eval_batch call over every candidate's vectors gives each
+    # candidate the float that norming its vectors one at a time gives
+    spec, extremal = case
+    candidates = gm.upper_candidates(spec, extremal)
+    batched = gm._candidate_costs(spec, [pairs for pairs, _ in candidates])
+    for cost, (pairs, method) in zip(batched, candidates):
+        assert cost == _single_row_cost(spec, pairs), method
+    cost, pairs, method = gm.primal_decomposition_upper(spec, extremal)
+    assert cost == _single_row_cost(spec, pairs) == min(batched)
+    assert method == candidates[batched.index(cost)][1]
+
+
+def test_am_pointwise_makes_two_lattice_calls(monkeypatch):
+    calls = []
+
+    def counting(spec, rows):
+        calls.append(len(rows))
+        return lt.norm_eval_batch(spec, rows)
+
+    monkeypatch.setattr(gm, "norm_eval_batch", counting)
+    brackets = 0
+    for n in (1, 2, 5, 8):
+        for spec in _exact_families(n):
+            gm.am_pointwise(n, spec)
+            brackets += 1
+    assert len(calls) <= 2 * brackets
 
 
 class TestTheoremChecks:
