@@ -271,6 +271,73 @@ class TestWamBracket:
         assert out["samples_used"] >= 60
 
 
+def _parent_wam_oracle(algebra, samples, seed, blocks, rep):
+    """The draw path that wam_bracket once took, kept as an oracle: one
+    Gaussian draw at a time, projected onto the derivation basis, filtered
+    by the Leibniz identity, implemented again through ``rep.implement`` and
+    bracketed by min_dual_over_affine; the upper end sums the basis norms
+    one at a time."""
+    d = algebra.dim
+    draws = []
+    for block in blocks or [list(range(d))]:
+        idx = np.asarray(block)
+        rng_b = np.random.default_rng([seed, len(idx)])
+        for _ in range(samples):
+            g = rng_b.standard_normal((len(idx), len(idx))) + 1j * rng_b.standard_normal((len(idx), len(idx)))
+            full = np.zeros((d, d), complex)
+            full[np.ix_(idx, idx)] = g
+            draws.append(full)
+    rng_mix = np.random.default_rng([seed, 0xE5])
+    for _ in range(max(4, samples // 10)):
+        draws.append(rng_mix.standard_normal((d, d)) + 1j * rng_mix.standard_normal((d, d)))
+    lower, used = 0.0, 0
+    flat = rep.derivation_basis.reshape(rep.dim_derivations, d * d)
+    for g in draws:
+        D = ((flat.conj() @ g.reshape(-1)) @ flat).reshape(d, d)
+        if dv.leibniz_residual(algebra, D) > 1e-8 * max(1.0, float(np.abs(D).max())):
+            continue
+        nd = dv.derivation_norm_upper(algebra, D)
+        if nd < 1e-12:
+            continue
+        phi0, res = rep.implement(D)
+        assert res <= dv.INNER_TOL * max(1.0, float(np.linalg.norm(D)))
+        lower = max(lower, dv.min_dual_over_affine(algebra.norm, phi0, rep.z_basis)["lower"] / nd)
+        used += 1
+    r_phi, s_phi = algebra.norm.dual_vs_l2(d)
+    basis_sq = float(sum(algebra.norm.eval(np.eye(d, dtype=complex)[j]) ** 2 for j in range(d)))
+    upper = max(r_phi * s_phi * np.sqrt(basis_sq) / rep.sigma_min, lower)
+    return lower, float(upper), used
+
+
+WAM_LATTICES = {
+    "sup": lt.sup_norm,
+    "lp(1.5)": lambda n: lt.lp_norm(1.5, n),
+    "weighted_sup": lambda n: lt.weighted_sup(1.0 + 0.75 * np.arange(n)),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 7, 42])
+@pytest.mark.parametrize("case", ["M2"] + [f"{k} x {n}" for n in (2, 3) for k in sorted(WAM_LATTICES)])
+def test_wam_bracket_matches_the_per_draw_oracle(case, seed):
+    """wam_bracket's ends agree with the per-draw oracle to 1e-12 relative
+    and use as many samples, on M_2 and on 2 and 3 copies of M_2 drawn
+    block by block."""
+    if case == "M2":
+        alg, blocks = es.matrix_units_algebra(2), None
+    else:
+        kind, copies = case.split(" x ")
+        copies = int(copies)
+        alg = es.ESumAlgebra([es.matrix_units_algebra(2)] * copies,
+                             WAM_LATTICES[kind](copies)).as_finite_algebra(samples=0)
+        blocks = [list(range(4 * i, 4 * i + 4)) for i in range(copies)]
+    rep = dv.derivation_space(alg)
+    out = dv.wam_bracket(alg, samples=25, seed=seed, blocks=blocks, report=rep)
+    lower, upper, used = _parent_wam_oracle(alg, 25, seed, blocks, rep)
+    assert abs(out["lower"] - lower) <= 1e-12 * lower
+    assert abs(out["upper"] - upper) <= 1e-12 * upper
+    assert out["samples_used"] == used
+
+
 class TestEsumChecks:
     def test_commutative_sum_zero(self):
         for lattice in (lt.sup_norm(3), lt.weighted_sup([1.0, 2.0, 3.0]),
