@@ -143,6 +143,8 @@ def cmd_jnorm(args):
 
 @_finite_norms
 def cmd_jcheck(args):
+    if args.samples < 0:
+        raise ValueError(f"--samples must be nonnegative, got {args.samples}")
     system = js.system_from_dict(_load(args.system))
     rng = np.random.default_rng(args.seed)
     x = js.JElement(system, [

@@ -26,13 +26,13 @@ the largest singular value over all blocks of the same kind of matrix.
 The adjoint map is solved once: the report keeps each block's singular
 triplets above that threshold and implements every derivation with them.
 
-On top of that sit weak-amenability constant brackets (minimum dual-norm
-implementing functionals over the affine solution set, bracketed by a
-re-checked dual witness without search, against certified upper bounds on
-derivation operator norms) and the finite-scale coordinate mechanisms for
-direct sums: block-diagonality of derivations, the two-sided estimate
-with its transfer bound, and the per-coordinate growth obstruction on
-p-summed copies of a noncommutative algebra.
+On top of that sit weak-amenability constant brackets, which solve each
+sampled map g once (phi0 by the pseudo-inverse, D = ad_phi0 inner by
+construction, a re-checked dual witness over phi0 + Z for the lower end),
+and the finite-scale coordinate mechanisms for direct sums:
+block-diagonality of derivations, the two-sided estimate with its
+transfer bound, and the per-coordinate growth obstruction on p-summed
+copies of a noncommutative algebra.
 """
 
 from __future__ import annotations
@@ -152,14 +152,18 @@ class DerivationSpaceReport:
         self.weakly_amenable = self.dim_derivations == self.dim_inner
 
     def implement(self, D):
-        """(phi, residual): the least-l2 phi whose ad_phi is nearest to D,
-        and that distance ||ad_phi - D||_F.  With a_i = <u_i, D>, ad_phi =
-        sum a_i u_i is the projection of D onto the inner span and phi =
-        sum a_i conj(v_i) / s_i, the pseudo-inverse solution."""
-        target = np.reshape(D, -1)
-        flat = self.inner_basis.reshape(self.dim_inner, target.size)
-        coef = flat.conj() @ target
-        return coef @ self.preimages, float(np.linalg.norm(target - coef @ flat))
+        """(phi, residual) for a map D of shape (d, d) or for each map of a
+        stack (..., d, d): the least-l2 phi whose ad_phi is nearest to D, of
+        shape (..., d), and that distance ||ad_phi - D||_F, of shape (...)
+        (a float for one map).  With a_i = <u_i, D>, ad_phi = sum a_i u_i is
+        the projection of D onto the inner span and phi = sum a_i conj(v_i)
+        / s_i, the pseudo-inverse solution."""
+        d = self.algebra.dim
+        target = np.reshape(D, np.shape(D)[:-2] + (d * d,))
+        flat = self.inner_basis.reshape(self.dim_inner, d * d)
+        coef = target @ flat.conj().T
+        residual = np.linalg.norm(target - coef @ flat, axis=-1)
+        return coef @ self.preimages, residual if residual.ndim else float(residual)
 
     def as_dict(self):
         return {
@@ -227,17 +231,18 @@ def derivation_space(algebra):
 
 def is_weakly_amenable(algebra, report=None):
     """(flag, certificate): the report's verdict dim Der = dim Inn, and the
-    implementing functional of each derivation basis element or one basis
-    element whose least-squares residual exceeds INNER_TOL.  A certificate
-    that disagrees with the verdict raises AssertionError."""
+    implementing functionals of the derivation basis, one row each, or the
+    first basis element whose least-squares residual exceeds INNER_TOL (the
+    basis elements are unit vectors).  A certificate that disagrees with
+    the verdict raises AssertionError."""
     rep = report or derivation_space(algebra)
-    cert = {"implementations": []}
-    for mat in rep.derivation_basis:
-        phi, res = rep.implement(mat)
-        if res > INNER_TOL * max(1.0, float(np.linalg.norm(mat))):
-            cert = {"outside_derivation": mat, "residual": res}
-            break
-        cert["implementations"].append(phi)
+    phis, res = rep.implement(rep.derivation_basis)
+    outside = np.flatnonzero(res > INNER_TOL)
+    if outside.size:
+        cert = {"outside_derivation": rep.derivation_basis[outside[0]],
+                "residual": float(res[outside[0]])}
+    else:
+        cert = {"implementations": phis}
     if ("implementations" in cert) != rep.weakly_amenable:
         raise AssertionError("the least-squares certificate contradicts the dimension count")
     return rep.weakly_amenable, cert
@@ -252,17 +257,20 @@ def essential_check(algebra):
 
 
 # ---------------------------------------------------------------------------
-# Operator norms and minimum-norm implementations
+# Operator norms and least-norm implementing functionals
 # ---------------------------------------------------------------------------
 
 def derivation_norm_upper(algebra, D):
-    """Certified upper bound on ||D||: coefficients of a unit-ball element
-    are bounded by 1 for every supported coordinate norm, so the column dual
-    norms sum to a bound.  Exact for the Euclidean family."""
+    """Certified upper bound on ||D|| for a map D of shape (d, d) or for
+    each map of a stack (..., d, d), of shape (...) (a float for one map):
+    coefficients of a unit-ball element are bounded by 1 for every
+    supported coordinate norm, so the column dual norms sum to a bound.
+    Exact for the Euclidean family."""
     if isinstance(algebra.norm, EuclideanCoordinate):
-        return float(np.linalg.svd(D, compute_uv=False)[0])
-    cols = algebra.norm.dual(D.T)
-    return float(np.sum(cols))
+        bound = np.linalg.svd(D, compute_uv=False)[..., 0]
+    else:
+        bound = algebra.norm.dual(np.swapaxes(D, -1, -2)).sum(axis=-1)
+    return bound if bound.ndim else float(bound)
 
 
 def minimize(*args, **kwargs):
@@ -312,16 +320,6 @@ def min_dual_over_affine(norm, phi0, z_basis):
             "witness": witness}
 
 
-def minimal_implementing_functional(algebra, D, report=None):
-    """Least dual-norm phi with ad_phi = D, bracketed by
-    :func:`min_dual_over_affine` over the implementing functionals."""
-    rep = report or derivation_space(algebra)
-    phi0, res = rep.implement(D)
-    if res > INNER_TOL * max(1.0, float(np.linalg.norm(D))):
-        raise ValueError("derivation is not inner")
-    return min_dual_over_affine(algebra.norm, phi0, rep.z_basis)
-
-
 # ---------------------------------------------------------------------------
 # Weak amenability constant brackets
 # ---------------------------------------------------------------------------
@@ -329,15 +327,20 @@ def minimal_implementing_functional(algebra, D, report=None):
 def wam_bracket(algebra, samples=200, seed=0, blocks=None, report=None):
     """Certified lower / certified upper bracket for the best constant C with:
     every derivation D admits an implementing phi with ||phi|| <= C ||D||.
-    The lower end is the best over sampled D of the re-checked dual witness
-    value of :func:`minimal_implementing_functional` over ||D||'s upper bound.
+    One :meth:`DerivationSpaceReport.implement` call solves the stack
+    (N, d, d) of draws g: phi0 (N, d) is the pseudo-inverse solve, and D =
+    ad_phi0 is inner by construction, implemented exactly by phi0 + Z.
+    The lower end is the best over D of the re-checked dual witness value
+    of :func:`min_dual_over_affine` over :func:`derivation_norm_upper`.
 
     Zero is returned exactly when there are no nonzero derivations; both
     ends are infinite when the algebra is not weakly amenable.  ``blocks``
     (coordinate index lists) add per-block samples whose draws depend only
     on the block dimension, so direct sums of copies reuse the single-copy
-    samples.
+    samples; a negative ``samples`` raises ValueError.
     """
+    if samples < 0:
+        raise ValueError(f"samples must be nonnegative, got {samples}")
     rep = report or derivation_space(algebra)
     if rep.dim_derivations == 0:
         return {"lower": 0.0, "upper": 0.0, "wam_zero": True, "weakly_amenable": True}
@@ -347,43 +350,31 @@ def wam_bracket(algebra, samples=200, seed=0, blocks=None, report=None):
 
     d = algebra.dim
     if blocks is None:
-        blocks = [list(range(d))]
+        blocks = [range(d)]
     draws = []
-    for block in blocks:
+    for block in blocks:   # real and imaginary parts alternate, draw by draw
         idx = np.asarray(block)
-        rng_b = np.random.default_rng([seed, len(idx)])
-        for _ in range(samples):
-            g = rng_b.standard_normal((len(idx), len(idx))) + 1j * rng_b.standard_normal((len(idx), len(idx)))
-            full = np.zeros((d, d), complex)
-            full[np.ix_(idx, idx)] = g
-            draws.append(full)
-    rng_mix = np.random.default_rng([seed, 0xE5])
-    for _ in range(max(4, samples // 10)):
-        draws.append(rng_mix.standard_normal((d, d)) + 1j * rng_mix.standard_normal((d, d)))
+        g = np.random.default_rng([seed, len(idx)]).standard_normal((samples, 2, len(idx), len(idx)))
+        draws.append(_embed(g[:, 0] + 1j * g[:, 1], d, idx, idx))
+    g = np.random.default_rng([seed, 0xE5]).standard_normal((max(4, samples // 10), 2, d, d))
+    draws.append(g[:, 0] + 1j * g[:, 1])
 
-    lower = 0.0
-    used = 0
-    flat = rep.derivation_basis.reshape(rep.dim_derivations, d * d)   # orthonormal rows
-    for g in draws:
-        D = ((flat.conj() @ g.reshape(-1)) @ flat).reshape(d, d)   # projection onto Der
-        if leibniz_residual(algebra, D) > 1e-8 * max(1.0, float(np.abs(D).max())):
-            continue
-        nd = derivation_norm_upper(algebra, D)
-        if nd < 1e-12:
-            continue
-        lower = max(lower, minimal_implementing_functional(algebra, D, report=rep)["lower"] / nd)
-        used += 1
+    phi0, _ = rep.implement(np.concatenate(draws))
+    D = (phi0 @ adjoint_map_matrix(algebra.structure).T).reshape(-1, d, d)
+    nd = derivation_norm_upper(algebra, D)
+    kept = nd >= 1e-12
+    lower = max((min_dual_over_affine(algebra.norm, phi, rep.z_basis)["lower"] / n
+                 for phi, n in zip(phi0[kept], nd[kept])), default=0.0)
 
     r_phi, s_phi = algebra.norm.dual_vs_l2(d)
-    basis_sq = float(sum(algebra.norm.eval(np.eye(d, dtype=complex)[j]) ** 2 for j in range(d)))
-    upper = r_phi * s_phi * np.sqrt(basis_sq) / rep.sigma_min
-    upper = max(upper, lower)
+    basis_sq = float(np.sum(algebra.norm.eval(np.eye(d, dtype=complex)) ** 2))
+    upper = max(r_phi * s_phi * np.sqrt(basis_sq) / rep.sigma_min, lower)
     return {
         "lower": lower,
         "upper": float(upper),
         "wam_zero": False,
         "weakly_amenable": True,
-        "samples_used": used,
+        "samples_used": int(kept.sum()),
     }
 
 

@@ -221,6 +221,18 @@ def test_bad_lp_demo_argument_is_one_line_error(tmp_path, capsys, base, flags, m
     assert _error_line(capsys) == message
 
 
+@pytest.mark.parametrize("command, docs, message", [
+    ("wam", {"algebra": M2_BASE}, "ValueError: samples must be nonnegative, got -5"),
+    ("jcheck", {"system": CHAIN}, "ValueError: --samples must be nonnegative, got -5"),
+])
+def test_negative_samples_is_one_line_error(tmp_path, capsys, command, docs, message):
+    argv = [command, "--samples", "-5"]
+    for name, doc in docs.items():
+        argv += [f"--{name}", write(tmp_path, f"{name}.json", doc)]
+    assert cli.main(argv) == 2
+    assert _error_line(capsys) == message
+
+
 def test_ce_command(tmp_path, capsys):
     spec = write(tmp_path, "spec.json",
                  {"kind": "orlicz", "phi": {"family": "shifted_ramp", "a": 0.25},

@@ -243,17 +243,22 @@ class TestMinimization:
         psi[1] = 1.0
         admat = dv.adjoint_map_matrix(m2.structure)
         D = (admat @ psi).reshape(4, 4)
-        best = dv.minimal_implementing_functional(m2, D, report=rep)
+        phi0, res = rep.implement(D)
+        assert res <= dv.INNER_TOL
+        best = dv.min_dual_over_affine(m2.norm, phi0, rep.z_basis)
         recon = (admat @ best["phi"]).reshape(4, 4)
         assert np.abs(recon - D).max() <= 1e-8
         assert best["lower"] <= best["upper"] <= float(m2.norm.dual(psi)) + 1e-9
 
     def test_non_inner_rejected(self):
+        # the derivation of the square-zero algebra is a unit vector outside
+        # the (zero) inner span, so its residual is its whole norm
         sz = es.square_zero_algebra()
         rep = dv.derivation_space(sz)
         D = rep.derivation_basis[0]
-        with pytest.raises(ValueError):
-            dv.minimal_implementing_functional(sz, D, report=rep)
+        phi0, res = rep.implement(D)
+        assert res > dv.INNER_TOL and abs(res - 1.0) <= 1e-12
+        assert np.abs(phi0).max() == 0.0
 
 
 class TestWamBracket:
@@ -336,6 +341,92 @@ def test_wam_bracket_matches_the_per_draw_oracle(case, seed):
     assert abs(out["lower"] - lower) <= 1e-12 * lower
     assert abs(out["upper"] - upper) <= 1e-12 * upper
     assert out["samples_used"] == used
+
+
+def test_wam_bracket_solves_every_draw_in_one_call(monkeypatch):
+    """A bracket on a weakly amenable algebra makes two implement calls,
+    the basis check and one for all draws, and no Leibniz re-check of a
+    draw; is_weakly_amenable makes one implement call."""
+    calls = {"implement": 0, "leibniz_residual": 0}
+    implement, leibniz = dv.DerivationSpaceReport.implement, dv.leibniz_residual
+
+    def counting_implement(self, D):
+        calls["implement"] += 1
+        return implement(self, D)
+
+    def counting_leibniz(*args):
+        calls["leibniz_residual"] += 1
+        return leibniz(*args)
+
+    for copies in (1, 3):
+        alg = es.ESumAlgebra([es.matrix_units_algebra(2)] * copies,
+                             lt.lp_norm(1.5, copies)).as_finite_algebra(samples=0)
+        rep = dv.derivation_space(alg)
+        with monkeypatch.context() as m:
+            m.setattr(dv.DerivationSpaceReport, "implement", counting_implement)
+            m.setattr(dv, "leibniz_residual", counting_leibniz)
+            calls.update(implement=0, leibniz_residual=0)
+            assert dv.is_weakly_amenable(alg, rep)[0]
+            assert calls == {"implement": 1, "leibniz_residual": 0}
+            blocks = [list(range(4 * i, 4 * i + 4)) for i in range(copies)]
+            out = dv.wam_bracket(alg, samples=30, seed=1, blocks=blocks, report=rep)
+            assert calls == {"implement": 3, "leibniz_residual": 0}
+            assert out["samples_used"] == 30 * copies + 4
+
+
+def test_wam_bracket_refuses_negative_samples():
+    with pytest.raises(ValueError, match="samples must be nonnegative, got -1"):
+        dv.wam_bracket(es.matrix_units_algebra(2), samples=-1)
+    out = dv.wam_bracket(es.matrix_units_algebra(2), samples=0)
+    assert out["samples_used"] == 4 and 0 < out["lower"] <= out["upper"]
+
+
+def _sum_algebra(summands, lattice):
+    return es.ESumAlgebra(summands, lattice).as_finite_algebra(samples=0)
+
+
+STACK_ALGEBRAS = {   # the coordinate norms of WITNESS_NORMS, on algebras
+    "max_abs": _permuted_sum(["M2", "en", "C"], [1.0, 3.0, 0.5], [3, 0, 6, 1, 5, 2, 4]),
+    "euclidean": es.FiniteAlgebra(es.matrix_units_algebra(2).structure,
+                                  es.EuclideanCoordinate(), samples=0),
+    "M2": es.matrix_units_algebra(2),
+    "M3": es.matrix_units_algebra(3),
+    "sup(M2, M2)": _sum_algebra([es.matrix_units_algebra(2)] * 2, lt.sup_norm(2)),
+    "weighted_sup(M2, C)": _sum_algebra([es.matrix_units_algebra(2), es.scalar_algebra()],
+                                        lt.weighted_sup([1.0, 2.5])),
+    "lp(C, M2, M2)": _sum_algebra([es.scalar_algebra()] + [es.matrix_units_algebra(2)] * 2,
+                                  lt.lp_norm(1.5, 3)),
+}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(STACK_ALGEBRAS)), lead=st.sampled_from([(1,), (6,), (2, 3)]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_stacked_helpers_match_single_maps(name, lead, seed):
+    """On a stack (..., d, d) of inner maps ad_psi and of Gaussian maps,
+    implement and derivation_norm_upper equal their per-map calls to 1e-15
+    relative (phi against its own norm, the residual against ||D||), and
+    every Gaussian map, which is not inner, has a residual above INNER_TOL."""
+    alg = STACK_ALGEBRAS[name]
+    rep = dv.derivation_space(alg)
+    d = alg.dim
+    rng = np.random.default_rng(seed)
+    psi = rng.standard_normal(lead + (d,)) + 1j * rng.standard_normal(lead + (d,))
+    inner = (psi @ dv.adjoint_map_matrix(alg.structure).T).reshape(lead + (d, d))
+    gauss = rng.standard_normal(lead + (d, d)) + 1j * rng.standard_normal(lead + (d, d))
+    for stack, is_inner in ((inner, True), (gauss, False)):
+        phis, res = rep.implement(stack)
+        bounds = dv.derivation_norm_upper(alg, stack)
+        assert phis.shape == lead + (d,) and res.shape == bounds.shape == lead
+        for k in np.ndindex(*lead):
+            phi, r = rep.implement(stack[k])
+            bound = dv.derivation_norm_upper(alg, stack[k])
+            assert isinstance(r, float) and isinstance(bound, float)
+            scale = float(np.linalg.norm(stack[k]))
+            assert np.linalg.norm(phis[k] - phi) <= 1e-15 * np.linalg.norm(phi)
+            assert abs(res[k] - r) <= 1e-15 * scale
+            assert abs(bounds[k] - bound) <= 1e-15 * bound
+            assert (r <= dv.INNER_TOL * scale) if is_inner else (r > dv.INNER_TOL)
 
 
 class TestEsumChecks:
