@@ -230,6 +230,73 @@ def test_jnorm_matches_chain_oracle(dims, zero_bonds, seed):
     assert abs(js.jnorm(x, horizon=system.top + 3) - oracle) <= 1e-12
 
 
+def column_stack_jnorm(x, horizon=None):
+    """The one-level-at-a-time forward pass: level q stacks x_{q-1} onto the
+    carried columns bond(p -> q-1)(x_p) and maps them with bond(q-1 -> q).
+    The reference that jnorm's blocked pass must reproduce."""
+    system = x.system
+    h = system.top + 1 if horizon is None else int(horizon)
+    best = np.zeros(h + 1)
+    carried = np.zeros((system.level_dim(0), 0), complex)
+    answer = 0.0
+    for q in range(h + 1):
+        xq = x.coord(q)
+        if q:
+            carried = system.bond_at(q - 1) @ np.column_stack([carried, x.coord(q - 1)])
+            diff = carried - xq[:, None]
+            best[q] = np.max(best[:q] + (diff.real ** 2 + diff.imag ** 2).sum(axis=0))
+        answer = max(answer, best[q] + float(np.linalg.norm(xq)) ** 2)
+    return float(np.sqrt(answer / 2.0))
+
+
+def random_chain_element(rng, top):
+    """An element on every level of a contractive system with levels 0..top,
+    widths 0-3 (zero-dimensional levels included) and about one bond in five
+    zero.  The other bonds have norm in [0.9, 1], so long transports stay
+    visible in the links."""
+    dims = [0] + [int(rng.integers(0, 4)) for _ in range(top)]
+    bonds = []
+    for lo, hi in zip(dims, dims[1:]):
+        raw = rng.standard_normal((hi, lo)) + 1j * rng.standard_normal((hi, lo))
+        norm = np.linalg.svd(raw, compute_uv=False)[0] if raw.size else 0.0
+        zero = norm == 0 or rng.random() < 0.2
+        bonds.append(np.zeros((hi, lo)) if zero else raw / (norm * (1.0 + 0.1 * rng.random())))
+    system = js.JSystem(dims, bonds)
+    return js.JElement(system, [rng.standard_normal(d) + 1j * rng.standard_normal(d) for d in dims])
+
+
+def assert_within_2ulp(value, expected):
+    assert abs(value - expected) <= 2 * np.finfo(float).eps * expected, (value, expected)
+
+
+@pytest.mark.parametrize("horizon", [1, 15, 16, 17, 31, 32, 33, 129])
+def test_jnorm_matches_column_stack_pass(horizon):
+    """Horizons on both sides of the 16-level blocks of jnorm's forward pass;
+    horizon 1 lies below the default horizon of the smallest system."""
+    rng = np.random.default_rng(horizon)
+    for _ in range(4):
+        x = random_chain_element(rng, max(horizon - 1, 1))
+        assert_within_2ulp(js.jnorm(x), column_stack_jnorm(x))
+        assert_within_2ulp(js.jnorm(x, horizon=horizon), column_stack_jnorm(x, horizon))
+
+
+def test_jnorm_matches_column_stack_pass_at_explicit_horizons():
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        x = random_chain_element(rng, 40)
+        for horizon in (0, 1, 2, 16, 17, 39, 40, 41, 42, 48, 49, 75):
+            assert_within_2ulp(js.jnorm(x, horizon=horizon), column_stack_jnorm(x, horizon))
+
+
+def test_jnorm_of_zero_width_systems():
+    for dims in ([0, 0], [0, 0, 0]):
+        system = js.JSystem(dims, [np.zeros((0, 0))] * (len(dims) - 1))
+        x = js.JElement(system, [[]] * len(dims))
+        assert js.jnorm(x) == 0.0
+        assert js.jnorm(x, horizon=17) == 0.0
+        assert column_stack_jnorm(x, 17) == 0.0
+
+
 class TestMultiplication:
     def test_requires_algebra(self):
         system = scalar_identity_system(2)
