@@ -14,6 +14,14 @@ smaller), so ``jnorm`` runs an exact dynamic program on that horizon while
 ``jnorm_bruteforce`` enumerates every subset as an independent oracle.
 Coordinate norms are Euclidean.
 
+Storage is zero-padded to the widest level, w = max d_n.  A system keeps its
+bonds in one ``bond_stack`` of shape (top, w, w) and an element its
+coordinates in one ``padded`` array of shape (top + 1, w); ``bonds[n]`` and
+``coords[n]`` are views of them with the unpadded shapes.  Padding adds only
+exact zeros to every product and norm.  ``jnorm`` runs its forward pass over
+these arrays in blocks of ``JNORM_BLOCK`` target levels, so a level costs one
+matrix product and a block a few vectorised steps.
+
 If per-level pointwise algebra structures are supplied (with multiplicative
 bonds), elements multiply coordinatewise; products obey
 sigma(xy, S) <= ||y||_inf sigma(x, S) + ||x||_inf sigma(y, S) and
@@ -34,6 +42,7 @@ from .lattice import (integer_from_json, numbers_from_json, required_key,
 BOND_TOL = 1e-9
 BIMONOTONE_TOL = 1e-9   # relative slack of the window comparisons in bimonotone_check
 MUL_BOUND = 3.0 / np.sqrt(2.0)
+JNORM_BLOCK = 16        # target levels per block of jnorm's forward pass
 
 
 class JSystemError(ValueError):
@@ -55,15 +64,19 @@ class JSystem:
             raise JSystemError("dimensions must be nonnegative")
         if len(bonds) != len(self.dims) - 1:
             raise JSystemError("need one bond per consecutive level pair")
+        self.top = len(self.dims) - 1
+        self.width = max(self.dims)
+        self.bond_stack = np.zeros((self.top, self.width, self.width), complex)
         self.bonds = []
         for n, b in enumerate(bonds):
-            mat = np.asarray(b, dtype=complex).reshape(self.dims[n + 1], self.dims[n])
-            if mat.size:
-                op = np.linalg.svd(mat, compute_uv=False)
-                if op.size and op[0] > 1.0 + BOND_TOL:
-                    raise JSystemError(f"bond {n} has operator norm {op[0]:.6g} > 1")
+            mat = self.bond_stack[n, :self.dims[n + 1], :self.dims[n]]
+            mat[...] = np.asarray(b, dtype=complex).reshape(mat.shape)
             self.bonds.append(mat)
-        self.top = len(self.dims) - 1
+        # zero padding leaves every bond's singular values as they are
+        norms = np.linalg.svd(self.bond_stack, compute_uv=False).max(axis=1, initial=0.0)
+        bad = np.flatnonzero(norms > 1.0 + BOND_TOL)
+        if bad.size:
+            raise JSystemError(f"bond {bad[0]} has operator norm {norms[bad[0]]:.6g} > 1")
         self._compose_cache = {}
         self.structures = None
         if structures is not None:
@@ -131,9 +144,12 @@ class JElement:
         self.system = system
         if len(coords) != len(system.dims):
             raise JSystemError("need one coordinate vector per level")
-        self.coords = [
-            np.asarray(c, dtype=complex).reshape(d) for c, d in zip(coords, system.dims)
-        ]
+        self.padded = np.zeros((len(system.dims), system.width), complex)
+        self.coords = []
+        for n, (c, d) in enumerate(zip(coords, system.dims)):
+            vec = self.padded[n, :d]
+            vec[...] = np.asarray(c, dtype=complex).reshape(d)
+            self.coords.append(vec)
 
     @classmethod
     def from_support(cls, system, support):
@@ -209,27 +225,66 @@ def _chain_tables(x, horizon):
     return link, terminal
 
 
+def _padded_horizon(x, h):
+    """Bonds (h, w, w) and coordinates (h + 1, w) of levels 0..h, zero-padded
+    to w = ``system.width``.  Past the top level the bonds are the identity on
+    the top level's dimension and the coordinates are zero."""
+    system = x.system
+    top = system.top
+    if h <= top:
+        return system.bond_stack[:h], x.padded[:h + 1]
+    w, d = system.width, system.dims[top]
+    bonds = np.zeros((h, w, w), complex)
+    bonds[:top] = system.bond_stack
+    bonds[top:, range(d), range(d)] = 1.0
+    coords = np.zeros((h + 1, w), complex)
+    coords[:top + 1] = x.padded
+    return bonds, coords
+
+
 def jnorm(x, horizon=None):
     """Exact J-norm by dynamic programming over chain endpoints.
 
-    ``best[q]`` holds the largest sigma^2 over chains ending at q.  One
-    forward pass carries the columns bond(p->q)(x_p) for every p < q, so
-    level q costs one product with bond(q-1 -> q) and one batched norm of
-    its q links.  The default horizon is one past the top level, which
-    suffices for any finitely supported element under contractive bonds.
+    ``best[q]`` holds the largest sigma^2 over chains ending at q.  The
+    forward pass reads the padded bonds and coordinates of levels 0..h and
+    takes the target levels in blocks of ``JNORM_BLOCK``.  A buffer of
+    (JNORM_BLOCK + 1) * w * (h + 1) complex values holds, in row j, the
+    columns bond(p -> q)(x_p) for p < q at level q = q0 - 1 + j, with x_q
+    itself in column q; row 0 carries the last level of the previous block.
+    Each level costs one product with bond(q-1 -> q).  Each block then
+    takes the norms of all its links at once, pulls the best chains ending
+    before the block in one vectorised maximum and finishes the chains
+    inside the block in plain Python.  The terminal weights ||x_q||^2 are
+    added in one step at the end.  The default horizon is one past the top
+    level, which suffices for any finitely supported element under
+    contractive bonds.
     """
     system = x.system
     h = system.top + 1 if horizon is None else int(horizon)
+    if h < 0:
+        raise ValueError(f"horizon must be nonnegative: {h}")
+    bonds, coords = _padded_horizon(x, h)
     best = np.zeros(h + 1)
-    carried = np.zeros((system.level_dim(0), 0), complex)
-    answer = 0.0
-    for q in range(h + 1):
-        xq = x.coord(q)
-        if q:
-            carried = system.bond_at(q - 1) @ np.column_stack([carried, x.coord(q - 1)])
-            diff = carried - xq[:, None]
-            best[q] = np.max(best[:q] + (diff.real ** 2 + diff.imag ** 2).sum(axis=0))
-        answer = max(answer, best[q] + float(np.linalg.norm(xq)) ** 2)
+    carry = np.zeros((min(JNORM_BLOCK, h) + 1, system.width, h + 1), complex)
+    for q0 in range(1, h + 1, JNORM_BLOCK):
+        q1 = min(q0 + JNORM_BLOCK, h + 1)
+        n = q1 - q0
+        rows = np.arange(1, n + 1)
+        carry[0] = carry[-1]
+        carry[rows, :, rows + (q0 - 1)] = coords[q0:q1]
+        for j, q in enumerate(range(q0, q1)):
+            np.matmul(bonds[q - 1], carry[j, :, :q], out=carry[j + 1, :, :q])
+        diff = carry[1:n + 1, :, :q1 - 1] - coords[q0:q1, :, None]
+        links = (diff.real ** 2 + diff.imag ** 2).sum(axis=1)
+        inner = links[:, q0:].tolist()
+        block_best = []
+        for value, row in zip((best[:q0] + links[:, :q0]).max(axis=1).tolist(), inner):
+            for prior, link in zip(block_best, row):
+                if prior + link > value:
+                    value = prior + link
+            block_best.append(value)
+        best[q0:q1] = block_best
+    answer = (best + (coords.real ** 2 + coords.imag ** 2).sum(axis=1)).max()
     return float(np.sqrt(answer / 2.0))
 
 
@@ -311,7 +366,10 @@ def omega_seminorm(system, prefix, anchor, horizon):
 
 
 def omega_submult_check(system, samples, rng=None):
-    """Sampled check that the limiting seminorm is submultiplicative."""
+    """Sampled check that the limiting seminorm is submultiplicative; a
+    negative ``samples`` raises ValueError."""
+    if samples < 0:
+        raise ValueError(f"samples must be nonnegative, got {samples}")
     if not system.has_algebra:
         raise JSystemError("system carries no algebra structure")
     rng = rng or np.random.default_rng(0)
@@ -361,7 +419,10 @@ def _coordinate_window(x, lo, hi):
 
 def bimonotone_check(x, samples, rng=None):
     """Inner coordinate windows never beat the enclosing window in J-norm,
-    and the norm is the maximum over prefixes at finite support."""
+    and the norm is the maximum over prefixes at finite support.  A negative
+    ``samples`` raises ValueError."""
+    if samples < 0:
+        raise ValueError(f"samples must be nonnegative, got {samples}")
     rng = rng or np.random.default_rng(0)
     system = x.system
     top = system.top

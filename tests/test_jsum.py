@@ -51,6 +51,26 @@ class TestSystemValidation:
         with pytest.raises(js.JSystemError):
             js.JSystem([0, 1, 1], [np.zeros((1, 0)), 1.5 * np.eye(1)])
 
+    def test_contractivity_error_names_the_first_offending_bond(self):
+        dims = [0, 1, 3, 2, 2, 2]
+        bonds = [np.zeros((1, 0)), np.ones((3, 1)) / np.sqrt(3.0),
+                 np.array([[1.5, 0.0, 0.0], [0.0, 0.5, 0.0]]), np.eye(2), 2.0 * np.eye(2)]
+        with pytest.raises(js.JSystemError, match=r"^bond 2 has operator norm 1\.5 > 1$"):
+            js.JSystem(dims, bonds)
+
+    def test_padded_storage_keeps_shapes(self):
+        system = js.JSystem([0, 1, 3, 0, 2], [np.zeros((1, 0)), np.ones((3, 1)) / 2,
+                                              np.zeros((0, 3)), np.zeros((2, 0))])
+        assert system.bond_stack.shape == (4, 3, 3)
+        assert [b.shape for b in system.bonds] == [(1, 0), (3, 1), (0, 3), (2, 0)]
+        assert all(np.shares_memory(b, system.bond_stack) for b in system.bonds if b.size)
+        x = js.JElement(system, [[], [1.0], [1.0, 2.0, 3.0], [], [4.0, 5.0]])
+        assert x.padded.shape == (5, 3)
+        assert [c.shape for c in x.coords] == [(0,), (1,), (3,), (0,), (2,)]
+        assert np.array_equal(x.padded[4], [4.0, 5.0, 0.0])
+        x.coords[2][1] = 7.0
+        assert x.padded[2, 1] == 7.0
+
     def test_bond_count(self):
         with pytest.raises(js.JSystemError):
             js.JSystem([0, 1, 1], [np.zeros((1, 0))])
@@ -297,6 +317,12 @@ def test_jnorm_of_zero_width_systems():
         assert column_stack_jnorm(x, 17) == 0.0
 
 
+def test_negative_horizon_refused():
+    x = js.JElement(scalar_identity_system(2), [[], [1.0], [1.0]])
+    with pytest.raises(ValueError, match="horizon must be nonnegative"):
+        js.jnorm(x, horizon=-1)
+
+
 class TestMultiplication:
     def test_requires_algebra(self):
         system = scalar_identity_system(2)
@@ -393,6 +419,8 @@ class TestOmega:
         )
         rep = js.omega_submult_check(system, samples=200, rng=np.random.default_rng(8))
         assert rep["ok"]
+        with pytest.raises(ValueError, match="samples must be nonnegative, got -5"):
+            js.omega_submult_check(system, samples=-5)
 
 
 class TestBimonotone:
@@ -404,6 +432,8 @@ class TestBimonotone:
         assert inner <= js.jnorm(x) + 1e-15
         rep = js.bimonotone_check(x, samples=30, rng=np.random.default_rng(9))
         assert rep["ok"]
+        with pytest.raises(ValueError, match="samples must be nonnegative, got -5"):
+            js.bimonotone_check(x, samples=-5)
 
     def test_sampled_windows(self):
         rng = np.random.default_rng(10)
