@@ -14,13 +14,11 @@ smaller), so ``jnorm`` runs an exact dynamic program on that horizon while
 ``jnorm_bruteforce`` enumerates every subset as an independent oracle.
 Coordinate norms are Euclidean.
 
-Storage is zero-padded to the widest level, w = max d_n.  A system keeps its
-bonds in one ``bond_stack`` of shape (top, w, w) and an element its
-coordinates in one ``padded`` array of shape (top + 1, w); ``bonds[n]`` and
-``coords[n]`` are views of them with the unpadded shapes.  Padding adds only
-exact zeros to every product and norm.  ``jnorm`` runs its forward pass over
-these arrays in blocks of ``JNORM_BLOCK`` target levels, so a level costs one
-matrix product and a block a few vectorised steps.
+A system keeps each bond at its own shape, and an element its coordinates
+end to end in one ``entries`` vector of length sum d_n, with ``coords[n]`` a
+view of it; nothing is padded.  ``jnorm`` runs its forward pass in blocks of
+``JNORM_BLOCK`` target levels whose rows lie end to end the same way, so a
+level costs one matrix product and a block a few vectorised steps.
 
 If per-level pointwise algebra structures are supplied (with multiplicative
 bonds), elements multiply coordinatewise; products obey
@@ -31,7 +29,7 @@ generated by the bonds) carry the limiting coordinate seminorm.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import numpy as np
 
@@ -65,22 +63,35 @@ class JSystem:
         if len(bonds) != len(self.dims) - 1:
             raise JSystemError("need one bond per consecutive level pair")
         self.top = len(self.dims) - 1
-        self.width = max(self.dims)
-        self.bond_stack = np.zeros((self.top, self.width, self.width), complex)
-        self.bonds = []
-        for n, b in enumerate(bonds):
-            mat = self.bond_stack[n, :self.dims[n + 1], :self.dims[n]]
-            mat[...] = np.asarray(b, dtype=complex).reshape(mat.shape)
-            self.bonds.append(mat)
-        # zero padding leaves every bond's singular values as they are
-        norms = np.linalg.svd(self.bond_stack, compute_uv=False).max(axis=1, initial=0.0)
-        bad = np.flatnonzero(norms > 1.0 + BOND_TOL)
-        if bad.size:
-            raise JSystemError(f"bond {bad[0]} has operator norm {norms[bad[0]]:.6g} > 1")
+        self.bonds = [np.asarray(b, dtype=complex).reshape(self.dims[n + 1], self.dims[n])
+                      for n, b in enumerate(bonds)]
+        self._check_contractive()
+        # levels past the top continue with this identity (see bond_at)
+        self._tail_bond = np.eye(self.dims[self.top], dtype=complex)
+        self._tail_bond.setflags(write=False)
+        # level n's coordinates are entries offsets[n]:offsets[n + 1] of an
+        # element, so entry i belongs to level entry_level[i]
+        self.offsets = [0, *accumulate(self.dims)]
+        self.entry_level = np.repeat(np.arange(self.top + 1), self.dims)
         self._compose_cache = {}
         self.structures = None
         if structures is not None:
             self._attach_structures(structures)
+
+    def _check_contractive(self):
+        """One stacked SVD per bond shape; the error names the first bond
+        whose operator norm exceeds 1."""
+        by_shape = {}
+        for n, b in enumerate(self.bonds):
+            if b.size:
+                by_shape.setdefault(b.shape, []).append(n)
+        norms = np.zeros(self.top)
+        for ns in by_shape.values():
+            stack = np.stack([self.bonds[n] for n in ns])
+            norms[ns] = np.linalg.svd(stack, compute_uv=False)[:, 0]
+        bad = np.flatnonzero(norms > 1.0 + BOND_TOL)
+        if bad.size:
+            raise JSystemError(f"bond {bad[0]} has operator norm {norms[bad[0]]:.6g} > 1")
 
     # -- algebra structure ---------------------------------------------------
 
@@ -122,9 +133,11 @@ class JSystem:
         return self.dims[min(n, self.top)]
 
     def bond_at(self, n):
+        """Bond n -> n + 1; past the top, the read-only identity on the top
+        level."""
         if n < self.top:
             return self.bonds[n]
-        return np.eye(self.dims[self.top], dtype=complex)
+        return self._tail_bond
 
     def compose(self, n, m):
         """The map from level n to level m >= n (identity when m == n)."""
@@ -144,12 +157,10 @@ class JElement:
         self.system = system
         if len(coords) != len(system.dims):
             raise JSystemError("need one coordinate vector per level")
-        self.padded = np.zeros((len(system.dims), system.width), complex)
-        self.coords = []
-        for n, (c, d) in enumerate(zip(coords, system.dims)):
-            vec = self.padded[n, :d]
-            vec[...] = np.asarray(c, dtype=complex).reshape(d)
-            self.coords.append(vec)
+        self.entries = np.concatenate([np.asarray(c, dtype=complex).reshape(d)
+                                       for c, d in zip(coords, system.dims)])
+        offsets = system.offsets
+        self.coords = [self.entries[a:b] for a, b in zip(offsets, offsets[1:])]
 
     @classmethod
     def from_support(cls, system, support):
@@ -225,57 +236,55 @@ def _chain_tables(x, horizon):
     return link, terminal
 
 
-def _padded_horizon(x, h):
-    """Bonds (h, w, w) and coordinates (h + 1, w) of levels 0..h, zero-padded
-    to w = ``system.width``.  Past the top level the bonds are the identity on
-    the top level's dimension and the coordinates are zero."""
-    system = x.system
-    top = system.top
-    if h <= top:
-        return system.bond_stack[:h], x.padded[:h + 1]
-    w, d = system.width, system.dims[top]
-    bonds = np.zeros((h, w, w), complex)
-    bonds[:top] = system.bond_stack
-    bonds[top:, range(d), range(d)] = 1.0
-    coords = np.zeros((h + 1, w), complex)
-    coords[:top + 1] = x.padded
-    return bonds, coords
-
-
 def jnorm(x, horizon=None):
     """Exact J-norm by dynamic programming over chain endpoints.
 
     ``best[q]`` holds the largest sigma^2 over chains ending at q.  The
-    forward pass reads the padded bonds and coordinates of levels 0..h and
-    takes the target levels in blocks of ``JNORM_BLOCK``.  A buffer of
-    (JNORM_BLOCK + 1) * w * (h + 1) complex values holds, in row j, the
-    columns bond(p -> q)(x_p) for p < q at level q = q0 - 1 + j, with x_q
-    itself in column q; row 0 carries the last level of the previous block.
-    Each level costs one product with bond(q-1 -> q).  Each block then
-    takes the norms of all its links at once, pulls the best chains ending
-    before the block in one vectorised maximum and finishes the chains
-    inside the block in plain Python.  The terminal weights ||x_q||^2 are
-    added in one step at the end.  The default horizon is one past the top
-    level, which suffices for any finitely supported element under
-    contractive bonds.
+    forward pass takes the target levels in blocks of ``JNORM_BLOCK``.  For
+    the block of levels q0 <= q < q1 a buffer of q1 columns stacks the rows
+    of levels q0 - 1 .. q1 - 1 end to end, d_q rows for level q, like
+    ``entries``: its (d_{q0-1} + ... + d_{q1-1}) * q1 complex values hold,
+    for level q, the columns bond(p -> q)(x_p) for p < q and x_q itself in
+    column q.  Level q0 - 1 carries the last level of the previous block.
+    Each level costs one product with bond(q-1 -> q), the identity on the
+    top level past the top.  Each block then takes the norms of all its
+    links at once, pulls the best chains ending before the block in one
+    vectorised maximum and finishes the chains inside the block in plain
+    Python.  The terminal weights ||x_q||^2 are added in one step at the
+    end.  The default horizon is one past the top level, which suffices for
+    any finitely supported element under contractive bonds.
     """
     system = x.system
-    h = system.top + 1 if horizon is None else int(horizon)
+    top = system.top
+    h = top + 1 if horizon is None else int(horizon)
     if h < 0:
         raise ValueError(f"horizon must be nonnegative: {h}")
-    bonds, coords = _padded_horizon(x, h)
+    dims = system.dims[:h + 1] + [system.dims[top]] * (h - top)
+    bonds = system.bonds[:h] + [system.bond_at(top)] * (h - top)
+    starts = [0, *accumulate(dims)]   # agrees with system.offsets up to the top
+    offsets = system.offsets
     best = np.zeros(h + 1)
-    carry = np.zeros((min(JNORM_BLOCK, h) + 1, system.width, h + 1), complex)
+    last = np.zeros((0, 1), complex)  # level 0 is zero-dimensional
     for q0 in range(1, h + 1, JNORM_BLOCK):
         q1 = min(q0 + JNORM_BLOCK, h + 1)
         n = q1 - q0
-        rows = np.arange(1, n + 1)
-        carry[0] = carry[-1]
-        carry[rows, :, rows + (q0 - 1)] = coords[q0:q1]
+        r0 = starts[q0 - 1]
+        rows = [r - r0 for r in starts[q0 - 1:q1 + 1]]
+        carry = np.zeros((rows[-1], q1), complex)
+        carry[:rows[1], :q0] = last
+        lo, hi = offsets[min(q0, top + 1)], offsets[min(q1, top + 1)]
+        carry[np.arange(lo - r0, hi - r0), system.entry_level[lo:hi]] = x.entries[lo:hi]
         for j, q in enumerate(range(q0, q1)):
-            np.matmul(bonds[q - 1], carry[j, :, :q], out=carry[j + 1, :, :q])
-        diff = carry[1:n + 1, :, :q1 - 1] - coords[q0:q1, :, None]
-        links = (diff.real ** 2 + diff.imag ** 2).sum(axis=1)
+            np.matmul(bonds[q - 1], carry[rows[j]:rows[j + 1], :q],
+                      out=carry[rows[j + 1]:rows[j + 2], :q])
+        last = carry[rows[-2]:]
+        level = np.repeat(np.arange(n), dims[q0:q1])
+        own = carry[np.arange(rows[1], rows[-1]), level + q0]
+        diff = carry[rows[1]:, :q1 - 1] - own[:, None]
+        # add up each level's rows in order into cell (level, p) of an n x (q1 - 1) table
+        cells = (level * (q1 - 1))[:, None] + np.arange(q1 - 1)
+        links = np.bincount(cells.ravel(), (diff.real ** 2 + diff.imag ** 2).ravel(),
+                            minlength=n * (q1 - 1)).reshape(n, q1 - 1)
         inner = links[:, q0:].tolist()
         block_best = []
         for value, row in zip((best[:q0] + links[:, :q0]).max(axis=1).tolist(), inner):
@@ -284,8 +293,9 @@ def jnorm(x, horizon=None):
                     value = prior + link
             block_best.append(value)
         best[q0:q1] = block_best
-    answer = (best + (coords.real ** 2 + coords.imag ** 2).sum(axis=1)).max()
-    return float(np.sqrt(answer / 2.0))
+    squares = x.entries.real ** 2 + x.entries.imag ** 2
+    terminal = np.bincount(system.entry_level, squares, minlength=h + 1)[:h + 1]
+    return float(np.sqrt((best + terminal).max() / 2.0))
 
 
 def jnorm_bruteforce(x, horizon=None):

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -58,18 +59,17 @@ class TestSystemValidation:
         with pytest.raises(js.JSystemError, match=r"^bond 2 has operator norm 1\.5 > 1$"):
             js.JSystem(dims, bonds)
 
-    def test_padded_storage_keeps_shapes(self):
+    def test_storage_keeps_shapes(self):
         system = js.JSystem([0, 1, 3, 0, 2], [np.zeros((1, 0)), np.ones((3, 1)) / 2,
                                               np.zeros((0, 3)), np.zeros((2, 0))])
-        assert system.bond_stack.shape == (4, 3, 3)
         assert [b.shape for b in system.bonds] == [(1, 0), (3, 1), (0, 3), (2, 0)]
-        assert all(np.shares_memory(b, system.bond_stack) for b in system.bonds if b.size)
+        assert system.offsets == [0, 0, 1, 4, 4, 6]
+        assert system.entry_level.tolist() == [1, 2, 2, 2, 4, 4]
         x = js.JElement(system, [[], [1.0], [1.0, 2.0, 3.0], [], [4.0, 5.0]])
-        assert x.padded.shape == (5, 3)
+        assert np.array_equal(x.entries, [1.0, 1.0, 2.0, 3.0, 4.0, 5.0])
         assert [c.shape for c in x.coords] == [(0,), (1,), (3,), (0,), (2,)]
-        assert np.array_equal(x.padded[4], [4.0, 5.0, 0.0])
         x.coords[2][1] = 7.0
-        assert x.padded[2, 1] == 7.0
+        assert x.entries[2] == 7.0
 
     def test_bond_count(self):
         with pytest.raises(js.JSystemError):
@@ -306,6 +306,29 @@ def test_jnorm_matches_column_stack_pass_at_explicit_horizons():
         x = random_chain_element(rng, 40)
         for horizon in (0, 1, 2, 16, 17, 39, 40, 41, 42, 48, 49, 75):
             assert_within_2ulp(js.jnorm(x, horizon=horizon), column_stack_jnorm(x, horizon))
+
+
+def test_skewed_chain_pads_only_its_own_block():
+    """One 200-wide level ahead of 200 scalar levels.  Padding every bond to
+    the widest level would hold 200 * 200^2 complex values (128 MB), and a
+    buffer as wide as the horizon in the first block 17 * 200 * 202 (11 MB);
+    building the system and element and taking the norm stay under 8 MB."""
+    rng = np.random.default_rng(3)
+    dims = [0, 200] + [1] * 200
+    row = rng.standard_normal((1, 200)) + 1j * rng.standard_normal((1, 200))
+    bonds = [np.zeros((200, 0)), row / (1.1 * np.linalg.norm(row))] + [0.9 * np.eye(1)] * 199
+    coords = [rng.standard_normal(d) + 1j * rng.standard_normal(d) for d in dims]
+    tracemalloc.start()
+    try:
+        x = js.JElement(js.JSystem(dims, bonds), coords)
+        value = js.jnorm(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6, peak
+    assert_within_2ulp(value, column_stack_jnorm(x))
+    for horizon in (1, 2, 17, 40, 230):
+        assert_within_2ulp(js.jnorm(x, horizon=horizon), column_stack_jnorm(x, horizon))
 
 
 def test_jnorm_of_zero_width_systems():
