@@ -262,7 +262,6 @@ def jnorm(x, horizon=None):
     dims = system.dims[:h + 1] + [system.dims[top]] * (h - top)
     bonds = system.bonds[:h] + [system.bond_at(top)] * (h - top)
     starts = [0, *accumulate(dims)]   # agrees with system.offsets up to the top
-    offsets = system.offsets
     best = np.zeros(h + 1)
     last = np.zeros((0, 1), complex)  # level 0 is zero-dimensional
     for q0 in range(1, h + 1, JNORM_BLOCK):
@@ -272,7 +271,7 @@ def jnorm(x, horizon=None):
         rows = [r - r0 for r in starts[q0 - 1:q1 + 1]]
         carry = np.zeros((rows[-1], q1), complex)
         carry[:rows[1], :q0] = last
-        lo, hi = offsets[min(q0, top + 1)], offsets[min(q1, top + 1)]
+        lo, hi = starts[min(q0, top + 1)], starts[min(q1, top + 1)]
         carry[np.arange(lo - r0, hi - r0), system.entry_level[lo:hi]] = x.entries[lo:hi]
         for j, q in enumerate(range(q0, q1)):
             np.matmul(bonds[q - 1], carry[rows[j]:rows[j + 1], :q],
