@@ -1,9 +1,10 @@
 """Command-line entry point (``esum-lab``).
 
-All inputs are JSON documents (schemas under ``docs/schemas/``); all
-subcommands print JSON to stdout.  ``verify`` runs the deterministic case
-suite and exits 1 when any case fails or errors.  Bad input ends in
-one ``{"error": ...}`` line on stderr and exit code 2.
+All inputs are JSON documents (schemas under ``docs/schemas/``).  Every
+subcommand but ``verify`` returns a payload, and :func:`main` alone prints
+it as strict JSON on stdout.  ``verify`` prints its CSV report and exits 1
+when any case fails or errors.  Bad input, and a result that overflows a
+float, end in one ``{"error": ...}`` line on stderr and exit code 2.
 """
 
 from __future__ import annotations
@@ -26,10 +27,6 @@ from .verify import emit_tables, report_csv, verify_all
 def _load(path):
     with open(path) as fh:
         return json.load(fh)
-
-
-def _emit(payload):
-    print(json.dumps(payload, indent=2, sort_keys=True, default=str))
 
 
 def _key(d, key, what="algebra", array=False):
@@ -75,19 +72,6 @@ def _require_finite(payload, key=None):
         raise ValueError(f"the {key} of this input overflows a float ({payload})")
 
 
-def _finite_norms(command):
-    """A command whose payload holds norms of a finite input.  numpy's
-    overflow warnings stay quiet, and a number that overflowed a float (inf
-    or nan) raises ValueError instead of printing Infinity."""
-    def run(args):
-        with np.errstate(over="ignore", invalid="ignore"):
-            payload = command(args)
-        _require_finite(payload)
-        _emit(payload)
-    return run
-
-
-@_finite_norms
 def cmd_norm(args):
     spec = lt.load_spec(args.spec)
     vec = lt.values_from_json(_load(args.vector))
@@ -96,17 +80,15 @@ def cmd_norm(args):
 
 def cmd_ce(args):
     spec = lt.load_spec(args.spec)
-    _emit(lt.ce_constant(spec).as_dict())
+    return lt.ce_constant(spec).as_dict()
 
 
-@_finite_norms
 def cmd_esum_norm(args):
     algebra = _algebra_from_dict(_load(args.algebra))
     element = _element_from_dict(algebra, _load(args.element))
     return {"norm": es.esum_norm(element)}
 
 
-@_finite_norms
 def cmd_esum_mul(args):
     algebra = _algebra_from_dict(_load(args.algebra))
     x = _element_from_dict(algebra, _load(args.x))
@@ -118,7 +100,6 @@ def cmd_esum_mul(args):
     }
 
 
-@_finite_norms
 def cmd_bai_check(args):
     algebra = _algebra_from_dict(_load(args.algebra))
     return es.unit_and_bai_bound_check(algebra)
@@ -131,20 +112,16 @@ def cmd_am(args):
     if not args.witnesses:
         payload.pop("witness_lower")
         payload.pop("witness_upper")
-    _emit(payload)
+    return payload
 
 
-@_finite_norms
 def cmd_jnorm(args):
     system = js.system_from_dict(_load(args.system))
     element = js.element_from_dict(system, _load(args.element))
     return {"jnorm": js.jnorm(element)}
 
 
-@_finite_norms
 def cmd_jcheck(args):
-    if args.samples < 0:
-        raise ValueError(f"--samples must be nonnegative, got {args.samples}")
     system = js.system_from_dict(_load(args.system))
     rng = np.random.default_rng(args.seed)
     x = js.JElement(system, [
@@ -164,19 +141,17 @@ def cmd_wa(args):
     dv.is_weakly_amenable(algebra, rep)   # re-checks the verdict against its certificate
     out = rep.as_dict()
     out["essential"] = dv.essential_check(algebra)
-    _emit(out)
+    return out
 
 
 def cmd_wam(args):
-    with np.errstate(over="ignore", invalid="ignore"):
-        algebra = _finite_algebra_from_dict(_load(args.algebra))
-        out = dv.wam_bracket(algebra, samples=args.samples, seed=args.seed)
-    if out["weakly_amenable"]:   # otherwise both ends are infinite by definition
-        _require_finite(out)
-    _emit(out)
+    algebra = _finite_algebra_from_dict(_load(args.algebra))
+    out = dv.wam_bracket(algebra, samples=args.samples, seed=args.seed)
+    if not out["weakly_amenable"]:   # no constant exists; JSON has no Infinity
+        out.update(lower=None, upper=None)
+    return out
 
 
-@_finite_norms
 def cmd_lp_demo(args):
     base = _finite_algebra_from_dict(_load(args.base))
     if args.psi:
@@ -279,18 +254,27 @@ def build_parser():
 
 
 def main(argv=None):
-    """Run one subcommand.  Unreadable or malformed input documents, the
-    library's errors (json.JSONDecodeError, LatticeSpecError and the other
-    ``*Error`` classes are all ValueErrors) and inputs that need an
-    unimplemented case (the Orlicz dual norm) print one JSON line
-    ``{"error": ...}`` on stderr and exit with code 2."""
+    """Run one subcommand and print its payload as sorted, indented, strict
+    JSON; ``verify`` prints its own report and returns its exit code.
+    numpy's floating-point warnings stay quiet, and a payload number that
+    overflowed a float (inf or nan) is refused.  Unreadable or malformed
+    input documents, the library's errors (json.JSONDecodeError,
+    LatticeSpecError and the other ``*Error`` classes are all ValueErrors),
+    an overflowing result and inputs that need an unimplemented case (the
+    Orlicz dual norm) print one JSON line ``{"error": ...}`` on stderr and
+    exit with code 2."""
     args = build_parser().parse_args(argv)
     try:
-        code = args.fn(args)
+        if args.fn is cmd_verify:
+            return cmd_verify(args)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            payload = args.fn(args)
+        _require_finite(payload)
+        print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
     except (OSError, ValueError, NotImplementedError) as exc:
         print(json.dumps({"error": f"{type(exc).__name__}: {exc}"}), file=sys.stderr)
         return 2
-    return 0 if code is None else code
+    return 0
 
 
 if __name__ == "__main__":

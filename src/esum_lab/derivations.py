@@ -274,8 +274,9 @@ def derivation_norm_upper(algebra, D):
 
 
 def minimize(*args, **kwargs):
-    """``scipy.optimize.minimize``, imported on the first call.  No library
-    code calls it; it stays a module-level name for perfbench's tracer."""
+    """``scipy.optimize.minimize``, imported on the first call; scipy is in
+    the ``test`` extra only.  No library code calls it; it stays a
+    module-level name for perfbench's tracer."""
     from scipy.optimize import minimize as scipy_minimize
     return scipy_minimize(*args, **kwargs)
 

@@ -50,6 +50,8 @@ projective norm, so the returned bracket is an AM bracket.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .lattice import (
@@ -245,7 +247,8 @@ def am_pointwise(n, spec, budget=None, rng=None):
     Every candidate is deterministic.  ``budget`` and ``rng`` are accepted
     and ignored, for the calls in ``perfbench/workloads.py`` only.
 
-    Both witnesses are re-verified independently: the stored dual matrix is
+    A bracket end that overflows a float raises ValueError.  Both witnesses
+    are then re-verified independently: the stored dual matrix is
     re-certified to bilinear bound <= 1 + 1e-9, and the stored decomposition
     is re-multiplied to the exact diagonal with its cost recomputed.  The
     candidates are costed in one ``norm_eval_batch`` call and the re-cost
@@ -256,6 +259,11 @@ def am_pointwise(n, spec, budget=None, rng=None):
     square, extremal = max_square_sum(spec)   # one table enumeration per bracket
     lower, wl_mat, wl_method = dual_pairing_lower(spec, square)
     upper, wu_pairs, wu_method = primal_decomposition_upper(spec, extremal)
+    # AM can leave the float range (C_E^2 = max w_i^2 for a weight above
+    # 1.34e154); refused here, a failed re-certification still means a fault
+    for end in (lower, upper):
+        if not math.isfinite(end):
+            raise ValueError(f"the AM bracket of this input overflows a float ({end})")
 
     recert = bilinear_cert(spec, wl_mat, square)
     if recert > 1.0 + WITNESS_TOL:

@@ -554,7 +554,9 @@ def _orthonormal_rows(g):
 def test_witness_is_a_lower_bound(name, k, seed):
     """On random phi0 and a random Z, which does not split by block, the
     witness value sits below the dual norm of every sampled point of
-    phi0 + Z and below the Powell oracle; the upper end is attained."""
+    phi0 + Z and below the Powell oracle; the upper end is attained.  The
+    witness X is re-checked without witness_value: it annihilates Z, and
+    every sampled phi pairs with X / ||X|| to at most ||phi||_dual."""
     norm, d = WITNESS_NORMS[name]
     rng = np.random.default_rng(seed)
     phi0 = rng.standard_normal(d) + 1j * rng.standard_normal(d)
@@ -564,11 +566,18 @@ def test_witness_is_a_lower_bound(name, k, seed):
     assert abs(float(norm.dual(best["phi"])) - best["upper"]) <= 1e-12 * best["upper"]
     step = best["phi"] - phi0   # lies in Z
     assert np.abs((z.conj() @ step) @ z - step).max(initial=0.0) <= 1e-12
+    x = best["witness"]
+    assert np.abs(z @ x).max(initial=0.0) <= 1e-12 * np.linalg.norm(x)
+    size = float(norm.eval(x))
     slack = 1e-12 * best["upper"]
     assert best["lower"] <= best["upper"] + slack
     for _ in range(20):
         c = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-        assert best["lower"] <= float(norm.dual(phi0 + c @ z)) + slack
+        phi = phi0 + c @ z
+        dual = float(norm.dual(phi))
+        assert best["lower"] <= dual + slack
+        if size > 0:
+            assert float((phi @ x).real) / size <= dual * (1 + 1e-12)
     if k:
         assert best["lower"] <= _powell_oracle(norm, phi0, z) + slack
 

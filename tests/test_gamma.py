@@ -409,6 +409,26 @@ def test_batched_candidate_costs_equal_single_row_sums(case):
     assert method == candidates[batched.index(cost)][1]
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=_spec_and_extremal())
+def test_am_witnesses_recertify(case):
+    """What am_pointwise returns, re-checked outside its path: the lower
+    matrix by _full_cert, and the upper pairs re-multiplied to the identity
+    and re-normed one vector at a time."""
+    spec = case[0]
+    n = spec.index_size
+    bracket = gm.am_pointwise(n, spec)
+    mat = bracket.witness_lower[0]
+    cert = _full_cert(spec, mat)
+    assert cert <= 1.0 + 1e-9
+    assert bracket.lower <= float(np.trace(mat).real) / cert * (1 + 1e-12)
+    pairs = bracket.witness_upper[0]
+    xs, ys = (np.array(v) for v in zip(*pairs))
+    assert np.abs(xs.T @ ys - np.eye(n)).max() <= 1e-12
+    cost = _single_row_cost(spec, pairs)
+    assert abs(cost - bracket.upper) <= 1e-12 * cost
+
+
 def test_am_pointwise_makes_two_lattice_calls(monkeypatch):
     calls = []
 
