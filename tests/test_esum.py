@@ -316,3 +316,62 @@ def test_norming_elements():
             dual = float(norm.dual(phi))
             assert float(norm.eval(x)) <= 1.0 + 1e-12
             assert abs(phi @ x - dual) <= 1e-12 * dual
+
+
+# ---------------------------------------------------------------------------
+# The blocked sampler against a one-shot replay
+# ---------------------------------------------------------------------------
+
+def _one_shot_pair_norms(rng, alg, samples):
+    """The one-shot sampler: the real and imaginary parts of u, then of v,
+    as four (samples, dim) draws, and the norms of u, v and uv over the
+    whole batch at once."""
+    d = alg.dim
+    u = rng.standard_normal((samples, d)) + 1j * rng.standard_normal((samples, d))
+    v = rng.standard_normal((samples, d)) + 1j * rng.standard_normal((samples, d))
+    uv = np.einsum("ni,nj,ijk->nk", u, v, alg.structure)
+    return alg.norm.eval(u), alg.norm.eval(v), alg.norm.eval(uv)
+
+
+def _one_shot_ratio(nu, nv, nuv):
+    return float((nuv / np.maximum(nu * nv, 1e-300)).max(initial=0.0))
+
+
+def _one_shot_esum_ratio(alg, samples, seed):
+    rng = np.random.default_rng(seed)
+    cols = [_one_shot_pair_norms(rng, a, samples) for a in alg.summands]
+    return _one_shot_ratio(*(lt.norm_eval_batch(alg.lattice, np.stack(c, axis=1))
+                             for c in zip(*cols)))
+
+
+CLOSED_FORM_LATTICES = {"sup": lt.sup_norm(3), "weighted_sup": lt.weighted_sup([1.0, 2.5, 1.5]),
+                        "lp": lt.lp_norm(1.5, 3)}
+SAMPLE_COUNTS = (0, 1, 2047, 2049, 4095, 4097, 10_000)
+
+
+@pytest.mark.parametrize("kind", sorted(CLOSED_FORM_LATTICES))
+@pytest.mark.parametrize("seed", [0, 7, 42])
+def test_certification_replays_the_one_shot_sampler(kind, seed):
+    """worst_ratio is the one-shot sampler's float, bit for bit, on summands
+    of different dimensions, for sample counts on both sides of a block."""
+    m2 = es.matrix_units_algebra(2)
+    alg = es.ESumAlgebra([m2, es.scalar_algebra(), m2], CLOSED_FORM_LATTICES[kind])
+    for samples in SAMPLE_COUNTS:
+        rep = alg.certify_submultiplicative(samples=samples, seed=seed)
+        assert rep == {"samples": samples, "ok": True,
+                       "worst_ratio": _one_shot_esum_ratio(alg, samples, seed)}, samples
+
+
+@pytest.mark.parametrize("kind", sorted(CLOSED_FORM_LATTICES))
+def test_failing_sum_raises_the_one_shot_ratio(kind):
+    broken = es.FiniteAlgebra([[[1.0]]], BrokenNorm(), samples=0)
+    alg = es.ESumAlgebra([broken, es.scalar_algebra(), broken], CLOSED_FORM_LATTICES[kind])
+    for samples, seed in ((500, 0), (4097, 7), (10_000, 42)):
+        ratio = _one_shot_esum_ratio(alg, samples, seed)
+        with pytest.raises(es.AlgebraError) as err:
+            alg.certify_submultiplicative(samples=samples, seed=seed)
+        assert str(err.value) == f"esum({kind}): norm is not submultiplicative (ratio {ratio:.6g})"
+    ratio = _one_shot_ratio(*_one_shot_pair_norms(np.random.default_rng(3), broken, 5000))
+    with pytest.raises(es.AlgebraError) as err:
+        es.FiniteAlgebra([[[1.0]]], BrokenNorm(), samples=5000, seed=3, label="broken")
+    assert str(err.value) == f"broken: norm is not submultiplicative (ratio {ratio:.6g})"

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -507,3 +509,101 @@ def test_inverse_matches_bisection(phi, level, node):
             continue
         got = lt.generalized_inverse(phi, s)
         assert abs(got - want) <= 1e-10 * max(want, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# The piecewise-linear Luxemburg solve against the all-knots solve
+# ---------------------------------------------------------------------------
+
+def _all_knots_luxemburg(phi, rows, block=2 ** 20):
+    """The all-knots solve the sorted-kink solve replaced: S(u) at every
+    breakpoint t_k / x_i of every row, capped at ``top``, then one linear
+    interpolation on the segment where S crosses 1 and the same nextafter
+    feasibility step.  It holds rows x n x (n K + 2) floats, so it runs on
+    blocks of rows; rows are independent, so blocking changes no value."""
+    rows = np.asarray(rows, dtype=float)
+    m = rows.max(axis=1)
+    out = np.zeros(len(rows))
+    active = m > 0
+    r, m = rows[active], m[active]
+    ts = phi.nodes[0][1:]
+    top = 2.0 * max(ts[-1], 1.0)
+    step = max(1, block // (rows.shape[1] * (rows.shape[1] * len(ts) + 2)))
+    lams = []
+    for a in range(0, len(r), step):
+        rb, mb = r[a:a + step], m[a:a + step]
+        unit = (rb / mb[:, None])[:, :, None]
+        knots = np.full(unit.shape[:2] + ts.shape, top)
+        np.divide(ts, unit, out=knots, where=ts < top * unit)
+        edge = np.zeros((len(rb), 1))
+        knots = np.sort(np.concatenate([edge, knots.reshape(len(rb), -1), edge + top], axis=1))
+        level = phi(unit * knots[:, None, :]).sum(axis=1)
+        i, j = np.arange(len(rb)), np.argmax(level > 1.0, axis=1)
+        u0, u1, s0, s1 = knots[i, j - 1], knots[i, j], level[i, j - 1], level[i, j]
+        lams.append(mb / (u0 + (1.0 - s0) / (s1 - s0) * (u1 - u0)))
+    lam = np.concatenate(lams) if lams else np.zeros(0)
+    bad = phi(r / lam[:, None]).sum(axis=1) > 1.0
+    while np.any(bad):
+        lam[bad] = np.nextafter(lam[bad], np.inf)
+        bad[bad] = phi(r[bad] / lam[bad, None]).sum(axis=1) > 1.0
+    out[active] = lam
+    return out
+
+
+@st.composite
+def convex_tables(draw):
+    """Convex tables off the 0.1 grid: random node spacings and slope
+    increments, some of them 0 (collinear nodes), a first slope that may be
+    positive, and phi(1) scaled to 1."""
+    k = draw(st.integers(1, 5))
+    gaps = draw(st.lists(st.floats(0.01, 2.0), min_size=k, max_size=k))
+    steps = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.01, 5.0)), min_size=k, max_size=k))
+    assume(sum(steps) > 0)
+    ts = np.concatenate([[0.0], np.cumsum(gaps)])
+    ys = np.concatenate([[0.0], np.cumsum(np.cumsum(steps) * np.diff(ts))])
+    table = lt.OrliczFunction.from_table(list(zip(ts, ys)))
+    one = float(table(1.0))
+    assume(one > 0)
+    return lt.OrliczFunction.from_table(list(zip(ts, ys / one)))
+
+
+piecewise_functions = st.one_of(
+    st.floats(0.01, 0.99).map(lt.OrliczFunction.shifted_ramp),
+    monotone_tables(convex=True),
+    convex_tables(),
+)
+
+
+@st.composite
+def luxemburg_rows(draw):
+    """A batch of 1 to 10^4 rows on n = 1..16 coordinates from a drawn seed:
+    moduli over six decades with some zeros, and among them zero rows,
+    indicator rows, rows with entries near 1e-320 beside entries near 1,
+    and rows lying wholly near 1e-320."""
+    n = draw(st.integers(1, 16))
+    count = draw(st.one_of(st.integers(1, 40), st.sampled_from([1000, 10_000])))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rows = rng.exponential(size=(count, n)) * 10.0 ** rng.integers(-3, 4, size=(count, 1))
+    rows[rng.random((count, n)) < 0.2] = 0.0
+    kind = rng.integers(0, 6, size=count)
+    rows[kind == 0] = 0.0
+    rows[kind == 1] = rng.random(((kind == 1).sum(), n)) < 0.5
+    tiny = rng.random((count, n)) < 0.5
+    rows[(kind == 2)[:, None] & tiny] = 1e-320
+    rows[kind == 3] = 1e-320 * rng.integers(1, 100, size=((kind == 3).sum(), n))
+    return rows
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(phi=piecewise_functions, rows=luxemburg_rows())
+def test_luxemburg_matches_all_knots_solve(phi, rows):
+    """Within 4 ulp of the all-knots solve, feasible as evaluated, and
+    without a RuntimeWarning, on every kind of row."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = lt.luxemburg_batch(phi, rows)
+        want = _all_knots_luxemburg(phi, rows)
+        live = got > 0
+        assert np.array_equal(live, rows.max(axis=1) > 0)
+        assert np.all(np.abs(got - want) <= 4 * np.spacing(want))
+        assert np.all(phi(rows[live] / got[live, None]).sum(axis=1) <= 1.0)
