@@ -20,6 +20,7 @@ A sum is checked once, summand by summand under the lattice norm
 (:meth:`ESumAlgebra.certify_submultiplicative`); its assembled block
 algebra (:meth:`ESumAlgebra.as_finite_algebra`) is not sampled again,
 because a Gaussian pair on the whole space is a Gaussian pair on each block.
+One sampler serves both, ``ROW_BLOCK`` pairs at a time.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .lattice import (LatticeNormSpec, chi_norm, delta_norm, dual_extremal, dual
 
 SUBMULT_SAMPLES = 10_000
 SUBMULT_TOL = 1e-9
-MULTIPLY_BLOCK = 2 ** 18   # complex entries of one block's (rows, d, d) partial products
+ROW_BLOCK = 2048   # sampled pairs in one block; multiply's blocks hold as many products
 
 
 class AlgebraError(ValueError):
@@ -149,19 +150,14 @@ class LatticeBlockNorm(CoordinateNorm):
         self.lattice = lattice
         self.block_norms = list(block_norms)
         self.block_dims = list(block_dims)
-        self.slices = []
-        start = 0
-        for d in self.block_dims:
-            self.slices.append(slice(start, start + d))
-            start += d
-        self.dim = start
+        ends = np.cumsum([0] + self.block_dims).tolist()
+        self.slices = [slice(a, b) for a, b in zip(ends, ends[1:])]
+        self.dim = ends[-1]
 
     def _block_values(self, v, dual=False):
         v = np.asarray(v)
-        cols = []
-        for nrm, sl in zip(self.block_norms, self.slices):
-            cols.append(nrm.dual(v[..., sl]) if dual else nrm.eval(v[..., sl]))
-        return np.stack(cols, axis=-1)
+        return np.stack([nrm.dual(v[..., sl]) if dual else nrm.eval(v[..., sl])
+                         for nrm, sl in zip(self.block_norms, self.slices)], axis=-1)
 
     def eval(self, v):
         vals = self._block_values(v)
@@ -223,20 +219,19 @@ class FiniteAlgebra:
         self._right = c.transpose(1, 0, 2).reshape(self.dim, -1)   # [j, (i, k)] = c[i, j, k]
         self.commutative = bool(np.allclose(c, c.transpose(1, 0, 2), atol=1e-12))
         self.unit = self._find_unit()
-        rng = np.random.default_rng(seed)
-        _worst_ratio(self.label, *_sample_pair_norms(rng, self, samples))
+        _worst_ratio(self.label, np.random.default_rng(seed), [self], samples)
 
     # b_i b_j = sum_k c[i,j,k] b_k
     def multiply(self, u, v):
-        """Products of u and v, broadcast over leading axes.  The partial
-        products w[i, k] = sum_j v_j c[i, j, k] are one BLAS product per
-        block of rows, each block holding at most ``MULTIPLY_BLOCK`` of
-        them; then (uv)_k = sum_i u_i w[i, k]."""
+        """Products of u and v, broadcast over leading axes: the partial
+        products w[i, k] = sum_j v_j c[i, j, k] as one BLAS product per
+        ``ROW_BLOCK // dim`` rows (as many entries as ``ROW_BLOCK`` rows of
+        products), then (uv)_k = sum_i u_i w[i, k]."""
         u, v = np.broadcast_arrays(u, v)
         shape, d = u.shape, self.dim
         u, v = u.reshape(-1, d), v.reshape(-1, d)
         out = np.empty(u.shape, dtype=np.result_type(u, v, self._right))
-        step = max(1, MULTIPLY_BLOCK // (d * d))
+        step = max(1, ROW_BLOCK // d)
         for a in range(0, len(u), step):
             w = (v[a:a + step] @ self._right).reshape(-1, d, d)
             out[a:a + step] = np.einsum("ni,nik->nk", u[a:a + step], w)
@@ -274,19 +269,28 @@ class FiniteAlgebra:
         return self.unit is not None
 
 
-def _sample_pair_norms(rng, algebra, count):
-    """Norms of ``count`` random pairs u, v and of their products uv.  The
-    draws come in a fixed order: the real part of u, its imaginary part,
-    then the same for v."""
-    u = rng.standard_normal((count, algebra.dim)) + 1j * rng.standard_normal((count, algebra.dim))
-    v = rng.standard_normal((count, algebra.dim)) + 1j * rng.standard_normal((count, algebra.dim))
-    return algebra.norm.eval(u), algebra.norm.eval(v), algebra.norm.eval(algebra.multiply(u, v))
-
-
-def _worst_ratio(label, nu, nv, nuv):
-    """The worst sampled ratio ||uv|| / (||u|| ||v||), 0 without samples;
-    above 1 + SUBMULT_TOL it raises AlgebraError."""
-    worst = float((nuv / np.maximum(nu * nv, 1e-300)).max(initial=0.0))
+def _worst_ratio(label, rng, algebras, samples, lattice=None):
+    """The worst ratio ||uv|| / (||u|| ||v||) over ``samples`` Gaussian pairs,
+    0 without samples; above 1 + SUBMULT_TOL it raises AlgebraError.  Each
+    algebra draws its (re u, im u, re v, im v) in turn as one array; with a
+    lattice, its norms of a pair's coordinates are normed again by it.
+    Blocks of ``ROW_BLOCK`` pairs pass through the products, the algebras'
+    norms, one lattice call for u, v and uv, and a running worst ratio."""
+    if samples < 0:
+        raise ValueError(f"samples must be nonnegative, got {samples}")
+    draws = [rng.standard_normal((4, samples, alg.dim)) for alg in algebras]
+    worst = 0.0
+    for a in range(0, samples, ROW_BLOCK):
+        vals = np.empty((len(algebras), 3, min(ROW_BLOCK, samples - a)))
+        for alg, z, out in zip(algebras, draws, vals):
+            pair = np.empty((2, vals.shape[2], alg.dim), complex)   # u and v
+            pair.real, pair.imag = z[0::2, a:a + ROW_BLOCK], z[1::2, a:a + ROW_BLOCK]
+            out[:2] = alg.norm.eval(pair)
+            out[2] = alg.norm.eval(alg.multiply(pair[0], pair[1]))
+        # the lattice sees the transpose, so its row reductions run down columns
+        nu, nv, nuv = vals[0] if lattice is None else norm_eval_batch(
+            lattice, vals.reshape(len(algebras), -1).T).reshape(3, -1)
+        worst = max(worst, float((nuv / np.maximum(nu * nv, 1e-300)).max()))
     if worst > 1.0 + SUBMULT_TOL:
         raise AlgebraError(f"{label}: norm is not submultiplicative (ratio {worst:.6g})")
     return worst
@@ -378,12 +382,11 @@ class ESumAlgebra:
 
     def certify_submultiplicative(self, samples=SUBMULT_SAMPLES, seed=0):
         """Sample ||ab|| <= ||a|| ||b|| on random element pairs, drawn per
-        summand and normed by the lattice; raises on any violation."""
+        summand and normed by the lattice; raises on any violation, and a
+        negative ``samples`` raises ValueError."""
         rng = np.random.default_rng(seed)
-        cols = [_sample_pair_norms(rng, alg, samples) for alg in self.summands]
-        nu, nv, nuv = (norm_eval_batch(self.lattice, np.stack(c, axis=1)) for c in zip(*cols))
-        worst = _worst_ratio(self.label, nu, nv, nuv)
-        return {"samples": samples, "worst_ratio": worst, "ok": True}
+        return {"samples": samples, "ok": True,
+                "worst_ratio": _worst_ratio(self.label, rng, self.summands, samples, self.lattice)}
 
     def as_finite_algebra(self, *, samples=SUBMULT_SAMPLES, seed=0):
         """The same algebra as one block FiniteAlgebra (block-diagonal

@@ -24,8 +24,10 @@ with a vector attaining it (``max_square_sum``).
 
 Every named Orlicz family is evaluated in closed form, without iteration: a
 power phi(t) = t**p reduces to the lp formulas, and the shifted ramp and
-tables are piecewise linear, so both the generalized inverse and the
-Luxemburg norm come from interpolating between nodes.
+tables are piecewise linear.  Their generalized inverse interpolates
+between nodes, and their Luxemburg norm sorts each row's kinks and solves
+one linear equation, in O(n K log(n K)) time and memory for n coordinates
+and K kinks of phi.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ import numpy as np
 
 
 MAX_TABLE_CANDIDATES = 10 ** 6
-LUXEMBURG_BLOCK = 2 ** 24   # floats in one block's knot levels
 
 
 class UnreachableLevelError(ValueError):
@@ -57,8 +58,8 @@ class OrliczFunction:
     ``a_phi`` caches the degeneracy point sup{t > 0 : phi(t) = 0} (0 when phi
     is positive immediately).  The evaluator accepts numpy arrays.  A
     piecewise-linear phi (shifted ramp, table) carries ``nodes`` = (ts, ys,
-    tail): its nodes from (0, 0) and the slope past the last one; a power phi
-    has ``nodes`` None and its exponent in ``params["p"]``.
+    tail), its nodes from (0, 0) and the last slope, and ``kinks``; a power
+    phi has ``nodes`` None and its exponent in ``params["p"]``.
     """
 
     def __init__(self, evaluator, a_phi, family, params=None, nodes=None):
@@ -67,6 +68,13 @@ class OrliczFunction:
         self.family = family
         self.params = dict(params or {})
         self.nodes = nodes
+        if nodes is not None:
+            # phi(t) = sum_k c_k (t - t_k)_+ over the nodes where the slope
+            # changes, as (t_k, t_k / 2 max(t_K, 1) or 1 at 0, c_k, c_k t_k)
+            ts, ys, _ = nodes
+            c = np.diff(np.diff(ys) / np.diff(ts), prepend=0.0)
+            t, c = ts[:-1][c != 0], c[c != 0]
+            self.kinks = (t, np.where(t > 0, t / (2.0 * max(ts[-1], 1.0)), 1.0), c, c * t)
         v0 = float(self.evaluator(0.0))
         if abs(v0) > 1e-15:
             raise LatticeSpecError(f"phi(0) must be 0, got {v0}")
@@ -270,45 +278,27 @@ def _validate_vector(spec, x):
 
 
 def _lp_batch(rows, p):
-    """(sum_i x_i**p)**(1/p) per row, scaled by the row maximum."""
+    """(sum_i x_i**p)**(1/p) per row, scaled by the row maximum; each row
+    is summed as a C-ordered batch sums it, whatever the batch's layout."""
     m = rows.max(axis=1)
     safe = np.where(m > 0, m, 1.0)
-    return safe * ((rows / safe[:, None]) ** p).sum(axis=1) ** (1.0 / p)
-
-
-def _piecewise_luxemburg(phi, r, m):
-    """The breakpoint solve of :func:`luxemburg_batch` for a piecewise-linear
-    phi, on nonzero rows r with maxima m."""
-    ts = phi.nodes[0][1:]
-    top = 2.0 * max(ts[-1], 1.0)
-    unit = (r / m[:, None])[:, :, None]
-    knots = np.full(unit.shape[:2] + ts.shape, top)
-    np.divide(ts, unit, out=knots, where=ts < top * unit)
-    edge = np.zeros((len(r), 1))
-    knots = np.sort(np.concatenate([edge, knots.reshape(len(r), -1), edge + top], axis=1))
-    level = phi(unit * knots[:, None, :]).sum(axis=1)
-    # level[:, 0] = S(0) = 0, so the first knot with S > 1 has index j >= 1
-    i, j = np.arange(len(r)), np.argmax(level > 1.0, axis=1)
-    u0, u1, s0, s1 = knots[i, j - 1], knots[i, j], level[i, j - 1], level[i, j]
-    return m / (u0 + (1.0 - s0) / (s1 - s0) * (u1 - u0))
+    return safe * np.ascontiguousarray((rows / safe[:, None]) ** p).sum(axis=1) ** (1.0 / p)
 
 
 def luxemburg_batch(phi, rows):
     """Luxemburg norms inf{lam > 0 : sum_i phi(x_i / lam) <= 1} of the rows
     of a nonnegative matrix, in closed form; rows of zeros get norm 0.
 
-    A power phi gives the lp norm.  For a piecewise-linear phi and a row r
-    scaled to maximum 1, S(u) = sum_i phi(r_i u) is piecewise linear with
-    breakpoints t_k / r_i at the nodes t_k.  The knot ``top`` has
-    S(top) >= phi(top) > 1 by the admissibility gate and stands in for every
-    breakpoint beyond it, so zero coordinates add none.  On the segment
-    before the first sorted knot with S > 1, S(u*) = 1 is one linear
-    equation, and the norm is max_i x_i / u*.  Rounding is corrected towards
-    the feasible side: the returned lam satisfies sum_i phi(x_i / lam) <= 1
-    as evaluated, stepped up by ``np.nextafter`` where it did not.  The
-    solve takes rows x n x (n K + 2) floats for K nodes, so it runs on
-    blocks of rows that keep this under ``LUXEMBURG_BLOCK``; rows are
-    independent, so blocking changes no value.
+    A power phi gives the lp norm.  A piecewise-linear phi is the sum of
+    c_k (t - t_k)_+ over its kinks, so for a row r scaled to maximum 1,
+    S(u) = sum_i phi(r_i u) has kinks at p = t_k / r_i of weight c_k r_i.
+    Sorted by p, the prefix sums A_j of the weights and B_j of c_k t_k give
+    the lines A_j u - B_j, and S, as phi is convex, is the largest of them:
+    max_j A_j / (1 + B_j) is 1 / u* for S(u*) = 1 up to rounding, and the
+    kinks at or below u* pick the line, solved from its first kink.  A
+    kink's p is capped near 2 max(t_K, 1), past u*, so it cannot overflow.
+    The returned lam satisfies sum_i phi(x_i / lam) <= 1 as evaluated,
+    stepped up by ``np.nextafter`` where rounding left it outside.
     """
     rows = np.asarray(rows, dtype=float)
     m = rows.max(axis=1)
@@ -320,10 +310,17 @@ def luxemburg_batch(phi, rows):
     if phi.nodes is None:
         lam = _lp_batch(r, phi.params["p"])
     else:
-        n, nodes = r.shape[1], len(phi.nodes[0]) - 1
-        step = max(1, LUXEMBURG_BLOCK // (n * (n * nodes + 2)))
-        lam = np.concatenate([_piecewise_luxemburg(phi, r[i:i + step], m[i:i + step])
-                              for i in range(0, len(r), step)])
+        t, floor, c, ct = phi.kinks
+        unit = (r / m[:, None])[:, :, None]
+        pos = (t / np.maximum(unit, floor)).reshape(len(r), -1)
+        col = np.arange(len(r))
+        # each row's kinks by rank in a column, so the sums run across rows
+        idx = np.ascontiguousarray(np.argsort(pos, axis=1).T) + col * pos.shape[1]
+        p, a = pos.ravel()[idx], (unit * c).ravel()[idx].cumsum(axis=0)
+        b = ct[idx % len(c)].cumsum(axis=0)
+        j = (p[1:] * (a / (1.0 + b)).max(axis=0) <= 1.0).sum(axis=0)
+        p, a, b = p[j, col], a[j, col], b[j, col]
+        lam = m / (p + (1.0 - (a * p - b)) / a)
     bad = phi(r / lam[:, None]).sum(axis=1) > 1.0
     while np.any(bad):
         lam[bad] = np.nextafter(lam[bad], np.inf)
@@ -334,7 +331,7 @@ def luxemburg_batch(phi, rows):
 
 def norm_eval_batch(spec, rows):
     """Norms of the rows of a (batch, index_size) array of moduli."""
-    rows = np.abs(np.asarray(rows)).astype(float)
+    rows = np.abs(np.asarray(rows)).astype(float, copy=False)
     if spec.weights is not None:
         return (rows * spec.weights).max(axis=1)
     if spec.kind == "lp":

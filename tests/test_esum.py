@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -55,11 +57,11 @@ class TestFiniteAlgebra:
         assert np.allclose(m2.multiply(a, b), direct)
         assert abs(m2.norm_of(a) - np.linalg.svd(a.reshape(2, 2), compute_uv=False)[0]) <= 1e-12
 
-    @pytest.mark.parametrize("block", [es.MULTIPLY_BLOCK, 40])
+    @pytest.mark.parametrize("block", [es.ROW_BLOCK, 40])
     def test_blocked_product_equals_einsum(self, block, monkeypatch):
         # the BLAS partial products give the three-operand einsum's floats
         # on matrix-unit cubes, in one block or in many, broadcast or not
-        monkeypatch.setattr(es, "MULTIPLY_BLOCK", block)
+        monkeypatch.setattr(es, "ROW_BLOCK", block)
         rng = np.random.default_rng(1)
         for alg in (es.scalar_algebra(), es.matrix_units_algebra(2), es.matrix_units_algebra(3)):
             d = alg.dim
@@ -345,24 +347,26 @@ def _one_shot_esum_ratio(alg, samples, seed):
 
 
 CLOSED_FORM_LATTICES = {"sup": lt.sup_norm(3), "weighted_sup": lt.weighted_sup([1.0, 2.5, 1.5]),
-                        "lp": lt.lp_norm(1.5, 3)}
-SAMPLE_COUNTS = (0, 1, 2047, 2049, 4095, 4097, 10_000)
+                        "lp": lt.lp_norm(1.5, 3), "lp-9": lt.lp_norm(2.5, 9)}
+SAMPLE_COUNTS = (0, 1, es.ROW_BLOCK - 1, es.ROW_BLOCK + 1, 10_000)
 
 
 @pytest.mark.parametrize("kind", sorted(CLOSED_FORM_LATTICES))
 @pytest.mark.parametrize("seed", [0, 7, 42])
 def test_certification_replays_the_one_shot_sampler(kind, seed):
     """worst_ratio is the one-shot sampler's float, bit for bit, on summands
-    of different dimensions, for sample counts on both sides of a block."""
+    of different dimensions, for sample counts on both sides of a block;
+    nine lp summands sum each row with eight accumulators."""
+    lattice = CLOSED_FORM_LATTICES[kind]
     m2 = es.matrix_units_algebra(2)
-    alg = es.ESumAlgebra([m2, es.scalar_algebra(), m2], CLOSED_FORM_LATTICES[kind])
+    alg = es.ESumAlgebra([m2, es.scalar_algebra(), m2] * (lattice.index_size // 3), lattice)
     for samples in SAMPLE_COUNTS:
         rep = alg.certify_submultiplicative(samples=samples, seed=seed)
         assert rep == {"samples": samples, "ok": True,
                        "worst_ratio": _one_shot_esum_ratio(alg, samples, seed)}, samples
 
 
-@pytest.mark.parametrize("kind", sorted(CLOSED_FORM_LATTICES))
+@pytest.mark.parametrize("kind", ["lp", "sup", "weighted_sup"])
 def test_failing_sum_raises_the_one_shot_ratio(kind):
     broken = es.FiniteAlgebra([[[1.0]]], BrokenNorm(), samples=0)
     alg = es.ESumAlgebra([broken, es.scalar_algebra(), broken], CLOSED_FORM_LATTICES[kind])
@@ -375,3 +379,24 @@ def test_failing_sum_raises_the_one_shot_ratio(kind):
     with pytest.raises(es.AlgebraError) as err:
         es.FiniteAlgebra([[[1.0]]], BrokenNorm(), samples=5000, seed=3, label="broken")
     assert str(err.value) == f"broken: norm is not submultiplicative (ratio {ratio:.6g})"
+
+
+def test_negative_samples_are_refused():
+    alg = es.ESumAlgebra([es.scalar_algebra()] * 2, lt.sup_norm(2))
+    with pytest.raises(ValueError, match="^samples must be nonnegative, got -5$"):
+        alg.certify_submultiplicative(samples=-5)
+    with pytest.raises(ValueError, match="^samples must be nonnegative, got -5$"):
+        es.FiniteAlgebra([[[1.0]]], es.MaxAbsCoordinate(), samples=-5)
+
+
+def test_orlicz_certification_memory():
+    """Eight scalar summands under a shifted-ramp lattice at 10^4 samples
+    peak under 10 MB: no rows x n x n K knot array, no unblocked batch."""
+    alg = scalar_sum(lt.orlicz_norm(lt.OrliczFunction.shifted_ramp(0.5), 8))
+    tracemalloc.start()
+    try:
+        rep = alg.certify_submultiplicative(samples=10_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep["ok"] and peak <= 10 * 2 ** 20, peak
