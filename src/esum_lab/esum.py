@@ -150,14 +150,19 @@ class LatticeBlockNorm(CoordinateNorm):
         self.lattice = lattice
         self.block_norms = list(block_norms)
         self.block_dims = list(block_dims)
-        ends = np.cumsum([0] + self.block_dims).tolist()
-        self.slices = [slice(a, b) for a, b in zip(ends, ends[1:])]
-        self.dim = ends[-1]
+        self.slices = []
+        start = 0
+        for d in self.block_dims:
+            self.slices.append(slice(start, start + d))
+            start += d
+        self.dim = start
 
     def _block_values(self, v, dual=False):
         v = np.asarray(v)
-        return np.stack([nrm.dual(v[..., sl]) if dual else nrm.eval(v[..., sl])
-                         for nrm, sl in zip(self.block_norms, self.slices)], axis=-1)
+        cols = []
+        for nrm, sl in zip(self.block_norms, self.slices):
+            cols.append(nrm.dual(v[..., sl]) if dual else nrm.eval(v[..., sl]))
+        return np.stack(cols, axis=-1)
 
     def eval(self, v):
         vals = self._block_values(v)
@@ -270,12 +275,10 @@ class FiniteAlgebra:
 
 
 def _worst_ratio(label, rng, algebras, samples, lattice=None):
-    """The worst ratio ||uv|| / (||u|| ||v||) over ``samples`` Gaussian pairs,
-    0 without samples; above 1 + SUBMULT_TOL it raises AlgebraError.  Each
-    algebra draws its (re u, im u, re v, im v) in turn as one array; with a
-    lattice, its norms of a pair's coordinates are normed again by it.
-    Blocks of ``ROW_BLOCK`` pairs pass through the products, the algebras'
-    norms, one lattice call for u, v and uv, and a running worst ratio."""
+    """The worst ratio ||uv|| / (||u|| ||v||) over ``samples`` Gaussian pairs
+    (0 without), drawn as (re u, im u, re v, im v) per algebra in turn and
+    with a lattice normed again by it; above 1 + SUBMULT_TOL it raises
+    AlgebraError.  Pairs go ``ROW_BLOCK`` at a time."""
     if samples < 0:
         raise ValueError(f"samples must be nonnegative, got {samples}")
     draws = [rng.standard_normal((4, samples, alg.dim)) for alg in algebras]

@@ -25,9 +25,9 @@ with a vector attaining it (``max_square_sum``).
 Every named Orlicz family is evaluated in closed form, without iteration: a
 power phi(t) = t**p reduces to the lp formulas, and the shifted ramp and
 tables are piecewise linear.  Their generalized inverse interpolates
-between nodes, and their Luxemburg norm sorts each row's kinks and solves
-one linear equation, in O(n K log(n K)) time and memory for n coordinates
-and K kinks of phi.
+between nodes, and their Luxemburg norm sorts each row's n K kinks (n
+coordinates, K kinks of phi) and solves one linear equation, in
+O(n K log(n K)) time and O(n K) memory per row.
 """
 
 from __future__ import annotations
@@ -290,29 +290,26 @@ def luxemburg_batch(phi, rows):
     of a nonnegative matrix, in closed form; rows of zeros get norm 0.
 
     A power phi gives the lp norm.  A piecewise-linear phi is the sum of
-    c_k (t - t_k)_+ over its kinks, so for a row r scaled to maximum 1,
-    S(u) = sum_i phi(r_i u) has kinks at p = t_k / r_i of weight c_k r_i.
-    Sorted by p, the prefix sums A_j of the weights and B_j of c_k t_k give
-    the lines A_j u - B_j, and S, as phi is convex, is the largest of them:
-    max_j A_j / (1 + B_j) is 1 / u* for S(u*) = 1 up to rounding, and the
-    kinks at or below u* pick the line, solved from its first kink.  A
-    kink's p is capped near 2 max(t_K, 1), past u*, so it cannot overflow.
-    The returned lam satisfies sum_i phi(x_i / lam) <= 1 as evaluated,
-    stepped up by ``np.nextafter`` where rounding left it outside.
+    c_k (t - t_k)_+ over its kinks, so S(u) = sum_i phi(r_i u), for a row r
+    scaled to maximum 1, has kinks at t_k / r_i (capped near 2 max(t_K, 1))
+    of weight c_k r_i.  Sorted, their prefix sums A_j (of weights) and B_j
+    (of c_k t_k) give lines A_j u - B_j whose largest is S (phi is convex):
+    max_j A_j / (1 + B_j) = 1 / u* locates the segment where S(u*) = 1, and
+    its line is solved from its first kink.  The returned lam satisfies
+    sum_i phi(x_i / lam) <= 1 as evaluated, stepped up by ``np.nextafter``
+    where rounding left it outside.
     """
     rows = np.asarray(rows, dtype=float)
     m = rows.max(axis=1)
     out = np.zeros(rows.shape[0])
     active = m > 0
-    if not np.any(active):
-        return out
     r, m = rows[active], m[active]
     if phi.nodes is None:
         lam = _lp_batch(r, phi.params["p"])
     else:
         t, floor, c, ct = phi.kinks
         unit = (r / m[:, None])[:, :, None]
-        pos = (t / np.maximum(unit, floor)).reshape(len(r), -1)
+        pos = (t / np.maximum(unit, floor)).reshape(len(r), r.shape[1] * len(t))
         col = np.arange(len(r))
         # each row's kinks by rank in a column, so the sums run across rows
         idx = np.ascontiguousarray(np.argsort(pos, axis=1).T) + col * pos.shape[1]
