@@ -276,12 +276,14 @@ class FiniteAlgebra:
 
 def _worst_ratio(label, rng, algebras, samples, lattice=None):
     """The worst ratio ||uv|| / (||u|| ||v||) over ``samples`` Gaussian pairs
-    (0 without), drawn as (re u, im u, re v, im v) per algebra in turn and
-    with a lattice normed again by it; above 1 + SUBMULT_TOL it raises
-    AlgebraError.  Pairs go ``ROW_BLOCK`` at a time."""
+    (0 without), drawn as (re u, im u, re v, im v) per algebra in turn and,
+    with a lattice, normed again by it; AlgebraError above 1 + SUBMULT_TOL."""
     if samples < 0:
         raise ValueError(f"samples must be nonnegative, got {samples}")
-    draws = [rng.standard_normal((4, samples, alg.dim)) for alg in algebras]
+    # one buffer, the same stream as a draw per algebra, keeps the heap from shrinking
+    sizes = [4 * samples * alg.dim for alg in algebras]
+    flat = np.split(rng.standard_normal(sum(sizes)), np.cumsum(sizes)[:-1])
+    draws = [z.reshape(4, samples, alg.dim) for z, alg in zip(flat, algebras)]
     worst = 0.0
     for a in range(0, samples, ROW_BLOCK):
         vals = np.empty((len(algebras), 3, min(ROW_BLOCK, samples - a)))

@@ -69,8 +69,7 @@ class OrliczFunction:
         self.params = dict(params or {})
         self.nodes = nodes
         if nodes is not None:
-            # phi(t) = sum_k c_k (t - t_k)_+ over the nodes where the slope
-            # changes, as (t_k, t_k / 2 max(t_K, 1) or 1 at 0, c_k, c_k t_k)
+            # phi = sum_k c_k (t - t_k)_+: (t_k, t_k / 2 max(t_K, 1) or 1 at 0, c_k, c_k t_k)
             ts, ys, _ = nodes
             c = np.diff(np.diff(ys) / np.diff(ts), prepend=0.0)
             t, c = ts[:-1][c != 0], c[c != 0]
@@ -278,8 +277,7 @@ def _validate_vector(spec, x):
 
 
 def _lp_batch(rows, p):
-    """(sum_i x_i**p)**(1/p) per row, scaled by the row maximum; each row
-    is summed as a C-ordered batch sums it, whatever the batch's layout."""
+    """(sum_i x_i**p)**(1/p) per row, scaled by the row maximum and summed in C order."""
     m = rows.max(axis=1)
     safe = np.where(m > 0, m, 1.0)
     return safe * np.ascontiguousarray((rows / safe[:, None]) ** p).sum(axis=1) ** (1.0 / p)
