@@ -354,8 +354,9 @@ def test_table_enumeration_cap_raises_quickly():
 
 
 def test_orbit_witness_at_n_64():
-    # 4096 orbit pairs: luxemburg_batch solves them in blocks of 2016 rows,
-    # and the bracket still closes
+    # 4096 orbit pairs in one luxemburg_batch call: the bracket still closes,
+    # and each row, the former block edges 2015-2017 among them, gets the
+    # norm it gets alone
     n = 64
     spec = lt.orlicz_norm(lt.OrliczFunction.shifted_ramp(0.5), n)
     br = gm.am_pointwise(n, spec)
