@@ -7,16 +7,22 @@ from esum_lab import esum as es
 from esum_lab import lattice as lt
 
 
-def _monolithic_derivations(algebra):
-    """Oracle: the nullspace of the whole d^3 x d^2 Leibniz system, at
-    RANK_TOL relative to its own largest singular value."""
-    c = algebra.structure
-    d = algebra.dim
+def _three_einsum_system(c):
+    """Oracle: the (dim^3, dim^2) Leibniz system of the cube c, row index
+    (i, j, k), as the three terms of the identity summed by einsum."""
+    d = len(c)
     basis = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
     t1 = np.einsum("ijm,bkm->bijk", c, basis)
     t2 = np.einsum("kiq,bqj->bijk", c, basis)
     t3 = np.einsum("jkq,bqi->bijk", c, basis)
-    system = (t1 - t2 - t3).reshape(d * d, d ** 3).T
+    return (t1 - t2 - t3).reshape(d * d, d ** 3).T
+
+
+def _monolithic_derivations(algebra):
+    """Oracle: the nullspace of the whole d^3 x d^2 Leibniz system, at
+    RANK_TOL relative to its own largest singular value."""
+    d = algebra.dim
+    system = _three_einsum_system(algebra.structure)
     _, s, vh = np.linalg.svd(system, full_matrices=True)
     rank = int(np.sum(s > dv.RANK_TOL * s[0])) if s[0] > 0 else 0
     return vh[rank:].conj().reshape(-1, d, d)
@@ -192,6 +198,48 @@ def test_blockwise_matches_monolithic(alg):
     assert np.abs(flat.conj() @ flat.T - np.eye(len(basis))).max(initial=0.0) <= 1e-10
     for mat in basis:
         assert dv.leibniz_residual(alg, mat) <= 1e-10
+
+
+def _assert_same_system(c):
+    got, want = dv._leibniz_system(c), _three_einsum_system(c)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("alg", [es.matrix_units_algebra(2), es.matrix_units_algebra(3),
+                                 es.pointwise_algebra(3), es.square_zero_algebra(),
+                                 _en_algebra(), _nilpotent_algebra()], ids=lambda a: a.label)
+def test_leibniz_system_matches_three_einsums(alg):
+    _assert_same_system(alg.structure)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(alg=block_sums())
+def test_leibniz_system_of_block_sums_matches_three_einsums(alg):
+    _assert_same_system(alg.structure)
+
+
+@pytest.mark.parametrize("which", [0, 1, 2])
+def test_inner_recheck_catches_a_perturbed_block(which, monkeypatch):
+    """An adjoint matrix perturbed on one block of M_2 (+) C (+) M_2 gives
+    inner basis elements that are not derivations, and the re-check of the
+    inner basis refuses them."""
+    alg = _sum_algebra([es.matrix_units_algebra(2), es.scalar_algebra(),
+                        es.matrix_units_algebra(2)], lt.sup_norm(3))
+    adjoint = dv.adjoint_map_matrix
+    calls = []
+
+    def perturbed(c):
+        out = adjoint(c)
+        calls.append(len(c))
+        if len(calls) == which + 1:
+            out = out + 0.01 * np.random.default_rng(which).standard_normal(out.shape)
+        return out
+
+    monkeypatch.setattr(dv, "adjoint_map_matrix", perturbed)
+    with pytest.raises(AssertionError, match="inner derivation violates the Leibniz identity"):
+        dv.derivation_space(alg)
+    assert calls == [4, 1, 4]
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -33,6 +33,18 @@ class TestFiniteAlgebra:
         with pytest.raises(es.AlgebraError):
             es.FiniteAlgebra(c, es.MaxAbsCoordinate())
 
+    @pytest.mark.parametrize("perm", [[0, 1, 2, 3, 4, 5], [4, 0, 2, 5, 1, 3]])
+    def test_associativity_enforced_in_a_later_block(self, perm):
+        # M_2 beside span{b0, b1} with b0 b0 = b1, b1 b0 = b0, so that
+        # (b0 b0) b0 = b0 but b0 (b0 b0) = 0; coordinates relabelled by perm
+        bad = np.zeros((2, 2, 2))
+        bad[0, 0, 1] = 1.0
+        bad[1, 0, 0] = 1.0
+        c = es.block_cube([es.matrix_units_algebra(2).structure, bad])[np.ix_(perm, perm, perm)]
+        with pytest.raises(es.AlgebraError,
+                           match=r"^blocks: structure constants are not associative$"):
+            es.FiniteAlgebra(c, es.MaxAbsCoordinate(), samples=0, label="blocks")
+
     def test_submultiplicativity_certification_aborts(self):
         with pytest.raises(es.AlgebraError):
             es.FiniteAlgebra([[[1.0]]], BrokenNorm(), samples=500)
