@@ -7,9 +7,9 @@ D(ab) = a.D(b) + D(a).b; the inner derivation implemented by phi in A* is
 ad_phi(a) = a.phi - phi.a.
 
 Everything reduces to exact linear algebra on the structure constants,
-solved one block at a time.  The blocks are the connected components of
-the cube's nonzero pattern, so an algebra is the direct sum of its blocks
-and a direct sum of summands splits at least along the summands:
+solved one block at a time.  The blocks come from the algebra (``blocks``,
+the connected components of the cube's nonzero pattern), so an algebra is
+the direct sum of its blocks and a sum of summands splits at least along them:
 
   - the derivation space is the direct sum of each block's derivations
     (the nullspace of that block's own Leibniz system over dim_P^2 matrix
@@ -58,23 +58,27 @@ def adjoint_map_matrix(c):
     return (c - c.transpose(1, 0, 2)).reshape(d * d, d)
 
 
+def _leibniz_defect(c, D):
+    """The defect of the derivation identity for the cube c, of shape
+    (..., d, d, d) for a map D (d, d) or a stack (..., d, d); entry (i, j, k)
+    is sum_m c[i,j,m] D[k,m] - sum_q c[k,i,q] D[q,j] - sum_q c[j,k,q] D[q,i]."""
+    return (np.einsum("ijm,...km->...ijk", c, D) - np.einsum("kiq,...qj->...ijk", c, D)
+            - np.einsum("jkq,...qi->...ijk", c, D))
+
+
 def leibniz_residual(algebra, D):
-    """Max-abs violation of the derivation identity by the matrix D, for an
-    algebra or for a bare structure-constant cube."""
+    """Max-abs violation of the derivation identity by a map D (d, d) or by
+    a whole stack (..., d, d), for an algebra or a bare structure cube."""
     c = algebra.structure if isinstance(algebra, es.FiniteAlgebra) else algebra
-    cd = c @ D   # cd[k,i,j] = sum_q c[k,i,q] D[q,j]
-    # entry (i,j,k): sum_m c[i,j,m] D[k,m] - cd[k,i,j] - cd[j,k,i]
-    return float(np.abs(c @ D.T - cd.transpose(1, 2, 0) - cd.transpose(2, 0, 1)).max())
+    return float(np.abs(_leibniz_defect(c, D)).max(initial=0.0))
 
 
 def _leibniz_system(c):
-    """The (dim^3, dim^2) matrix of D -> Leibniz defect, row index (i, j, k)."""
+    """The (dim^3, dim^2) matrix of D -> Leibniz defect, row index (i, j, k):
+    the defects of the matrix units, one column each."""
     d = len(c)
-    basis = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
-    t1 = np.einsum("ijm,bkm->bijk", c, basis)
-    t2 = np.einsum("kiq,bqj->bijk", c, basis)
-    t3 = np.einsum("jkq,bqi->bijk", c, basis)
-    return (t1 - t2 - t3).reshape(d * d, d ** 3).T
+    units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
+    return _leibniz_defect(c, units).reshape(d * d, d ** 3).T
 
 
 def _rank_split(mats):
@@ -91,22 +95,6 @@ def _rank_split(mats):
     factors = [np.linalg.svd(m, full_matrices=False) for m in mats]
     top = max((float(s[0]) for _, s, _ in factors if s.size), default=0.0)
     return [(int(np.sum(s > RANK_TOL * top)), u, s, vh) for u, s, vh in factors]
-
-
-def _structure_blocks(c):
-    """Index arrays of the connected components of the nonzero pattern of
-    the cube c (i, j and m are linked when c[i,j,m] != 0), ordered by their
-    smallest index.  A block need not be a run of consecutive indices."""
-    nz = c != 0
-    linked = nz.any(axis=2) | nz.any(axis=1) | nz.any(axis=0)
-    reach = (linked | linked.T | np.eye(len(c), dtype=bool)).astype(float)
-    while True:   # transitive closure, by squaring the reachability matrix
-        wider = (reach @ reach > 0).astype(float)
-        if np.array_equal(wider, reach):
-            break
-        reach = wider
-    first = reach.argmax(axis=1)   # the smallest index of each component
-    return [np.flatnonzero(first == k) for k in np.unique(first)]
 
 
 def _embed(rows, d, *index):
@@ -201,10 +189,14 @@ def derivation_space(algebra):
     sends block P into D[P,P], so the inner space and its kernel Z are the
     direct sums of the blocks' own.  An indecomposable algebra is the case
     of a single block, where this is the whole Leibniz system.
+
+    The inner basis is re-checked as embedded.  For a map on P x P every
+    term above needs i, j and k in P, so an element of block P passes when
+    it vanishes off P x P and its restriction satisfies c_P's identity.
     """
     c = algebra.structure
     d = algebra.dim
-    blocks = _structure_blocks(c)
+    blocks = algebra.blocks
     cubes = [c[np.ix_(b, b, b)] for b in blocks]
 
     derivations = [
@@ -218,12 +210,15 @@ def derivation_space(algebra):
             if K is not P:
                 outer = np.einsum("ak,bp->abkp", u, v).reshape(-1, len(K), len(P))
                 derivations.append(_embed(outer, d, K, P))
-    report = DerivationSpaceReport(algebra, np.concatenate(derivations), list(zip(
-        blocks, _rank_split([adjoint_map_matrix(cb) for cb in cubes]))))
+    adjoint = list(zip(blocks, _rank_split([adjoint_map_matrix(cb) for cb in cubes])))
+    report = DerivationSpaceReport(algebra, np.concatenate(derivations), adjoint)
 
     scale = max(1.0, float(np.abs(c).max()))
-    for mat in report.inner_basis:
-        res = leibniz_residual(algebra, mat)
+    ends = np.cumsum([r for _, (r, _, _, _) in adjoint])
+    for b, cb, inner in zip(blocks, cubes, np.split(report.inner_basis, ends[:-1])):
+        own = inner[:, b[:, None], b]   # inner - embed(own) is what lies off b x b
+        off = float(np.abs(inner - _embed(own, d, b, b)).max(initial=0.0))
+        res = max(leibniz_residual(cb, own), off)
         if res > LEIBNIZ_TOL * scale * 10:
             raise AssertionError(f"inner derivation violates the Leibniz identity: {res}")
     return report
@@ -383,14 +378,6 @@ def wam_bracket(algebra, samples=200, seed=0, blocks=None, report=None):
 # Direct-sum checks
 # ---------------------------------------------------------------------------
 
-def _off_block_mass(mat, blocks):
-    mask = np.zeros(mat.shape, dtype=bool)
-    for block in blocks:
-        mask[np.ix_(block, block)] = True
-    off = np.where(mask, 0.0, np.abs(mat))
-    return float(off.max(initial=0.0))
-
-
 def esum_wa_check(summands, lattice, samples=120, seed=0):
     """Assemble the sum as one block algebra and check the finite-scale
     coordinate claims: commutative weakly amenable summands force a zero
@@ -427,10 +414,8 @@ def esum_wa_check(summands, lattice, samples=120, seed=0):
         report["offending_summands"] = offenders
 
     if all_wa:
-        worst = max(
-            (_off_block_mass(mat, blocks) for mat in rep_big.derivation_basis),
-            default=0.0,
-        )
+        owner = np.repeat(np.arange(len(summands)), [a.dim for a in summands])
+        worst = float(np.abs(rep_big.derivation_basis[:, owner[:, None] != owner]).max(initial=0.0))
         report["max_off_block"] = worst
         if worst > 1e-9:
             report["failures"].append(f"derivation basis is not block-diagonal: {worst}")
@@ -503,13 +488,8 @@ def lp_obstruction_demo(B, psi, p, sizes):
         aggregate = float(np.sum(per_coord ** q) ** (1.0 / q))
         reference = float(dist * np.sum(np.abs(w) ** q) ** (1.0 / q))
 
-        # the assembled block map is a genuine derivation of the truncated sum
-        cube = es.block_cube([B.structure] * size)
-        D = np.zeros((B.dim * size, B.dim * size), complex)
-        for i in range(size):
-            sl = slice(i * B.dim, (i + 1) * B.dim)
-            D[sl, sl] = w[i] * ad_psi
-        residual = leibniz_residual(cube, D)
+        # the block map of the w_i ad_psi is a derivation of the truncated sum, block by block
+        residual = leibniz_residual(B, w[:, None, None] * ad_psi)
 
         rows.append({
             "size": size,

@@ -2,8 +2,11 @@
 
 A :class:`FiniteAlgebra` is a basis-free description by structure constants
 ``c[i][j][k]`` (``b_i b_j = sum_k c[i][j][k] b_k``) together with a norm on
-coefficient vectors.  Associativity is verified exactly at construction and
-submultiplicativity of the norm is sampled; failures abort construction.
+coefficient vectors.  Construction finds its ``blocks``, the connected
+components of the cube's nonzero pattern, and checks associativity block by
+block: products across blocks vanish, so both sides of (b_i b_j) b_k =
+b_i (b_j b_k) are 0 unless i, j and k share a block, where both are sums
+within it.  It samples submultiplicativity; a failure aborts construction.
 
 An :class:`ESumAlgebra` glues finitely many summands along a
 :class:`~esum_lab.lattice.LatticeNormSpec`: elements are per-summand
@@ -211,6 +214,19 @@ def _as_complex_cube(structure):
     return c
 
 
+def _structure_blocks(c):
+    """Index arrays of the connected components of the nonzero pattern of
+    the cube c (i, j and m are linked when c[i,j,m] != 0), ordered by their
+    smallest index.  A block need not be a run of consecutive indices."""
+    nz = c != 0
+    linked = nz.any(axis=2) | nz.any(axis=1) | nz.any(axis=0)
+    reach = linked | linked.T | np.eye(len(c), dtype=bool)
+    for _ in range(len(c).bit_length()):   # each squaring doubles the paths' reach
+        reach = reach.astype(float) @ reach > 0
+    first = reach.argmax(axis=1)   # the smallest index of each component
+    return [np.flatnonzero(first == k) for k in np.unique(first)]
+
+
 class FiniteAlgebra:
     """Associative algebra on C^dim given by structure constants and a norm."""
 
@@ -219,6 +235,7 @@ class FiniteAlgebra:
         self.dim = self.structure.shape[0]
         self.norm = norm
         self.label = label or f"algebra(dim={self.dim})"
+        self.blocks = _structure_blocks(self.structure)
         self._check_associativity()
         c = self.structure
         self._right = c.transpose(1, 0, 2).reshape(self.dim, -1)   # [j, (i, k)] = c[i, j, k]
@@ -246,11 +263,12 @@ class FiniteAlgebra:
         return float(self.norm.eval(np.asarray(v, complex)))
 
     def _check_associativity(self):
-        c = self.structure
-        left = np.einsum("ijm,mkl->ijkl", c, c)
-        right = np.einsum("jkm,iml->ijkl", c, c)
-        if not np.allclose(left, right, atol=1e-12):
-            raise AlgebraError(f"{self.label}: structure constants are not associative")
+        for b in self.blocks:   # one cube per block; the module docstring has the argument
+            c = self.structure[np.ix_(b, b, b)]
+            left = np.einsum("ijm,mkl->ijkl", c, c)
+            right = np.einsum("jkm,iml->ijkl", c, c)
+            if not np.allclose(left, right, atol=1e-12):
+                raise AlgebraError(f"{self.label}: structure constants are not associative")
 
     def _find_unit(self):
         c = self.structure
@@ -306,12 +324,12 @@ def scalar_algebra():
     return FiniteAlgebra([[[1.0]]], MaxAbsCoordinate(), samples=0, label="C")
 
 
-def pointwise_algebra(n, norm=None):
-    """C^n with coordinatewise product; default norm is max-abs."""
+def pointwise_algebra(n):
+    """C^n with coordinatewise product and the max-abs norm."""
     c = np.zeros((n, n, n))
     for i in range(n):
         c[i, i, i] = 1.0
-    return FiniteAlgebra(c, norm or MaxAbsCoordinate(), samples=0, label=f"C^{n}")
+    return FiniteAlgebra(c, MaxAbsCoordinate(), samples=0, label=f"C^{n}")
 
 
 def matrix_units_algebra(m):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -145,14 +147,30 @@ class TestSpaces:
     def test_structure_blocks_follow_the_nonzero_pattern(self):
         # M2 on {0, 2, 4, 5}, C on {3}, square-zero on {1}
         alg = _permuted_sum(["M2", "C", "square-zero"], [1.0, 1.0, 1.0], [0, 5, 1, 4, 2, 3])
-        assert [b.tolist() for b in dv._structure_blocks(alg.structure)] == [
+        assert [b.tolist() for b in es._structure_blocks(alg.structure)] == [
             [0, 2, 4, 5], [1], [3]]
+        assert [b.tolist() for b in alg.blocks] == [[0, 2, 4, 5], [1], [3]]
 
     def test_square_zero_pair(self):
         # one derivation per summand and one per ordered pair of summands
         rep = dv.derivation_space(_permuted_sum(["square-zero"] * 2, [1.0, 1.0], [0, 1]))
         assert (rep.dim_derivations, rep.dim_inner) == (4, 0)
         assert not rep.weakly_amenable
+
+    def test_twelve_matrix_copies_stay_small(self):
+        # the blocks are checked one at a time: no d^4 associativity
+        # temporary and no whole-cube re-check of an inner basis element
+        tracemalloc.start()
+        try:
+            alg = es.ESumAlgebra([es.matrix_units_algebra(2)] * 12,
+                                 lt.sup_norm(12)).as_finite_algebra(samples=0)
+            rep = dv.derivation_space(alg)
+            flag, _ = dv.is_weakly_amenable(alg, rep)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [rep.dim_derivations, rep.dim_inner, rep.center_annihilator_dim] == [36, 36, 12]
+        assert flag and peak <= 32 * 2 ** 20, peak
 
     def test_eight_matrix_copies(self):
         alg = es.ESumAlgebra([es.matrix_units_algebra(2)] * 8,
@@ -172,6 +190,16 @@ class TestSpaces:
                          - np.einsum("jkq,qi->ijk", c, D)).max()
             assert dv.leibniz_residual(c, D) == dv.leibniz_residual(alg, D)
             assert abs(dv.leibniz_residual(alg, D) - ref) <= 1e-13 * ref
+
+    def test_residual_of_a_stack_is_the_max_over_its_maps(self):
+        rng = np.random.default_rng(8)
+        alg = _permuted_sum(["M2", "en", "C"], [1.0, 3.0, 0.5], rng.permutation(7))
+        inner = dv.derivation_space(alg).inner_basis
+        gauss = rng.standard_normal((2, 3, 7, 7)) + 1j * rng.standard_normal((2, 3, 7, 7))
+        for stack in (gauss, inner, np.concatenate([inner, gauss[0]])):
+            want = max(dv.leibniz_residual(alg, D) for D in stack.reshape(-1, 7, 7))
+            assert dv.leibniz_residual(alg, stack) == want
+        assert dv.leibniz_residual(alg, inner[:0]) == 0.0
 
 
 @st.composite
@@ -240,6 +268,22 @@ def test_inner_recheck_catches_a_perturbed_block(which, monkeypatch):
     with pytest.raises(AssertionError, match="inner derivation violates the Leibniz identity"):
         dv.derivation_space(alg)
     assert calls == [4, 1, 4]
+
+
+def test_inner_recheck_catches_an_entry_off_its_block(monkeypatch):
+    """Inner basis element 0 lives on the first M_2 block of M_2 (+) C (+)
+    M_2; one entry between the two M_2 blocks makes it no derivation."""
+    alg = _sum_algebra([es.matrix_units_algebra(2), es.scalar_algebra(),
+                        es.matrix_units_algebra(2)], lt.sup_norm(3))
+    init = dv.DerivationSpaceReport.__init__
+
+    def leaky(self, *args):
+        init(self, *args)
+        self.inner_basis[0, 0, 8] = 0.01
+
+    monkeypatch.setattr(dv.DerivationSpaceReport, "__init__", leaky)
+    with pytest.raises(AssertionError, match="inner derivation violates the Leibniz identity"):
+        dv.derivation_space(alg)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -45,6 +45,33 @@ class TestFiniteAlgebra:
                            match=r"^blocks: structure constants are not associative$"):
             es.FiniteAlgebra(c, es.MaxAbsCoordinate(), samples=0, label="blocks")
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(d=st.integers(1, 40), order=st.permutations(range(40)), length=st.integers(0, 39),
+           triples=st.lists(st.tuples(*[st.integers(0, 39)] * 3), max_size=20))
+    def test_structure_blocks_match_a_union_find(self, d, order, length, triples):
+        """A path of up to d nodes, in a random order, plus random links:
+        the longest paths need every squaring of the closure."""
+        path = [k for k in order if k < d][:length + 1]
+        links = [(a, b, b) for a, b in zip(path, path[1:])] + [
+            tuple(x % d for x in t) for t in triples]
+        c = np.zeros((d, d, d))
+        parent = list(range(d))
+
+        def root(i):
+            while parent[i] != i:
+                i = parent[i]
+            return i
+
+        for i, j, m in links:
+            c[i, j, m] = 1.0
+            roots = {root(i), root(j), root(m)}
+            for r in roots:
+                parent[r] = min(roots)
+        groups = {}
+        for i in range(d):
+            groups.setdefault(root(i), []).append(i)
+        assert [b.tolist() for b in es._structure_blocks(c)] == sorted(groups.values())
+
     def test_submultiplicativity_certification_aborts(self):
         with pytest.raises(es.AlgebraError):
             es.FiniteAlgebra([[[1.0]]], BrokenNorm(), samples=500)
