@@ -312,6 +312,77 @@ def test_report_implements_like_the_dense_solve(alg, seed):
         assert abs(res - oracle_res) <= 1e-10 * np.linalg.norm(D)
 
 
+def _whole_cube_unit(c):
+    """Oracle: the unit as one least-squares system over the whole cube,
+    u b_j = b_j and b_j u = b_j for all j, snapped to integers when they
+    solve it; None without a unit."""
+    d = len(c)
+    eye = np.eye(d).reshape(-1)
+    big = np.vstack([c.transpose(1, 2, 0).reshape(d * d, d), c.transpose(0, 2, 1).reshape(d * d, d)])
+    rhs = np.concatenate([eye, eye])
+    u, *_ = np.linalg.lstsq(big, rhs, rcond=None)
+    snapped = np.round(u.real) + 1j * np.round(u.imag)
+    if np.linalg.norm(big @ snapped - rhs) < 1e-12:
+        return snapped
+    if np.linalg.norm(big @ u - rhs) < 1e-10:
+        return u
+    return None
+
+
+def _whole_cube_commutative(c):
+    """Oracle: the whole cube against its transpose in (i, j)."""
+    return bool(np.allclose(c, c.transpose(1, 0, 2), atol=1e-12))
+
+
+def _whole_cube_essential(c):
+    """Oracle: span{ab} = A when the whole d^2 x d multiplication matrix has
+    rank d at RANK_TOL relative to its largest singular value."""
+    d = len(c)
+    s = np.linalg.svd(c.reshape(d * d, d), compute_uv=False)
+    return int(np.sum(s > dv.RANK_TOL * s.max(initial=0.0))) == d
+
+
+def _assert_matches_whole_cube(alg):
+    c = alg.structure
+    unit = _whole_cube_unit(c)
+    assert alg.unital == (unit is not None)
+    if unit is not None:
+        assert np.linalg.norm(alg.unit - unit) <= 1e-12 * np.linalg.norm(unit)
+    assert alg.commutative == _whole_cube_commutative(c)
+    assert dv.essential_check(alg) == _whole_cube_essential(c)
+
+
+def _mixed_unit_sum():
+    """M_2 beside C in the basis 3 b_0, whose unit is b_0 / 3."""
+    c = es.block_cube([es.matrix_units_algebra(2).structure, [[[3.0]]]])
+    return es.FiniteAlgebra(c, es.MaxAbsCoordinate(), samples=0, label="M2 + 3C")
+
+
+def _square_zero_sum():
+    """M_2 beside a square-zero block: no unit."""
+    c = es.block_cube([es.matrix_units_algebra(2).structure, [[[0.0]]]])
+    return es.FiniteAlgebra(c, es.MaxAbsCoordinate(), samples=0, label="M2 + square-zero")
+
+
+@pytest.mark.parametrize("alg", list(SUMMANDS.values()) + [
+    es.matrix_units_algebra(3), es.pointwise_algebra(3), _mixed_unit_sum(), _square_zero_sum()],
+    ids=lambda a: a.label)
+def test_unit_commutativity_and_essentialness_match_the_whole_cube(alg):
+    _assert_matches_whole_cube(alg)
+
+
+def test_hand_built_sums_exercise_both_unit_cases():
+    mixed = _mixed_unit_sum()
+    assert np.abs(mixed.unit - [1, 0, 0, 1, 1 / 3]).max() <= 1e-15
+    assert not _square_zero_sum().unital
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(alg=block_sums())
+def test_unit_commutativity_and_essentialness_of_block_sums_match_the_whole_cube(alg):
+    _assert_matches_whole_cube(alg)
+
+
 class TestMinimization:
     def test_m2_distance_to_commutant(self):
         m2 = es.matrix_units_algebra(2)
