@@ -67,7 +67,6 @@ from .jsum import (
 from .derivations import (
     DerivationSpaceReport,
     derivation_space,
-    essential_check,
     esum_wa_check,
     is_weakly_amenable,
     lp_obstruction_demo,

@@ -140,7 +140,7 @@ def cmd_wa(args):
     rep = dv.derivation_space(algebra)
     dv.is_weakly_amenable(algebra, rep)   # re-checks the verdict against its certificate
     out = rep.as_dict()
-    out["essential"] = dv.essential_check(algebra)
+    out["essential"] = rep.essential
     return out
 
 

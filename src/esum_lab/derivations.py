@@ -123,9 +123,10 @@ class DerivationSpaceReport:
     construction (rank-nullity needs no check).
     """
 
-    def __init__(self, algebra, derivation_basis, adjoint):
+    def __init__(self, algebra, derivation_basis, adjoint, essential):
         d = algebra.dim
         self.algebra = algebra
+        self.essential = essential
         self.derivation_basis = derivation_basis   # (k, d, d), orthonormal rows
         self.inner_basis = np.concatenate([        # (r, d, d), orthonormal rows
             _embed(u[:, :r].T.reshape(-1, len(b), len(b)), d, b, b) for b, (r, u, _, _) in adjoint])
@@ -176,8 +177,8 @@ def derivation_space(algebra):
     is the Leibniz system of c_P, of size dim_P^3 x dim_P^2.  Otherwise at
     most one pair shares a block and at most one term survives, and it
     involves D[K,P] alone, the part of D with rows in block K and columns in
-    block P != K.  With M_B = c_B reshaped to dim_B^2 x dim_B (the matrix
-    :func:`essential_check` ranks), the surviving terms say exactly
+    block P != K.  With M_B = c_B reshaped to dim_B^2 x dim_B (its column
+    space is spanned by the products of A_B), the surviving terms say exactly
     D[K,P] M_P^T = 0 (i, j in P, k in K) and M_K D[K,P] = 0 (k and one of
     i, j in K, the other in P).  So the off-block parts decouple:
 
@@ -189,15 +190,14 @@ def derivation_space(algebra):
     sends block P into D[P,P], so the inner space and its kernel Z are the
     direct sums of the blocks' own.  An indecomposable algebra is the case
     of a single block, where this is the whole Leibniz system.
+    ``essential`` is true when every N_B is zero.
 
     The inner basis is re-checked as embedded.  For a map on P x P every
     term above needs i, j and k in P, so an element of block P passes when
     it vanishes off P x P and its restriction satisfies c_P's identity.
     """
-    c = algebra.structure
     d = algebra.dim
-    blocks = algebra.blocks
-    cubes = [c[np.ix_(b, b, b)] for b in blocks]
+    blocks, cubes = algebra.blocks, algebra.cubes
 
     derivations = [
         _embed(vh[r:].conj().reshape(-1, len(b), len(b)), d, b, b)
@@ -211,9 +211,10 @@ def derivation_space(algebra):
                 outer = np.einsum("ak,bp->abkp", u, v).reshape(-1, len(K), len(P))
                 derivations.append(_embed(outer, d, K, P))
     adjoint = list(zip(blocks, _rank_split([adjoint_map_matrix(cb) for cb in cubes])))
-    report = DerivationSpaceReport(algebra, np.concatenate(derivations), adjoint)
+    report = DerivationSpaceReport(algebra, np.concatenate(derivations), adjoint,
+                                   not any(len(u) for u in annihilators))
 
-    scale = max(1.0, float(np.abs(c).max()))
+    scale = max([1.0] + [float(np.abs(cb).max()) for cb in cubes])
     ends = np.cumsum([r for _, (r, _, _, _) in adjoint])
     for b, cb, inner in zip(blocks, cubes, np.split(report.inner_basis, ends[:-1])):
         own = inner[:, b[:, None], b]   # inner - embed(own) is what lies off b x b
@@ -241,14 +242,6 @@ def is_weakly_amenable(algebra, report=None):
     if ("implementations" in cert) != rep.weakly_amenable:
         raise AssertionError("the least-squares certificate contradicts the dimension count")
     return rep.weakly_amenable, cert
-
-
-def essential_check(algebra):
-    """span{ab : a, b in A} = A, via the rank of the multiplication image."""
-    c = algebra.structure
-    d = algebra.dim
-    [(rank, _, _, _)] = _rank_split([c.reshape(d * d, d)])
-    return rank == d
 
 
 # ---------------------------------------------------------------------------

@@ -236,10 +236,12 @@ class FiniteAlgebra:
         self.norm = norm
         self.label = label or f"algebra(dim={self.dim})"
         self.blocks = _structure_blocks(self.structure)
+        self.cubes = [self.structure[np.ix_(b, b, b)] for b in self.blocks]
         self._check_associativity()
         c = self.structure
         self._right = c.transpose(1, 0, 2).reshape(self.dim, -1)   # [j, (i, k)] = c[i, j, k]
-        self.commutative = bool(np.allclose(c, c.transpose(1, 0, 2), atol=1e-12))
+        self.commutative = all(np.allclose(cb, cb.transpose(1, 0, 2), atol=1e-12)
+                               for cb in self.cubes)
         self.unit = self._find_unit()
         _worst_ratio(self.label, np.random.default_rng(seed), [self], samples)
 
@@ -263,29 +265,31 @@ class FiniteAlgebra:
         return float(self.norm.eval(np.asarray(v, complex)))
 
     def _check_associativity(self):
-        for b in self.blocks:   # one cube per block; the module docstring has the argument
-            c = self.structure[np.ix_(b, b, b)]
+        for c in self.cubes:   # the module docstring has the argument
             left = np.einsum("ijm,mkl->ijkl", c, c)
             right = np.einsum("jkm,iml->ijkl", c, c)
             if not np.allclose(left, right, atol=1e-12):
                 raise AlgebraError(f"{self.label}: structure constants are not associative")
 
     def _find_unit(self):
-        c = self.structure
-        d = self.dim
-        eye = np.eye(d).reshape(-1)
-        # u b_j = b_j and b_j u = b_j for all j, as one least-squares system
-        a_left = c.transpose(1, 2, 0).reshape(d * d, d)   # rows (j,k): c[i,j,k] u_i
-        a_right = c.transpose(0, 2, 1).reshape(d * d, d)  # rows (j,k): c[j,i,k] u_i
-        big = np.vstack([a_left, a_right])
-        rhs = np.concatenate([eye, eye])
-        u, *_ = np.linalg.lstsq(big, rhs, rcond=None)
-        snapped = np.round(u.real) + 1j * np.round(u.imag)
-        if np.linalg.norm(big @ snapped - rhs) < 1e-12:
-            return snapped
-        if np.linalg.norm(big @ u - rhs) < 1e-10:
-            return u
-        return None
+        unit = np.zeros(self.dim, complex)
+        for b, c in zip(self.blocks, self.cubes):   # the module docstring has the argument
+            d = len(c)
+            eye = np.eye(d).reshape(-1)
+            # u b_j = b_j and b_j u = b_j for all j in the block, as one least-squares system
+            a_left = c.transpose(1, 2, 0).reshape(d * d, d)   # rows (j,k): c[i,j,k] u_i
+            a_right = c.transpose(0, 2, 1).reshape(d * d, d)  # rows (j,k): c[j,i,k] u_i
+            big = np.vstack([a_left, a_right])
+            rhs = np.concatenate([eye, eye])
+            u, *_ = np.linalg.lstsq(big, rhs, rcond=None)
+            snapped = np.round(u.real) + 1j * np.round(u.imag)
+            if np.linalg.norm(big @ snapped - rhs) < 1e-12:
+                unit[b] = snapped
+            elif np.linalg.norm(big @ u - rhs) < 1e-10:
+                unit[b] = u
+            else:
+                return None
+        return unit
 
     @property
     def unital(self):

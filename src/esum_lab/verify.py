@@ -528,7 +528,7 @@ def _wa_matrix(ctx):
     rep = dv.derivation_space(alg)
     wa, _ = dv.is_weakly_amenable(alg, rep)
     got = [rep.dim_derivations, rep.dim_inner, rep.center_annihilator_dim, wa]
-    ok = got == [3, 3, 1, True] and dv.essential_check(alg)
+    ok = got == [3, 3, 1, True] and rep.essential
     return _result([3, 3, 1, True], got, ok)
 
 
@@ -537,7 +537,7 @@ def _wa_square_zero(ctx):
     alg = es.square_zero_algebra()
     rep = dv.derivation_space(alg)
     wa, cert = dv.is_weakly_amenable(alg, rep)
-    got = [rep.dim_derivations, rep.dim_inner, wa, dv.essential_check(alg)]
+    got = [rep.dim_derivations, rep.dim_inner, wa, rep.essential]
     ok = got == [1, 0, False, False] and "outside_derivation" in cert
     return _result([1, 0, False, False], got, ok)
 

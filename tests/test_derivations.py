@@ -135,14 +135,14 @@ class TestSpaces:
                 dv.is_weakly_amenable(alg, rep)
 
     def test_essential(self):
-        assert dv.essential_check(es.pointwise_algebra(3))
-        assert dv.essential_check(es.matrix_units_algebra(2))
-        assert not dv.essential_check(es.square_zero_algebra())
+        assert dv.derivation_space(es.pointwise_algebra(3)).essential
+        assert dv.derivation_space(es.matrix_units_algebra(2)).essential
+        assert not dv.derivation_space(es.square_zero_algebra()).essential
         # weakly amenable forces essential on everything we test
         for alg in (es.pointwise_algebra(2), es.matrix_units_algebra(2)):
             flag, _ = dv.is_weakly_amenable(alg)
             if flag:
-                assert dv.essential_check(alg)
+                assert dv.derivation_space(alg).essential
 
     def test_structure_blocks_follow_the_nonzero_pattern(self):
         # M2 on {0, 2, 4, 5}, C on {3}, square-zero on {1}
@@ -171,6 +171,26 @@ class TestSpaces:
             tracemalloc.stop()
         assert [rep.dim_derivations, rep.dim_inner, rep.center_annihilator_dim] == [36, 36, 12]
         assert flag and peak <= 32 * 2 ** 20, peak
+
+    def test_thirty_two_matrix_copies_solve_block_sized_systems(self, monkeypatch):
+        # the unit, the Leibniz systems and essentialness are solved per
+        # block: no call sees more rows than one M_2 Leibniz system (64)
+        rows = []
+        for name in ("lstsq", "svd"):
+            solve = getattr(np.linalg, name)
+
+            def recorded(a, *args, solve=solve, **kwargs):
+                rows.append(np.shape(a)[-2])
+                return solve(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, recorded)
+        alg = es.ESumAlgebra([es.matrix_units_algebra(2)] * 32,
+                             lt.sup_norm(32)).as_finite_algebra(samples=0)
+        rep = dv.derivation_space(alg)
+        flag, _ = dv.is_weakly_amenable(alg, rep)
+        assert [rep.dim_derivations, rep.dim_inner, rep.center_annihilator_dim] == [96, 96, 32]
+        assert flag and alg.unital and rep.essential
+        assert rows and max(rows) <= 64, max(rows)
 
     def test_eight_matrix_copies(self):
         alg = es.ESumAlgebra([es.matrix_units_algebra(2)] * 8,
@@ -349,7 +369,7 @@ def _assert_matches_whole_cube(alg):
     if unit is not None:
         assert np.linalg.norm(alg.unit - unit) <= 1e-12 * np.linalg.norm(unit)
     assert alg.commutative == _whole_cube_commutative(c)
-    assert dv.essential_check(alg) == _whole_cube_essential(c)
+    assert dv.derivation_space(alg).essential == _whole_cube_essential(c)
 
 
 def _mixed_unit_sum():
