@@ -317,7 +317,9 @@ def _worst_ratio(label, rng, algebras, samples, lattice=None):
         # the lattice sees the transpose, so its row reductions run down columns
         nu, nv, nuv = vals[0] if lattice is None else norm_eval_batch(
             lattice, vals.reshape(len(algebras), -1).T).reshape(3, -1)
-        worst = max(worst, float((nuv / np.maximum(nu * nv, 1e-300)).max()))
+        ratio = nuv / np.maximum(nu * nv, 1e-300)
+        # a product whose norm overflowed to nan certifies nothing
+        worst = max(worst, float(np.where(np.isnan(ratio), np.inf, ratio).max()))
     if worst > 1.0 + SUBMULT_TOL:
         raise AlgebraError(f"{label}: norm is not submultiplicative (ratio {worst:.6g})")
     return worst

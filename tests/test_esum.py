@@ -83,6 +83,14 @@ class TestFiniteAlgebra:
         assert np.allclose(m2.unit, [1, 0, 0, 1])
         assert es.square_zero_algebra().unit is None
 
+    def test_overflowing_products_certify_nothing(self):
+        # M_2 times 1e308 is associative; its sampled products overflow, and
+        # the operator norm of an overflowed product is nan
+        c = 1e308 * es.matrix_units_algebra(2).structure
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(es.AlgebraError, match="not submultiplicative"):
+            es.FiniteAlgebra(c, es.MatrixOperatorNorm(2))
+
     def test_commutativity_flags(self):
         assert es.pointwise_algebra(4).commutative
         assert not es.matrix_units_algebra(2).commutative
