@@ -214,6 +214,15 @@ def _as_complex_cube(structure):
     return c
 
 
+def _normalised(c):
+    """The cube c over its largest entry modulus (c itself when it is 0):
+    associativity and commutativity are invariant under scaling, and a
+    fixed absolute tolerance on the normalised cube is one relative to its
+    size that cannot overflow."""
+    top = np.abs(c).max(initial=0.0)
+    return c / top if top > 0 else c
+
+
 def _structure_blocks(c):
     """Index arrays of the connected components of the nonzero pattern of
     the cube c (i, j and m are linked when c[i,j,m] != 0), ordered by their
@@ -240,8 +249,8 @@ class FiniteAlgebra:
         self._check_associativity()
         c = self.structure
         self._right = c.transpose(1, 0, 2).reshape(self.dim, -1)   # [j, (i, k)] = c[i, j, k]
-        self.commutative = all(np.allclose(cb, cb.transpose(1, 0, 2), atol=1e-12)
-                               for cb in self.cubes)
+        self.commutative = all(np.allclose(cb, cb.transpose(1, 0, 2), rtol=0, atol=1e-12)
+                               for cb in map(_normalised, self.cubes))
         self.unit = self._find_unit()
         _worst_ratio(self.label, np.random.default_rng(seed), [self], samples)
 
@@ -265,10 +274,10 @@ class FiniteAlgebra:
         return float(self.norm.eval(np.asarray(v, complex)))
 
     def _check_associativity(self):
-        for c in self.cubes:   # the module docstring has the argument
+        for c in map(_normalised, self.cubes):   # the module docstring has the argument
             left = np.einsum("ijm,mkl->ijkl", c, c)
             right = np.einsum("jkm,iml->ijkl", c, c)
-            if not np.allclose(left, right, atol=1e-12):
+            if not np.allclose(left, right, rtol=0, atol=1e-12):
                 raise AlgebraError(f"{self.label}: structure constants are not associative")
 
     def _find_unit(self):

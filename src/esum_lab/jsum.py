@@ -110,10 +110,12 @@ class JSystem:
             c_lo, c_hi = cubes[n], cubes[n + 1]
             if self.dims[n] == 0:
                 continue
-            # bond(b_i b_j) must equal bond(b_i) bond(b_j)
-            lhs = np.einsum("ijm,km->ijk", c_lo, bond)
-            rhs = np.einsum("pi,qj,pqk->ijk", bond, bond, c_hi)
-            if not np.allclose(lhs, rhs, atol=1e-9):
+            # bond(b_i b_j) must equal bond(b_i) bond(b_j); both sides are
+            # linear in the cubes, so they are compared over the largest entry
+            top = max(np.abs(c_lo).max(), np.abs(c_hi).max(initial=0.0)) or 1.0
+            lhs = np.einsum("ijm,km->ijk", c_lo / top, bond)
+            rhs = np.einsum("pi,qj,pqk->ijk", bond, bond, c_hi / top)
+            if not np.allclose(lhs, rhs, rtol=0, atol=1e-9):
                 raise JSystemError(f"bond {n} is not multiplicative")
         self.structures = cubes
 

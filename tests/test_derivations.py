@@ -234,6 +234,15 @@ def block_sums(draw):
     return _permuted_sum(names, scales, draw(st.permutations(range(dim))))
 
 
+@pytest.mark.parametrize("scale", [1e-2, 0.5, 1.0, 3.0, 1e2, 1j, 0.5 - 2j])   # block_sums' scales
+@pytest.mark.parametrize("name", sorted(SUMMANDS))
+def test_rescaled_complex_bases_are_accepted(name, scale):
+    alg = es.FiniteAlgebra(_rebased(SUMMANDS[name].structure, scale), es.MaxAbsCoordinate(),
+                           samples=0)
+    assert alg.commutative == SUMMANDS[name].commutative
+    assert alg.unital == SUMMANDS[name].unital
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(alg=block_sums())
 def test_blockwise_matches_monolithic(alg):

@@ -83,6 +83,19 @@ class TestFiniteAlgebra:
         assert np.allclose(m2.unit, [1, 0, 0, 1])
         assert es.square_zero_algebra().unit is None
 
+    def test_associativity_defect_of_one_part_in_a_million_is_refused(self):
+        # b_0 b_1 = (1 + 1e-6) b_1 in M_2: the defect is 1e-6 on entries of size 1
+        c = es.matrix_units_algebra(2).structure.copy()
+        c[0, 1, 1] = 1.0 + 1e-6
+        with pytest.raises(es.AlgebraError, match=r"^M2': structure constants are not associative$"):
+            es.FiniteAlgebra(c, es.MaxAbsCoordinate(), samples=0, label="M2'")
+
+    def test_rescaled_cube_is_accepted(self):
+        alg = es.FiniteAlgebra(1e6 * es.matrix_units_algebra(2).structure,
+                               es.MaxAbsCoordinate(), samples=0)
+        assert not alg.commutative
+        assert np.abs(alg.unit - 1e-6 * np.array([1, 0, 0, 1])).max() <= 1e-21
+
     def test_overflowing_products_certify_nothing(self):
         # M_2 times 1e308 is associative; its sampled products overflow, and
         # the operator norm of an overflowed product is nan

@@ -82,6 +82,12 @@ class TestSystemValidation:
         with pytest.raises(js.JSystemError):
             js.JSystem(dims, bonds, structures=structures)
 
+    def test_bond_off_by_one_part_in_a_million_is_refused(self):
+        # bond(b b) = 1 - 1e-6 but bond(b) bond(b) = (1 - 1e-6)^2
+        structures = [np.zeros((0, 0, 0)), np.ones((1, 1, 1)), np.ones((1, 1, 1))]
+        with pytest.raises(js.JSystemError, match="^bond 1 is not multiplicative$"):
+            js.JSystem([0, 1, 1], [np.zeros((1, 0)), [[1.0 - 1e-6]]], structures=structures)
+
     def test_asymmetric_multiplicative_bond_accepted(self):
         cube = np.zeros((2, 2, 2))
         cube[0, 0, 0] = cube[1, 1, 1] = 1.0
