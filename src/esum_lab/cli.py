@@ -36,7 +36,12 @@ def _key(d, key, what="algebra", array=False):
 def _summand_from_dict(s):
     structure = lt.numbers_from_json(_key(s, "structure", array=True),
                                      "algebra key 'structure'", es.AlgebraError)
-    algebra = es.FiniteAlgebra(structure, es.coordinate_norm_from_json(_key(s, "norm")))
+    norm = es.coordinate_norm_from_json(_key(s, "norm"))
+    if isinstance(norm, es.MatrixOperatorNorm) and not (norm.side >= 1
+                                                        and norm.side ** 2 == len(structure)):
+        raise es.AlgebraError(f"matrix_operator norm key 'side' must be at least 1 with "
+                              f"side^2 = dim, got side {norm.side} for dim {len(structure)}")
+    algebra = es.FiniteAlgebra(structure, norm)
     dim = lt.integer_from_json(s.get("dim", algebra.dim), "algebra key 'dim'", es.AlgebraError)
     if algebra.dim != dim:
         raise ValueError(f"declared dim {dim} disagrees with the structure cube")

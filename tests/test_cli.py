@@ -109,6 +109,14 @@ LP2 = {"kind": "lp", "p": 2.0, "index_size": 2}
 HUGE_INT = 10 ** 400   # a JSON integer that no float holds
 
 
+@pytest.mark.parametrize("side", [3, 0, -2])
+def test_matrix_operator_side_must_fit_the_dim(tmp_path, capsys, side):
+    doc = {"structure": M2_CUBE, "norm": {"kind": "matrix_operator", "side": side}}
+    assert cli.main(["wa", "--algebra", write(tmp_path, "alg.json", doc)]) == 2
+    assert _error_line(capsys) == ("AlgebraError: matrix_operator norm key 'side' must be at "
+                                   f"least 1 with side^2 = dim, got side {side} for dim 4")
+
+
 @pytest.mark.parametrize("command, docs, message", [
     ("jnorm", {"system": {"dims": [0, 1]}, "element": {"coords": [[], [1.0]]}},
      "JSystemError: chain system is missing the key 'bonds'"),
