@@ -62,6 +62,9 @@ class CoordinateNorm:
     def dual(self, v):
         raise NotImplementedError
 
+    def norming(self, phi):
+        raise NotImplementedError
+
     def dual_vs_l2(self, dim):
         raise NotImplementedError
 
