@@ -19,7 +19,10 @@ the direct sum of its blocks and a sum of summands splits at least along them:
   - the inner space is the column space of the map phi -> ad_phi, whose
     kernel is the commutant Z of the bimodule action; both split along the
     blocks, since ad_phi is supported on the block of phi;
-  - weak amenability means every derivation lies in the inner span.
+  - weak amenability means every derivation lies in the inner span;
+  - the algebra is essential, span{ab : a, b in A} = A, when no block's
+    products are annihilated by a nonzero functional; the argument is in
+    :func:`derivation_space`.
 
 Ranks come from reduced SVDs at relative tolerance 1e-10, taken against
 the largest singular value over all blocks of the same kind of matrix.
@@ -120,7 +123,8 @@ class DerivationSpaceReport:
     the trailing rows of vh span the commutant Z.  Each block's reduced vh
     is square, so its kept and trailing rows add up to the block's
     dimension and ``dim_inner + center_annihilator_dim == dim`` holds by
-    construction (rank-nullity needs no check).
+    construction (rank-nullity needs no check).  ``essential`` is
+    :func:`derivation_space`'s verdict that span{ab : a, b in A} = A.
     """
 
     def __init__(self, algebra, derivation_basis, adjoint, essential):
@@ -190,7 +194,14 @@ def derivation_space(algebra):
     sends block P into D[P,P], so the inner space and its kernel Z are the
     direct sums of the blocks' own.  An indecomposable algebra is the case
     of a single block, where this is the whole Leibniz system.
-    ``essential`` is true when every N_B is zero.
+
+    ``essential`` is true when every N_B is zero.  The algebra is essential
+    when the d^2 x d matrix c reshaped, whose column space is span{ab}, has
+    rank d.  Up to zero rows (pairs i, j in different blocks) and a
+    permutation of rows and columns, that matrix is block-diagonal with
+    blocks M_B, so its singular values are the union of theirs and its
+    rank, at one threshold for all blocks (:func:`_rank_split`), is the sum
+    of their ranks.  It is d exactly when rank M_B = dim_B for every B.
 
     The inner basis is re-checked as embedded.  For a map on P x P every
     term above needs i, j and k in P, so an element of block P passes when

@@ -3,10 +3,21 @@
 A :class:`FiniteAlgebra` is a basis-free description by structure constants
 ``c[i][j][k]`` (``b_i b_j = sum_k c[i][j][k] b_k``) together with a norm on
 coefficient vectors.  Construction finds its ``blocks``, the connected
-components of the cube's nonzero pattern, and checks associativity block by
-block: products across blocks vanish, so both sides of (b_i b_j) b_k =
-b_i (b_j b_k) are 0 unless i, j and k share a block, where both are sums
-within it.  It samples submultiplicativity; a failure aborts construction.
+components of the cube's nonzero pattern, and slices each block's own cube
+once (``cubes``).  As c[i,j,k] != 0 only when i, j and k share a block,
+associativity, commutativity and the unit are decided block by block:
+
+  - both sides of (b_i b_j) b_k = b_i (b_j b_k) are 0 unless i, j and k
+    share a block, where both are sums within it;
+  - c[i,j,k] = c[j,i,k] reads 0 = 0 unless i, j and k share a block;
+  - the unit equations (j, k), sum_i c[i,j,k] u_i = delta_jk and
+    sum_i c[j,i,k] u_i = delta_jk, read 0 = 0 when j and k lie in
+    different blocks, and otherwise involve only the coordinates u_P of
+    the block P of j and k.  So the least-squares system decouples: its
+    solution is the blocks' own solutions side by side, and the algebra
+    has a unit exactly when every block has one.
+
+It samples submultiplicativity; a failure aborts construction.
 
 An :class:`ESumAlgebra` glues finitely many summands along a
 :class:`~esum_lab.lattice.LatticeNormSpec`: elements are per-summand
