@@ -90,6 +90,17 @@ class TestFiniteAlgebra:
         with pytest.raises(es.AlgebraError, match=r"^M2': structure constants are not associative$"):
             es.FiniteAlgebra(c, es.MaxAbsCoordinate(), samples=0, label="M2'")
 
+    @pytest.mark.parametrize("q, commutative", [(1.0, True), (1.0 + 1e-6, False)])
+    def test_commutator_of_one_part_in_a_million_is_seen(self, q, commutative):
+        # span{1, x, y, z} with x y = z, y x = q z and every other product of
+        # x, y, z zero: associative for every q, commutative for q = 1 only
+        c = np.zeros((4, 4, 4))
+        for j in range(4):
+            c[0, j, j] = c[j, 0, j] = 1.0
+        c[1, 2, 3], c[2, 1, 3] = 1.0, q
+        alg = es.FiniteAlgebra(c, es.MaxAbsCoordinate(), samples=0)
+        assert alg.commutative == commutative and alg.unital
+
     def test_rescaled_cube_is_accepted(self):
         alg = es.FiniteAlgebra(1e6 * es.matrix_units_algebra(2).structure,
                                es.MaxAbsCoordinate(), samples=0)
