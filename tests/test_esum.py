@@ -417,6 +417,32 @@ def _one_shot_esum_ratio(alg, samples, seed):
                              for c in zip(*cols)))
 
 
+# Certified bounds beta >= sup ||uv|| / (||u|| ||v||): max_k sum_ij |c_ijk|
+# under max-abs (C and C^2 give 1, square-zero 0), and 1 for matrix units
+# under the operator norm.
+CERTIFIED_BOUNDS = {
+    "C": (es.scalar_algebra(), 1.0),
+    "C^2": (es.pointwise_algebra(2), 1.0),
+    "M2": (es.matrix_units_algebra(2), 1.0),
+    "M3": (es.matrix_units_algebra(3), 1.0),
+    "square-zero": (es.square_zero_algebra(), 0.0),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BLOCK_LATTICES))
+@pytest.mark.parametrize("name", sorted(CERTIFIED_BOUNDS))
+@settings(max_examples=2, deadline=None, derandomize=True)
+@given(copies=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+def test_sampled_ratios_never_exceed_the_certified_bound(name, kind, copies, seed):
+    """10^4 Gaussian pairs, on the summand and on a sum of its copies, stay
+    within the summand's certified bound, up to SUBMULT_TOL for rounding."""
+    summand, bound = CERTIFIED_BOUNDS[name]
+    alg = es.ESumAlgebra([summand] * copies, BLOCK_LATTICES[kind](copies))
+    alone = _one_shot_ratio(*_one_shot_pair_norms(np.random.default_rng(seed), summand, 10_000))
+    assert alone <= bound * (1 + es.SUBMULT_TOL)
+    assert _one_shot_esum_ratio(alg, 10_000, seed) <= bound * (1 + es.SUBMULT_TOL)
+
+
 CLOSED_FORM_LATTICES = {"sup": lt.sup_norm(3), "weighted_sup": lt.weighted_sup([1.0, 2.5, 1.5]),
                         "lp": lt.lp_norm(1.5, 3), "lp-9": lt.lp_norm(2.5, 9)}
 SAMPLE_COUNTS = (0, 1, es.ROW_BLOCK - 1, es.ROW_BLOCK + 1, 10_000)
