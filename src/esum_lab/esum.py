@@ -17,7 +17,24 @@ associativity, commutativity and the unit are decided block by block:
     solution is the blocks' own solutions side by side, and the algebra
     has a unit exactly when every block has one.
 
-It samples submultiplicativity; a failure aborts construction.
+Construction also finds ``submult_bound``, a bound
+beta >= sup ||uv|| / (||u|| ||v||) from the cube and the norm's exact type
+(None for any other norm, a subclass of these two included):
+
+  - max-abs: |(uv)_k| = |sum_ij u_i v_j c[i,j,k]| <= sum_ij |c[i,j,k]| ||u|| ||v||,
+    so beta = max_k sum_ij |c[i,j,k]|.  Each k lies in one block, so the
+    sums run over the block cubes, in rationals over the float moduli; the
+    modulus of an entry that is not real is taken one float step up, and
+    the largest sum is rounded up to a float.  C and C^n get 1 and the
+    square-zero algebra 0, exactly;
+  - the operator norm on an m x m matrix algebra: when the cube equals the
+    matrix-unit cube entry for entry, uv is the matrix product and
+    ||AB|| <= ||A|| ||B||, so beta = 1.
+
+An algebra with beta <= 1 is submultiplicative and draws nothing.  Any
+other is sampled as a refuter: over Gaussian pairs u, v the worst ratio
+||uv|| / (||u|| ||v||) may not exceed 1 + SUBMULT_TOL, and a failure
+aborts construction.
 
 An :class:`ESumAlgebra` glues finitely many summands along a
 :class:`~esum_lab.lattice.LatticeNormSpec`: elements are per-summand
@@ -25,19 +42,23 @@ coefficient vectors, the norm is the lattice norm of the summand norms, and
 multiplication is coordinatewise.  Coordinate projections are contractive;
 the embedding of summand i has norm exactly ||delta_i||.
 
-The sum is a Banach algebra coordinatewise: each summand is
-submultiplicative, E is solid and E dominates the sup norm, so
-||ab|| = E(||a_i b_i||) <= E(||a_i|| ||b_i||) <= E(||a_i||) max_i ||b_i||
-<= ||a|| ||b||.  Every algebra is checked by one rule: over Gaussian pairs
-u, v the worst ratio ||uv|| / (||u|| ||v||) may not exceed 1 + SUBMULT_TOL.
-A sum is checked once, summand by summand under the lattice norm
-(:meth:`ESumAlgebra.certify_submultiplicative`); its assembled block
-algebra (:meth:`ESumAlgebra.as_finite_algebra`) is not sampled again,
+The sum is a Banach algebra coordinatewise.  E is solid and dominates the
+sup norm (``LatticeNormSpec``'s gate enforces both), so ||b|| >= max_i ||b_i||,
+and with summand bounds beta_i
+||ab|| = E(||a_i b_i||) <= E(beta_i ||a_i|| ||b_i||) <= max_i beta_i E(||a_i||) max_i ||b_i||
+<= max_i beta_i ||a|| ||b||.  So a sum whose summands all have beta_i <= 1 is
+certified with max_i beta_i and no draws
+(:meth:`ESumAlgebra.certify_submultiplicative`).  Otherwise the sum is
+sampled once, summand by summand under the lattice norm; its assembled
+block algebra (:meth:`ESumAlgebra.as_finite_algebra`) is not sampled again,
 because a Gaussian pair on the whole space is a Gaussian pair on each block.
 One sampler serves both, ``ROW_BLOCK`` pairs at a time.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -250,8 +271,69 @@ def _structure_blocks(c):
     return [np.flatnonzero(first == k) for k in np.unique(first)]
 
 
+def _matrix_unit_cube(m):
+    """Structure constants of M_m in the row-major matrix-unit basis:
+    e_ij e_jl = e_il, and every other product of matrix units is 0."""
+    i, j, l = np.indices((m, m, m)).reshape(3, -1)
+    c = np.zeros((m * m,) * 3)
+    c[i * m + j, j * m + l, i * m + l] = 1.0
+    return c
+
+
+def _round_up(q):
+    """The least float >= the rational q (inf past the float range)."""
+    try:
+        x = float(q)
+    except OverflowError:
+        return np.inf
+    return x if Fraction(x) >= q else float(np.nextafter(x, np.inf))
+
+
+def _max_abs_bound(cubes):
+    """max_k sum_ij |c[i,j,k]| over the block cubes, as an upper bound in
+    exact arithmetic: the moduli of entries that are not real go one float
+    step up, and the sums are rational."""
+    worst = Fraction(0)
+    for c in cubes:
+        mod = np.abs(c)
+        mod = np.where(c.imag == 0, mod, np.nextafter(mod, np.inf))
+        if not np.isfinite(mod).all():
+            return np.inf
+        for col in mod.reshape(-1, len(c)).T:   # col[(i, j)] = |c[i, j, k]|
+            worst = max(worst, sum(map(Fraction, col[col > 0].tolist()), Fraction(0)))
+    return _round_up(worst)
+
+
+def _submult_bound(algebra):
+    """beta >= sup ||uv|| / (||u|| ||v||) for the norm's exact type, or None
+    (the module docstring has the argument)."""
+    norm = algebra.norm
+    if type(norm) is MaxAbsCoordinate:
+        return _max_abs_bound(algebra.cubes)
+    if type(norm) is MatrixOperatorNorm and norm.side ** 2 == algebra.dim and np.array_equal(
+            algebra.structure, _matrix_unit_cube(norm.side)):
+        return 1.0
+    return None
+
+
+def _certified_bound(algebras, samples):
+    """The largest ``submult_bound`` of ``algebras`` when every one is at
+    most 1, and None otherwise, when they must be sampled; a negative
+    ``samples`` raises ValueError either way."""
+    if samples < 0:
+        raise ValueError(f"samples must be nonnegative, got {samples}")
+    bounds = [alg.submult_bound for alg in algebras]
+    if all(b is not None and b <= 1.0 for b in bounds):
+        return max(bounds, default=0.0)
+    return None
+
+
 class FiniteAlgebra:
-    """Associative algebra on C^dim given by structure constants and a norm."""
+    """Associative algebra on C^dim given by structure constants and a norm.
+
+    ``submult_bound`` is a certified bound on ||uv|| / (||u|| ||v||), or None;
+    the algebra is sampled ``samples`` times only when it is None or above 1.
+    """
 
     def __init__(self, structure, norm, *, samples=SUBMULT_SAMPLES, seed=0, label=""):
         self.structure = _as_complex_cube(structure)
@@ -261,12 +343,18 @@ class FiniteAlgebra:
         self.blocks = _structure_blocks(self.structure)
         self.cubes = [self.structure[np.ix_(b, b, b)] for b in self.blocks]
         self._check_associativity()
-        c = self.structure
-        self._right = c.transpose(1, 0, 2).reshape(self.dim, -1)   # [j, (i, k)] = c[i, j, k]
         self.commutative = all(np.allclose(cb, cb.transpose(1, 0, 2), rtol=0, atol=1e-12)
                                for cb in map(_normalised, self.cubes))
         self.unit = self._find_unit()
-        _worst_ratio(self.label, np.random.default_rng(seed), [self], samples)
+        self.submult_bound = _submult_bound(self)
+        if _certified_bound([self], samples) is None:
+            _worst_ratio(self.label, np.random.default_rng(seed), [self], samples)
+
+    @cached_property
+    def _right(self):
+        """[j, (i, k)] = c[i, j, k]: a d^3 copy of the cube, built on the
+        first :meth:`multiply`."""
+        return self.structure.transpose(1, 0, 2).reshape(self.dim, -1)
 
     # b_i b_j = sum_k c[i,j,k] b_k
     def multiply(self, u, v):
@@ -323,8 +411,6 @@ def _worst_ratio(label, rng, algebras, samples, lattice=None):
     """The worst ratio ||uv|| / (||u|| ||v||) over ``samples`` Gaussian pairs
     (0 without), drawn as (re u, im u, re v, im v) per algebra in turn and,
     with a lattice, normed again by it; AlgebraError above 1 + SUBMULT_TOL."""
-    if samples < 0:
-        raise ValueError(f"samples must be nonnegative, got {samples}")
     # one buffer, the same stream as a draw per algebra, keeps the heap from shrinking
     sizes = [4 * samples * alg.dim for alg in algebras]
     flat = np.split(rng.standard_normal(sum(sizes)), np.cumsum(sizes)[:-1])
@@ -363,15 +449,7 @@ def pointwise_algebra(n):
 
 def matrix_units_algebra(m):
     """Full matrix algebra M_m in the matrix-unit basis with operator norm."""
-    d = m * m
-    c = np.zeros((d, d, d))
-    for i in range(m):
-        for j in range(m):
-            for k in range(m):
-                for l in range(m):
-                    if j == k:
-                        c[i * m + j, k * m + l, i * m + l] = 1.0
-    return FiniteAlgebra(c, MatrixOperatorNorm(m), samples=0, label=f"M_{m}")
+    return FiniteAlgebra(_matrix_unit_cube(m), MatrixOperatorNorm(m), samples=0, label=f"M_{m}")
 
 
 def square_zero_algebra():
@@ -433,19 +511,29 @@ class ESumAlgebra:
         return self.element(units)
 
     def certify_submultiplicative(self, samples=SUBMULT_SAMPLES, seed=0):
-        """Sample ||ab|| <= ||a|| ||b|| on random element pairs, drawn per
-        summand and normed by the lattice; raises on any violation, and a
-        negative ``samples`` raises ValueError."""
+        """Certify ||ab|| <= ||a|| ||b||.  When every summand's
+        ``submult_bound`` is at most 1, their largest bound is the sum's
+        (the module docstring has the lattice argument) and nothing is
+        drawn; otherwise ``samples`` random element pairs are drawn per
+        summand and normed by the lattice, and any violation raises
+        AlgebraError.  A negative ``samples`` raises ValueError.  Returns
+        ``ok``, ``worst_ratio`` (the bound, or the worst sampled ratio),
+        ``samples`` (the pairs drawn) and ``method`` ("bound" or "sampled")."""
+        bound = _certified_bound(self.summands, samples)
+        if bound is not None:
+            return {"samples": 0, "ok": True, "worst_ratio": bound, "method": "bound"}
         rng = np.random.default_rng(seed)
-        return {"samples": samples, "ok": True,
+        return {"samples": samples, "ok": True, "method": "sampled",
                 "worst_ratio": _worst_ratio(self.label, rng, self.summands, samples, self.lattice)}
 
     def as_finite_algebra(self, *, samples=SUBMULT_SAMPLES, seed=0):
         """The same algebra as one block FiniteAlgebra (block-diagonal
         structure constants, lattice-of-blocks norm).  It is certified once,
-        block by block, by :meth:`certify_submultiplicative`: a Gaussian pair
-        on the blocks is a Gaussian pair on the whole space, so sampling the
-        block cube again would only repeat the same law."""
+        by :meth:`certify_submultiplicative`: by the summands' bounds when
+        they all certify, and otherwise on ``samples`` pairs drawn block by
+        block.  A Gaussian pair on the blocks is a Gaussian pair on the
+        whole space, so sampling the block cube again would only repeat the
+        same law; its lattice-of-blocks norm has no bound of its own."""
         self.certify_submultiplicative(samples, seed)
         dims = [a.dim for a in self.summands]
         c = block_cube([a.structure for a in self.summands])

@@ -12,6 +12,12 @@ def scalar_sum(lattice):
     return es.ESumAlgebra([es.scalar_algebra() for _ in range(lattice.index_size)], lattice)
 
 
+# M_2 under the Euclidean norm has no certified bound, so its sums are sampled
+M2_EUCLIDEAN = es.FiniteAlgebra(es.matrix_units_algebra(2).structure, es.EuclideanCoordinate(),
+                                samples=0, label="M_2 (euclidean)")
+C_EUCLIDEAN = es.FiniteAlgebra([[[1.0]]], es.EuclideanCoordinate(), samples=0, label="C (euclidean)")
+
+
 class BrokenNorm(es.CoordinateNorm):
     # deliberately fails ||ab|| <= ||a|| ||b||
     def eval(self, v):
@@ -229,7 +235,7 @@ class TestESumOperations:
         assert rep["ok"] and rep["worst_ratio"] <= 1 + 1e-9
 
     def test_certification_without_samples(self):
-        alg = es.ESumAlgebra([es.matrix_units_algebra(2)] * 2, lt.lp_norm(2, 2))
+        alg = es.ESumAlgebra([M2_EUCLIDEAN] * 2, lt.lp_norm(2, 2))
         rep = alg.certify_submultiplicative(samples=0)
         assert rep["worst_ratio"] == 0.0 and rep["ok"]
 
@@ -441,6 +447,69 @@ def test_sampled_ratios_never_exceed_the_certified_bound(name, kind, copies, see
     alone = _one_shot_ratio(*_one_shot_pair_norms(np.random.default_rng(seed), summand, 10_000))
     assert alone <= bound * (1 + es.SUBMULT_TOL)
     assert _one_shot_esum_ratio(alg, 10_000, seed) <= bound * (1 + es.SUBMULT_TOL)
+    assert summand.submult_bound == bound
+    assert alg.certify_submultiplicative(seed=seed) == {
+        "samples": 0, "ok": True, "worst_ratio": bound, "method": "bound"}
+
+
+def test_bounded_summands_make_no_draws(monkeypatch):
+    """Sums of summands with bounds at most 1, under every lattice, and
+    algebras with such bounds draw no pair; the assembled block algebra is
+    built with samples=0."""
+    calls = []
+
+    def recording(label, rng, algebras, samples, lattice=None):
+        if samples:
+            calls.append((label, samples))
+        return real(label, rng, algebras, samples, lattice)
+    real = es._worst_ratio
+    monkeypatch.setattr(es, "_worst_ratio", recording)
+    summands = [bound_and_summand[0] for bound_and_summand in CERTIFIED_BOUNDS.values()]
+    for kind in sorted(BLOCK_LATTICES):
+        alg = es.ESumAlgebra(summands, BLOCK_LATTICES[kind](len(summands)))
+        assert alg.certify_submultiplicative()["samples"] == 0
+        assert alg.as_finite_algebra().dim == sum(a.dim for a in summands)
+    es.FiniteAlgebra(es.pointwise_algebra(3).structure, es.MaxAbsCoordinate())
+    es.FiniteAlgebra(es.matrix_units_algebra(3).structure, es.MatrixOperatorNorm(3))
+    assert calls == []
+    # one summand without a bound makes the whole sum sampled
+    es.ESumAlgebra(summands + [M2_EUCLIDEAN], lt.sup_norm(6)).certify_submultiplicative()
+    assert calls == [("esum(sup)", es.SUBMULT_SAMPLES)]
+
+
+class StrictMaxAbs(es.MaxAbsCoordinate):
+    pass
+
+
+@pytest.mark.parametrize("norm, cube, bound", [
+    (es.MaxAbsCoordinate(), es.matrix_units_algebra(2).structure, 2.0),
+    (es.MaxAbsCoordinate(), 3.0 * es.pointwise_algebra(2).structure, 3.0),
+    (es.MatrixOperatorNorm(2), es.matrix_units_algebra(2).structure, 1.0),
+    (es.MatrixOperatorNorm(2), 0.5 * es.matrix_units_algebra(2).structure, None),
+    (es.MatrixOperatorNorm(3), es.matrix_units_algebra(3).structure, 1.0),
+    (es.EuclideanCoordinate(), es.scalar_algebra().structure, None),
+    (StrictMaxAbs(), es.scalar_algebra().structure, None),
+    (BrokenNorm(), es.scalar_algebra().structure, None),
+])
+def test_bound_follows_the_exact_norm_type(norm, cube, bound):
+    assert es.FiniteAlgebra(cube, norm, samples=0).submult_bound == bound
+
+
+def test_block_norm_has_no_bound():
+    alg = es.ESumAlgebra([es.scalar_algebra()] * 2, lt.sup_norm(2))
+    assert alg.as_finite_algebra().submult_bound is None
+
+
+def test_max_abs_bound_holds_in_exact_arithmetic():
+    # 1 + 2^-53 + 2^-53 sums to 1 in floats and to 1 + 2^-52 exactly
+    tiny = 2.0 ** -53
+    cube = np.zeros((3, 3, 3))
+    cube[0, 0, 0], cube[1, 1, 0], cube[2, 2, 0] = 1.0, tiny, tiny
+    assert es._max_abs_bound([cube]) == 1.0 + 2 * tiny
+    # |0.6 + 0.8i| rounds to 1 in floats; one float step up keeps it a bound
+    assert es._max_abs_bound([np.array([[[0.6 + 0.8j]]])]) == np.nextafter(1.0, 2.0)
+    assert es._max_abs_bound([np.array([[[1e308]]]), np.array([[[-1e308, 1e308]] * 2] * 2)]) \
+        == np.inf
 
 
 CLOSED_FORM_LATTICES = {"sup": lt.sup_norm(3), "weighted_sup": lt.weighted_sup([1.0, 2.5, 1.5]),
@@ -453,20 +522,21 @@ SAMPLE_COUNTS = (0, 1, es.ROW_BLOCK - 1, es.ROW_BLOCK + 1, 10_000)
 def test_certification_replays_the_one_shot_sampler(kind, seed):
     """worst_ratio is the one-shot sampler's float, bit for bit, on summands
     of different dimensions, for sample counts on both sides of a block;
-    nine lp summands sum each row with eight accumulators."""
+    nine lp summands sum each row with eight accumulators.  The Euclidean
+    M_2 has no bound, so every summand is drawn, the bounded C included."""
     lattice = CLOSED_FORM_LATTICES[kind]
-    m2 = es.matrix_units_algebra(2)
-    alg = es.ESumAlgebra([m2, es.scalar_algebra(), m2] * (lattice.index_size // 3), lattice)
+    alg = es.ESumAlgebra([M2_EUCLIDEAN, es.scalar_algebra(), M2_EUCLIDEAN]
+                         * (lattice.index_size // 3), lattice)
     for samples in SAMPLE_COUNTS:
         rep = alg.certify_submultiplicative(samples=samples, seed=seed)
-        assert rep == {"samples": samples, "ok": True,
+        assert rep == {"samples": samples, "ok": True, "method": "sampled",
                        "worst_ratio": _one_shot_esum_ratio(alg, samples, seed)}, samples
 
 
 @pytest.mark.parametrize("kind", ["lp", "sup", "weighted_sup"])
 def test_failing_sum_raises_the_one_shot_ratio(kind):
     broken = es.FiniteAlgebra([[[1.0]]], BrokenNorm(), samples=0)
-    alg = es.ESumAlgebra([broken, es.scalar_algebra(), broken], CLOSED_FORM_LATTICES[kind])
+    alg = es.ESumAlgebra([broken, C_EUCLIDEAN, broken], CLOSED_FORM_LATTICES[kind])
     for samples, seed in ((500, 0), (4097, 7), (10_000, 42)):
         ratio = _one_shot_esum_ratio(alg, samples, seed)
         with pytest.raises(es.AlgebraError) as err:
@@ -487,13 +557,14 @@ def test_negative_samples_are_refused():
 
 
 def test_orlicz_certification_memory():
-    """Eight scalar summands under a shifted-ramp lattice at 10^4 samples
-    peak under 10 MB: no rows x n x n K knot array, no unblocked batch."""
-    alg = scalar_sum(lt.orlicz_norm(lt.OrliczFunction.shifted_ramp(0.5), 8))
+    """Eight Euclidean copies of C, which have no bound, under a
+    shifted-ramp lattice at 10^4 samples peak under 10 MB: no rows x n x n
+    K knot array, no unblocked batch."""
+    alg = es.ESumAlgebra([C_EUCLIDEAN] * 8, lt.orlicz_norm(lt.OrliczFunction.shifted_ramp(0.5), 8))
     tracemalloc.start()
     try:
         rep = alg.certify_submultiplicative(samples=10_000, seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert rep["ok"] and peak <= 10 * 2 ** 20, peak
+    assert rep["ok"] and rep["method"] == "sampled" and peak <= 10 * 2 ** 20, peak
