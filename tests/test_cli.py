@@ -283,6 +283,40 @@ def test_esum_commands(tmp_path, capsys):
     assert code == 0 and out["ok"] and out["unit_norm"] == 2.0
 
 
+@pytest.mark.parametrize("command, docs", [
+    ("wa", {"algebra": {"structure": M2_CUBE, "norm": "max_abs"}}),
+    ("esum-norm", {"algebra": {"summands": [{"structure": M2_CUBE, "norm": "max_abs"}],
+                               "lattice": {"kind": "sup", "index_size": 1}},
+                   "element": {"values": [[1, 0, 0, 1]]}}),
+])
+def test_unbounded_summand_is_refuted_by_sampling(tmp_path, capsys, command, docs):
+    # M_2 under max-abs has bound 2, attained by (e_11 + e_12)(e_11 + e_21) = 2 e_11
+    argv = [command]
+    for key, doc in docs.items():
+        argv += [f"--{key}", write(tmp_path, f"{key}.json", doc)]
+    assert cli.main(argv) == 2
+    message = _error_line(capsys)
+    assert message.startswith("AlgebraError: algebra(dim=4): norm is not submultiplicative (ratio ")
+    assert 1.0 < float(message.rsplit(" ", 1)[1].rstrip(")")) <= 2.0
+
+
+def test_bounded_document_makes_no_draws(tmp_path, capsys, monkeypatch):
+    calls = []
+    real = es._worst_ratio
+
+    def recording(label, rng, algebras, samples, lattice=None):
+        if samples:
+            calls.append(label)
+        return real(label, rng, algebras, samples, lattice)
+    monkeypatch.setattr(es, "_worst_ratio", recording)
+    c2 = {"structure": es.pointwise_algebra(2).structure.real.tolist(), "norm": "max_abs"}
+    algebra = write(tmp_path, "alg.json", {"summands": [c2, c2],
+                                           "lattice": {"kind": "lp", "p": 2, "index_size": 2}})
+    element = write(tmp_path, "x.json", {"values": [[3, 0], [0, 4]]})
+    code, out = run_cli(capsys, ["esum-norm", "--algebra", algebra, "--element", element])
+    assert code == 0 and out["norm"] == 5.0 and calls == []
+
+
 def test_jsum_commands(tmp_path, capsys):
     system = write(tmp_path, "sys.json", {
         "dims": [0, 1, 1],
