@@ -490,14 +490,11 @@ class StrictMaxAbs(es.MaxAbsCoordinate):
     (es.EuclideanCoordinate(), es.scalar_algebra().structure, None),
     (StrictMaxAbs(), es.scalar_algebra().structure, None),
     (BrokenNorm(), es.scalar_algebra().structure, None),
+    (es.LatticeBlockNorm(lt.sup_norm(2), [es.MaxAbsCoordinate()] * 2, [1, 1]),
+     es.pointwise_algebra(2).structure, None),
 ])
 def test_bound_follows_the_exact_norm_type(norm, cube, bound):
     assert es.FiniteAlgebra(cube, norm, samples=0).submult_bound == bound
-
-
-def test_block_norm_has_no_bound():
-    alg = es.ESumAlgebra([es.scalar_algebra()] * 2, lt.sup_norm(2))
-    assert alg.as_finite_algebra().submult_bound is None
 
 
 def test_max_abs_bound_holds_in_exact_arithmetic():
