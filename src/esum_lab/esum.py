@@ -280,19 +280,11 @@ def _matrix_unit_cube(m):
     return c
 
 
-def _round_up(q):
-    """The least float >= the rational q (inf past the float range)."""
-    try:
-        x = float(q)
-    except OverflowError:
-        return np.inf
-    return x if Fraction(x) >= q else float(np.nextafter(x, np.inf))
-
-
 def _max_abs_bound(cubes):
     """max_k sum_ij |c[i,j,k]| over the block cubes, as an upper bound in
     exact arithmetic: the moduli of entries that are not real go one float
-    step up, and the sums are rational."""
+    step up, the sums are rational, and the largest is rounded up to a
+    float (inf past the float range)."""
     worst = Fraction(0)
     for c in cubes:
         mod = np.abs(c)
@@ -301,7 +293,11 @@ def _max_abs_bound(cubes):
             return np.inf
         for col in mod.reshape(-1, len(c)).T:   # col[(i, j)] = |c[i, j, k]|
             worst = max(worst, sum(map(Fraction, col[col > 0].tolist()), Fraction(0)))
-    return _round_up(worst)
+    try:
+        x = float(worst)
+    except OverflowError:
+        return np.inf
+    return x if Fraction(x) >= worst else float(np.nextafter(x, np.inf))
 
 
 def _submult_bound(algebra):

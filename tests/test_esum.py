@@ -503,6 +503,9 @@ def test_max_abs_bound_holds_in_exact_arithmetic():
     cube = np.zeros((3, 3, 3))
     cube[0, 0, 0], cube[1, 1, 0], cube[2, 2, 0] = 1.0, tiny, tiny
     assert es._max_abs_bound([cube]) == 1.0 + 2 * tiny
+    # 1 + 2^-53 is no float, and the nearest, 1, would certify: round up
+    cube[2, 2, 0] = 0.0
+    assert es._max_abs_bound([cube]) == 1.0 + 2 * tiny
     # |0.6 + 0.8i| rounds to 1 in floats; one float step up keeps it a bound
     assert es._max_abs_bound([np.array([[[0.6 + 0.8j]]])]) == np.nextafter(1.0, 2.0)
     assert es._max_abs_bound([np.array([[[1e308]]]), np.array([[[-1e308, 1e308]] * 2] * 2)]) \
