@@ -1,5 +1,7 @@
+import importlib.util
 import itertools
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -144,8 +146,8 @@ class TestBracketMechanics:
             gm.am_pointwise(3, lt.sup_norm(4))
 
 
-# Lower-witness families that dual_pairing_lower does not score: none may
-# beat the bracket's lower bound, which is AM itself.  They are scored with
+# Lower-witness families that the theorem's form does not use: none may beat
+# the bracket's lower bound, which is AM itself.  They are scored with
 # _full_cert, which adds rules for general matrices, and two diagonal rules
 # that never beat max|f| S when S is exact, to bilinear_cert's.
 
@@ -202,6 +204,19 @@ def _ascent_oracle(spec, rng, restarts=8, iters=80):
         yield m
 
 
+def _dropped_diagonal_oracle(spec):
+    """The diagonal forms the theorem passes over: the identity under a
+    weighted sup (sup included), every spike under a symmetric norm."""
+    n = spec.index_size
+    if spec.weights is not None:
+        yield np.eye(n)
+        return
+    for m in range(n):
+        spike = np.zeros((n, n))
+        spike[m, m] = 1.0
+        yield spike
+
+
 def _oracle_specs(n):
     table = lt.OrliczFunction.from_table([(0, 0), (0.3, 0), (0.7, 0.4), (1, 1), (2, 4)])
     specs = [lt.sup_norm(n), lt.weighted_sup(2.0 ** np.arange(n))]
@@ -217,7 +232,7 @@ def test_dropped_lower_candidates_never_win(n):
     for spec in _oracle_specs(n):
         lower = gm.am_pointwise(n, spec).lower
         mats = itertools.chain(_permutation_oracle(n), _sign_diagonal_oracle(n, rng),
-                               _ascent_oracle(spec, rng))
+                               _ascent_oracle(spec, rng), _dropped_diagonal_oracle(spec))
         for mat in mats:
             value = float(np.trace(mat).real) / _full_cert(spec, mat)
             assert value <= lower * (1 + 1e-12), (spec, mat, value, lower)
@@ -370,6 +385,49 @@ def test_orbit_witness_at_n_64():
 
 def _single_row_cost(spec, pairs):
     return sum(lt.norm_eval(spec, x) * lt.norm_eval(spec, y) for x, y in pairs)
+
+
+def _theorem_pick(spec, extremal):
+    """The upper witness the theorem names for x*: separated for a spike,
+    Fourier for a weighted sup or a constant x*, else the orbit of x*."""
+    if np.count_nonzero(extremal) <= 1:
+        return "separated"
+    if spec.weights is not None or np.ptp(extremal) == 0:
+        return "fourier"
+    return "orbit"
+
+
+def _decompositions(spec, extremal):
+    """The separated, Fourier and, for a symmetric norm, orbit decompositions."""
+    n = spec.index_size
+    out = {"separated": gm.separated_decomposition(n), "fourier": gm.dft_decomposition(n)}
+    if spec.kind != "weighted_sup":
+        out["orbit"] = gm.orbit_decomposition(extremal)
+    return out
+
+
+def _benchmark_specs(seed):
+    """The norm specs of every diag-orlicz and diag-lp benchmark task."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    loader = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(workloads)
+    return [task.spec for name in ("diag-orlicz", "diag-lp")
+            for task in workloads.build(name, seed)]
+
+
+def test_theorem_pick_is_never_beaten():
+    """No decomposition the theorem passes over costs less than its pick,
+    beyond 4 ulp of rounding in the cost's sum."""
+    specs = [spec for n in range(1, 9) for spec in _exact_families(n)]
+    specs += _benchmark_specs(42) + _benchmark_specs(7)
+    for spec in specs:
+        extremal = gm.max_square_sum(spec)[1]
+        costs = {method: _single_row_cost(spec, pairs)
+                 for method, pairs in _decompositions(spec, extremal).items()}
+        pick = costs[_theorem_pick(spec, extremal)]
+        for method, cost in costs.items():
+            assert cost >= pick * (1 - 4 * np.finfo(float).eps), (spec, method, cost, pick)
 
 
 @st.composite
