@@ -482,11 +482,12 @@ def lp_obstruction_demo(B, psi, p, sizes):
 
     q = p / (p - 1.0)
     weights = obstruction_weights(p, max(sizes))
+    # each truncation's minima are a prefix of the longest one's
+    minima = np.array([min_dual_over_affine(B.norm, wi * psi, rep.z_basis)["lower"]
+                       for wi in weights])
     rows = []
     for size in sorted(sizes):
-        w = weights[:size]
-        per_coord = np.array([min_dual_over_affine(B.norm, w[i] * psi, rep.z_basis)["lower"]
-                              for i in range(size)])
+        w, per_coord = weights[:size], minima[:size]
         floor = dist * np.abs(w)
         percoord_ok = bool(np.all(per_coord >= floor - FLOOR_TOL))
         aggregate = float(np.sum(per_coord ** q) ** (1.0 / q))

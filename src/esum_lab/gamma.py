@@ -9,15 +9,16 @@ ones to 1.  Its projective norm is bracketed from two sides:
           with d to give sum_i B(e_i, e_i).  Candidate forms are diagonal
           matrices M (B(x, z) = z^T M x) whose bilinear norm is bounded by
           certified rules; the reported value is Re tr(M) after scaling M
-          by its certified bound.  Candidates: the single-entry spikes and
-          the identity.
+          by its certified bound.  The witness: the best single-entry
+          spike under a weighted sup (sup included), else the identity.
 
   upper:  any finite decomposition sum_k x_k (x) y_k with
           sum_k x_k y_k^T = I is a valid bound sum_k ||x_k|| ||y_k||.
-          Candidates: the separated decomposition (e_i, e_i), the discrete
-          Fourier decomposition (1/n) sum_k w_k (x) conj(w_k) whose cost is
-          the squared full-indicator norm, and the orbit of an extremal
-          vector.
+          The witness: the orbit of an extremal vector x*, built as the
+          separated decomposition (e_i, e_i) when x* is a spike and as the
+          discrete Fourier decomposition (1/n) sum_k w_k (x) conj(w_k),
+          whose cost is the squared full-indicator norm, when x* is
+          constant or the norm a weighted sup.
 
 For every named lattice the two sides meet.  Let S = sup{sum_i |x_i|^2 :
 ||x|| <= 1}.  The diagonal is fixed by x (x) y -> Dx (x) conj(D)y for every
@@ -35,17 +36,20 @@ upper side attains n / S with an extremal x* (||x*|| = 1, sum x*^2 = S):
 the squares of its cyclic shifts sigma_s x* sum to S at every coordinate,
 so over the Fourier phases D_k = diag(w^(k i)) the n^2 pairs
 (D_k sigma_s x* / (n S), conj(D_k) sigma_s x*) recombine to the diagonal
-and cost n ||x*||^2 / S = n / S.  Convexity of the ball, that is of phi
-for an Orlicz norm, is required; ``LatticeNormSpec`` refuses a table whose
-slopes decrease.
+and cost n ||x*||^2 / S = n / S.  For a spike x* these pairs are phased
+copies of the separated pairs, and for a constant x* scaled copies of the
+Fourier pairs, at the same cost; a weighted sup is not symmetric, but its
+Fourier cost max_i w_i^2 meets the spike.  Convexity of the ball, that is
+of phi for an Orlicz norm, is required; ``LatticeNormSpec`` refuses a table
+whose slopes decrease.
 
-Every candidate is scored on every call, so ``NormBracket.loose`` (a gap
-above ``DEFAULT_TOL`` relative) can only come from a fault.  The lattice
-layer runs once for the whole candidate set, one ``norm_eval_batch`` call
-over every candidate's vectors, and once more when ``am_pointwise`` re-costs
-the winner; a bracket therefore makes two lattice calls.  The
-amenability constant of these pointwise algebras equals the diagonal's
-projective norm, so the returned bracket is an AM bracket.
+Each side builds the one witness named above, so ``NormBracket.loose`` (a
+gap above ``DEFAULT_TOL`` relative) can only come from a fault.  The lower
+witness is a closed form; the upper one is costed by one
+``norm_eval_batch`` call over all its vectors, and that cost is the upper
+end, so a bracket makes one lattice call.  The amenability constant of
+these pointwise algebras equals the diagonal's projective norm, so the
+returned bracket is an AM bracket.
 """
 
 from __future__ import annotations
@@ -70,8 +74,8 @@ QUOTIENT_TOL = 1e-9   # slack of verify_quotient_bound's comparison of upper end
 
 class BracketBudget:
     """Kept only for ``perfbench/workloads.py``, which builds one and reads
-    its ``tol``.  ``scale`` is ignored: every bracket scores every
-    candidate."""
+    its ``tol``.  ``scale`` is ignored: every bracket builds the same
+    witnesses."""
 
     def __init__(self, scale=None):
         self.tol = DEFAULT_TOL
@@ -142,23 +146,21 @@ def bilinear_cert(spec, mat, square=None):
 # ---------------------------------------------------------------------------
 
 def dual_pairing_lower(spec, square):
-    """Best certified witness value among the single-entry forms spike[m]
-    and the identity.  These attain AM for every named lattice (module
-    docstring), and no validly certified form scores above AM, so no other
-    family (permutations, sign diagonals, gradient ascent) is scored.
+    """(value, matrix, method) of the certified form that attains AM (module
+    docstring): the best spike under a weighted sup (sup included), else the
+    identity.  No validly certified form scores above AM.
 
     The spike e_mm scores 1 / min(S, sup_ball |x_m|^2), the reciprocal of
     its :func:`bilinear_cert`, so all n are scored as one vector and only
-    the winner's matrix is built.  Ties go to the lower index, and the
-    identity wins only when it scores strictly higher.
+    the best one's matrix is built, ties going to the lower index.
     """
     n = spec.index_size
+    if spec.weights is None:
+        cert = bilinear_cert(spec, np.eye(n), square)
+        return (n / cert, np.eye(n) / cert, "identity-diagonal")
     sup = coordinate_ball_sup(spec)
     values = 1.0 / np.minimum(square, sup * sup)
     m = int(np.argmax(values))
-    cert = bilinear_cert(spec, np.eye(n), square)
-    if n / cert > values[m]:
-        return (n / cert, np.eye(n) / cert, "identity-diagonal")
     spike = np.zeros((n, n))
     spike[m, m] = values[m]
     return (float(values[m]), spike, f"spike[{m}]")
@@ -168,22 +170,13 @@ def dual_pairing_lower(spec, square):
 # Upper bound: explicit decompositions
 # ---------------------------------------------------------------------------
 
-def _candidate_costs(spec, candidates):
-    """sum_k ||x_k|| ||y_k|| for every pair list in ``candidates``, from one
-    ``norm_eval_batch`` call over all their x's and y's stacked, each sum
-    taken in pair order.  A row's norm does not depend on the other rows of
-    its batch, so each cost is the float that norming its vectors one at a
-    time gives."""
-    rows = [v for pairs in candidates for pair in pairs for v in pair]
-    norms = norm_eval_batch(spec, np.array(rows)).reshape(-1, 2)
-    products = iter((norms[:, 0] * norms[:, 1]).tolist())
-    return [float(sum(next(products) for _ in pairs)) for pairs in candidates]
-
-
-def _decomposition_cost(spec, pairs):
-    """sum_k ||x_k|| ||y_k||, from one batched norm call over all the
-    vectors, summed in pair order."""
-    return _candidate_costs(spec, [pairs])[0]
+def decomposition_cost(spec, pairs):
+    """sum_k ||x_k|| ||y_k||, from one ``norm_eval_batch`` call over all the
+    x's and y's stacked, summed in pair order.  A row's norm does not depend
+    on the other rows of its batch, so the cost is the float that norming
+    each vector on its own gives."""
+    norms = norm_eval_batch(spec, np.array([v for pair in pairs for v in pair]))
+    return float(sum((norms[0::2] * norms[1::2]).tolist()))
 
 
 def decomposition_residual(n, pairs):
@@ -217,24 +210,19 @@ def orbit_decomposition(x):
     return [(v / scale, np.conj(v)) for v in vecs]
 
 
-def upper_candidates(spec, extremal):
-    """The (pairs, method) decompositions scored for the upper side."""
-    n = spec.index_size
-    candidates = [(separated_decomposition(n), "separated"), (dft_decomposition(n), "fourier")]
-    # the orbit keeps its norms only under a symmetric norm, and for a
-    # spike or a constant x* it costs what the two above cost
-    if spec.kind != "weighted_sup" and np.count_nonzero(extremal) > 1 and np.ptp(extremal) > 0:
-        candidates.append((orbit_decomposition(extremal), "orbit"))
-    return candidates
-
-
 def primal_decomposition_upper(spec, extremal):
-    """(cost, pairs, method) of the cheapest candidate, the first on ties;
-    all candidates are costed in one lattice call."""
-    candidates = upper_candidates(spec, extremal)
-    costs = _candidate_costs(spec, [pairs for pairs, _ in candidates])
-    scored = [(cost, pairs, method) for cost, (pairs, method) in zip(costs, candidates)]
-    return min(scored, key=lambda c: c[0])
+    """(cost, pairs, method) of the decomposition that attains AM for the
+    extremal vector x* (module docstring): separated when x* has at most one
+    nonzero entry, Fourier for a weighted sup or a constant x*, otherwise
+    the orbit of x*."""
+    n = spec.index_size
+    if np.count_nonzero(extremal) <= 1:
+        pairs, method = separated_decomposition(n), "separated"
+    elif spec.weights is not None or np.ptp(extremal) == 0:
+        pairs, method = dft_decomposition(n), "fourier"
+    else:
+        pairs, method = orbit_decomposition(extremal), "orbit"
+    return decomposition_cost(spec, pairs), pairs, method
 
 
 # ---------------------------------------------------------------------------
@@ -244,15 +232,14 @@ def primal_decomposition_upper(spec, extremal):
 def am_pointwise(n, spec, budget=None, rng=None):
     """AM bracket of the pointwise algebra C^n under the given norm: the
     diagonal is the unique candidate, so AM equals its projective norm.
-    Every candidate is deterministic.  ``budget`` and ``rng`` are accepted
+    Both witnesses are deterministic.  ``budget`` and ``rng`` are accepted
     and ignored, for the calls in ``perfbench/workloads.py`` only.
 
     A bracket end that overflows a float raises ValueError.  Both witnesses
     are then re-verified independently: the stored dual matrix is
     re-certified to bilinear bound <= 1 + 1e-9, and the stored decomposition
-    is re-multiplied to the exact diagonal with its cost recomputed.  The
-    candidates are costed in one ``norm_eval_batch`` call and the re-cost
-    makes one more, so a bracket makes two lattice calls in all.
+    is re-multiplied to the exact diagonal.  Its cost, the upper end, is the
+    one ``norm_eval_batch`` call a bracket makes.
     """
     if not isinstance(spec, LatticeNormSpec) or spec.index_size != n:
         raise ValueError("norm spec must live on exactly n indices")
@@ -271,7 +258,6 @@ def am_pointwise(n, spec, budget=None, rng=None):
     residual = decomposition_residual(n, wu_pairs)
     if residual > WITNESS_TOL:
         raise AssertionError(f"decomposition does not recombine to the diagonal: {residual}")
-    upper = _decomposition_cost(spec, wu_pairs)
 
     if upper < lower - 1e-9 * max(1.0, upper):
         raise AssertionError(f"bracket inversion: lower {lower} > upper {upper}")

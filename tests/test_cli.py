@@ -7,9 +7,11 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from referencing import Registry, Resource
 
 from esum_lab import cli
 from esum_lab import esum as es
@@ -377,6 +379,39 @@ VALID_RUNS = [
     (["lp-demo", "--sizes", "2", "--p", "2"], {"base": M2_BASE, "psi": [0, 1, 0, 0]}),
 ]
 REPLACEMENTS = [{}, [], "x", "1.5", None, True, [5], 5, -1, 0, 2.5, [[1, {}]], 1e308, -1e308]
+SCHEMA_DIR = Path(__file__).resolve().parents[1] / "docs" / "schemas"
+# the schema that describes each input flag's document
+SCHEMA_OF = {"spec": "norm_spec", "algebra": "algebra", "base": "algebra", "system": "jsystem",
+             "vector": "element", "element": "element", "x": "element", "y": "element",
+             "psi": "element"}
+
+
+def _schema_validator(name):
+    schemas = {path.name: json.loads(path.read_text()) for path in SCHEMA_DIR.glob("*.json")}
+    registry = Registry().with_resources(
+        (key, Resource.from_contents(schema)) for key, schema in schemas.items())
+    return jsonschema.Draft7Validator(schemas[f"{name}.schema.json"], registry=registry)
+
+
+def test_valid_run_documents_match_their_schemas():
+    docs = [(key, doc) for _, run_docs in VALID_RUNS for key, doc in run_docs.items()]
+    assert len(docs) == 19
+    for key, doc in docs:
+        errors = list(_schema_validator(SCHEMA_OF[key]).iter_errors(doc))
+        assert errors == [], (key, doc, errors)
+
+
+@pytest.mark.parametrize("flags, key, doc, message", [
+    (["ce"], "spec", {"kind": "lp", "index_size": 3}, "missing the key 'p'"),
+    (["ce"], "spec", {"kind": "weighted_sup", "weights": [0.5, 2.0]}, "weights must be"),
+    (["ce"], "spec", {"kind": "sup", "index_size": 0}, "index_size must be a positive"),
+    (["jcheck", "--samples", "3"], "system", {"dims": [0, -1], "bonds": [[]]},
+     "dimensions must be nonnegative"),
+])
+def test_schemas_refuse_what_the_readers_refuse(tmp_path, capsys, flags, key, doc, message):
+    assert not _schema_validator(SCHEMA_OF[key]).is_valid(doc)
+    assert cli.main(flags + [f"--{key}", write(tmp_path, f"{key}.json", doc)]) == 2
+    assert message in _error_line(capsys)
 
 
 def _paths(doc, prefix=()):
@@ -525,7 +560,7 @@ def test_open_bracket_fails_its_case(capsys, monkeypatch):
 
     def separated_only(spec, extremal):
         pairs = gm.separated_decomposition(spec.index_size)
-        return gm._decomposition_cost(spec, pairs), pairs, "separated"
+        return gm.decomposition_cost(spec, pairs), pairs, "separated"
 
     monkeypatch.setattr(gm, "primal_decomposition_upper", separated_only)
     assert gm.am_pointwise(4, lt.sup_norm(4)).loose

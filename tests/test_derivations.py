@@ -683,6 +683,18 @@ class TestObstruction:
                 assert row["per_coordinate_ok"]
                 assert row["leibniz_residual"] <= 1e-9
 
+    def test_demo_solves_each_coordinate_once(self, monkeypatch):
+        # the distance, then one minimum per coordinate of the longest
+        # truncation; the shorter ones take prefixes
+        calls = []
+        solve = dv.min_dual_over_affine
+        monkeypatch.setattr(dv, "min_dual_over_affine",
+                            lambda *args: calls.append(1) or solve(*args))
+        psi = np.zeros(4)
+        psi[1] = 1.0
+        dv.lp_obstruction_demo(es.matrix_units_algebra(2), psi, 3.0, [2, 4, 8])
+        assert len(calls) == 1 + 8
+
     def test_p2_aggregate_value(self):
         m2 = es.matrix_units_algebra(2)
         psi = np.zeros(4)
