@@ -535,6 +535,28 @@ def test_wam_bracket_matches_the_per_draw_oracle(case, seed):
     assert out["samples_used"] == used
 
 
+@pytest.mark.parametrize("seed", [0, 7, 42])
+@pytest.mark.parametrize("copies", [2, 3])
+@pytest.mark.parametrize("kind", sorted(WAM_LATTICES))
+def test_esum_wa_check_brackets_match_the_per_draw_oracle(kind, copies, seed):
+    """esum_wa_check's bracket of the sum and of each summand agree with the
+    per-draw oracle to 1e-12 relative and use as many samples."""
+    m2 = es.matrix_units_algebra(2)
+    lattice = WAM_LATTICES[kind](copies)
+    rep = dv.esum_wa_check([m2] * copies, lattice, samples=25, seed=seed)
+    assert rep["ok"]
+    big = es.ESumAlgebra([m2] * copies, lattice).as_finite_algebra(seed=seed)
+    blocks = [list(range(4 * i, 4 * i + 4)) for i in range(copies)]
+    expected = [_parent_wam_oracle(big, 25, seed, blocks, dv.derivation_space(big))]
+    expected += [_parent_wam_oracle(m2, 25, seed, None, dv.derivation_space(m2))] * copies
+    got = [rep["bracket_sum"]] + rep["bracket_summands"]
+    assert len(got) == len(expected)
+    for br, (lower, upper, used) in zip(got, expected):
+        assert abs(br["lower"] - lower) <= 1e-12 * lower
+        assert abs(br["upper"] - upper) <= 1e-12 * upper
+        assert br["samples_used"] == used
+
+
 def test_wam_bracket_solves_every_draw_in_one_call(monkeypatch):
     """A bracket on a weakly amenable algebra makes two implement calls,
     the basis check and one for all draws, and no Leibniz re-check of a
