@@ -31,8 +31,11 @@ triplets above that threshold and implements every derivation with them.
 
 On top of that sit weak-amenability constant brackets, which solve each
 sampled map g once (phi0 by the pseudo-inverse, D = ad_phi0 inner by
-construction, a re-checked dual witness over phi0 + Z for the lower end),
-and the finite-scale coordinate mechanisms for direct sums:
+construction, a re-checked dual witness over phi0 + Z for the lower end).
+Each step takes the N draws as one stack, as the coordinate norms' dual
+and norming do: maps (N, d, d), functionals and witnesses (N, d), and one
+value per draw.  Beside them sit the finite-scale coordinate mechanisms for
+direct sums:
 block-diagonality of derivations, the two-sided estimate with its
 transfer bound, and the per-coordinate growth obstruction on p-summed
 copies of a noncommutative algebra.
@@ -283,24 +286,30 @@ def minimize(*args, **kwargs):
 def witness_value(norm, phi0, z_basis, witness):
     """Re sum_k phi0_k X_k / ||X|| (0 for X = 0), at most ||phi||_dual for
     every phi in phi0 + span(z_basis) when X annihilates the span, as every
-    such phi then pairs with X as phi0 does.  An X whose pairing with a
-    unit row of z_basis exceeds WITNESS_TOL ||X|| raises AssertionError."""
-    size = float(norm.eval(witness))
-    if size == 0.0:
-        return 0.0
-    residual = float(np.abs(z_basis @ witness).max(initial=0.0)) / size
-    if residual > WITNESS_TOL:
-        raise AssertionError(f"dual witness does not annihilate the commutant: {residual:.3g}")
-    return float((phi0 @ witness).real) / size
+    such phi then pairs with X as phi0 does.  phi0 and X are one row (d,),
+    which gives a float, or matching stacks (N, d), which give one value a
+    row.  When the pairing of some X with a unit row of z_basis exceeds
+    WITNESS_TOL ||X||, AssertionError reports the worst row's residual."""
+    witness = np.asarray(witness)
+    size = norm.eval(witness)
+    safe = np.where(size > 0, size, 1.0)
+    residual = np.abs(witness @ np.transpose(z_basis)).max(axis=-1, initial=0.0) / safe
+    worst = float(residual.max(initial=0.0))
+    if worst > WITNESS_TOL:
+        raise AssertionError(f"dual witness does not annihilate the commutant: {worst:.3g}")
+    value = np.where(size > 0, np.einsum("...k,...k->...", phi0, witness).real / safe, 0.0)
+    return value if value.ndim else float(value)
 
 
 def min_dual_over_affine(norm, phi0, z_basis):
     """Bracket min{||phi||_dual : phi in phi0 + Z}, Z = span(z_basis) with
-    orthonormal rows, by one path for every norm.  Returns a dict: ``phi``,
-    phi0 minus its orthogonal projection onto Z, with ``upper`` = its dual
-    norm, and ``witness`` X, phi's norming element
+    orthonormal rows, by one path for every norm, for one phi0 (d,) or for
+    each row of a stack (N, d).  Returns a dict: ``phi``, phi0 minus its
+    orthogonal projection onto Z, with ``upper`` = its dual norm, and
+    ``witness`` X, phi's norming element
     (:meth:`~esum_lab.esum.CoordinateNorm.norming`) projected to annihilate
-    Z, with ``lower`` = :func:`witness_value` of X.  They meet when the
+    Z, with ``lower`` = :func:`witness_value` of X; ``lower`` and ``upper``
+    are floats for one row and arrays (N,) for a stack.  They meet when the
     norming element already annihilates Z: for the Euclidean norm, and for
     M_2 and lattice sums of M_2 blocks, whose Z is spanned by the blocks'
     identities.  For a 2 x 2 A with eigenvalues mu +- delta and t' = t + mu,
@@ -308,16 +317,16 @@ def min_dual_over_affine(norm, phi0, z_basis):
     at t' = 0, and the traceless minimiser has a traceless polar factor.
     Elsewhere ``lower`` is valid but may be loose."""
     phi0 = np.asarray(phi0, complex)
-    zb = np.asarray(z_basis, complex).reshape(-1, len(phi0))
-    psi = phi0 - (zb.conj() @ phi0) @ zb
-    upper = float(norm.dual(psi))
-    witness = norm.norming(psi) if upper > 0.0 else np.zeros_like(psi)
+    zb = np.asarray(z_basis, complex).reshape(-1, phi0.shape[-1])
+    psi = phi0 - (phi0 @ zb.conj().T) @ zb
+    upper = norm.dual(psi)
+    witness = np.where(np.expand_dims(upper > 0.0, -1), norm.norming(psi), 0.0)
     # twice: when the projection cancels most of X, one pass leaves a
     # rounding residual that is large relative to what is left
     for _ in range(2):
-        witness = witness - (zb @ witness) @ zb.conj()
-    return {"phi": psi, "lower": witness_value(norm, phi0, zb, witness), "upper": upper,
-            "witness": witness}
+        witness = witness - (witness @ zb.T) @ zb.conj()
+    return {"phi": psi, "lower": witness_value(norm, phi0, zb, witness),
+            "upper": upper if np.ndim(upper) else float(upper), "witness": witness}
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +340,9 @@ def wam_bracket(algebra, samples=200, seed=0, blocks=None, report=None):
     (N, d, d) of draws g: phi0 (N, d) is the pseudo-inverse solve, and D =
     ad_phi0 is inner by construction, implemented exactly by phi0 + Z.
     The lower end is the best over D of the re-checked dual witness value
-    of :func:`min_dual_over_affine` over :func:`derivation_norm_upper`.
+    over :func:`derivation_norm_upper`, the witnesses of every draw with a
+    nonzero D coming from one :func:`min_dual_over_affine` call on their
+    rows of phi0 (0 when no draw has one).
 
     Zero is returned exactly when there are no nonzero derivations; both
     ends are infinite when the algebra is not weakly amenable.  ``blocks``
@@ -363,8 +374,8 @@ def wam_bracket(algebra, samples=200, seed=0, blocks=None, report=None):
     D = (phi0 @ adjoint_map_matrix(algebra.structure).T).reshape(-1, d, d)
     nd = derivation_norm_upper(algebra, D)
     kept = nd >= 1e-12
-    lower = max((min_dual_over_affine(algebra.norm, phi, rep.z_basis)["lower"] / n
-                 for phi, n in zip(phi0[kept], nd[kept])), default=0.0)
+    values = min_dual_over_affine(algebra.norm, phi0[kept], rep.z_basis)["lower"] / nd[kept]
+    lower = float(max(values, default=0.0))
 
     r_phi, s_phi = algebra.norm.dual_vs_l2(d)
     basis_sq = float(np.sum(algebra.norm.eval(np.eye(d, dtype=complex)) ** 2))
@@ -396,7 +407,9 @@ def esum_wa_check(summands, lattice, samples=120, seed=0):
     ends = np.cumsum([a.dim for a in summands])
     blocks = [list(range(end - a.dim, end)) for a, end in zip(summands, ends)]
     rep_big = derivation_space(big)
-    reps = [derivation_space(a) for a in summands]
+    distinct = {id(a): a for a in summands}   # a summand listed twice is solved once
+    spaces = {key: derivation_space(a) for key, a in distinct.items()}
+    reps = [spaces[id(a)] for a in summands]
 
     all_wa = all(r.weakly_amenable for r in reps)
     all_comm = all(a.commutative for a in summands)
@@ -425,10 +438,9 @@ def esum_wa_check(summands, lattice, samples=120, seed=0):
             report["failures"].append(f"derivation basis is not block-diagonal: {worst}")
 
         br_big = wam_bracket(big, samples=samples, seed=seed, blocks=blocks, report=rep_big)
-        br_small = [
-            wam_bracket(a, samples=samples, seed=seed, report=r)
-            for a, r in zip(summands, reps)
-        ]
+        brackets = {key: wam_bracket(a, samples=samples, seed=seed, report=spaces[key])
+                    for key, a in distinct.items()}
+        br_small = [brackets[id(a)] for a in summands]
         report["bracket_sum"] = br_big
         report["bracket_summands"] = br_small
         ce = ce_constant(lattice).value
@@ -483,8 +495,7 @@ def lp_obstruction_demo(B, psi, p, sizes):
     q = p / (p - 1.0)
     weights = obstruction_weights(p, max(sizes))
     # each truncation's minima are a prefix of the longest one's
-    minima = np.array([min_dual_over_affine(B.norm, wi * psi, rep.z_basis)["lower"]
-                       for wi in weights])
+    minima = min_dual_over_affine(B.norm, weights[:, None] * psi, rep.z_basis)["lower"]
     rows = []
     for size in sorted(sizes):
         w, per_coord = weights[:size], minima[:size]

@@ -83,9 +83,10 @@ class CoordinateNorm:
 
     ``dual`` evaluates the dual norm under the bilinear pairing
     phi(a) = sum_k phi_k a_k; ``norming`` returns X with ||X|| <= 1 and
-    sum_k phi_k X_k = ||phi||_dual for one phi.  ``dual_vs_l2`` returns (r, s) with
-    ||phi||_dual <= r ||phi||_2 and ||phi||_2 <= s ||phi||_dual, used for the
-    certified (loose) constants in weak-amenability bounds.
+    sum_k phi_k X_k = ||phi||_dual for each row phi of a (..., dim) stack (a
+    zero row gets some X of norm at most 1).  ``dual_vs_l2`` returns (r, s)
+    with ||phi||_dual <= r ||phi||_2 and ||phi||_2 <= s ||phi||_dual, used
+    for the certified (loose) constants in weak-amenability bounds.
     """
 
     def eval(self, v):
@@ -123,7 +124,8 @@ class EuclideanCoordinate(CoordinateNorm):
         return np.linalg.norm(np.asarray(v), axis=-1)
 
     def norming(self, phi):
-        return np.conj(phi) / (np.linalg.norm(phi) or 1.0)
+        size = np.linalg.norm(phi, axis=-1, keepdims=True)
+        return np.conj(phi) / np.where(size > 0, size, 1.0)
 
     def dual_vs_l2(self, dim):
         return (1.0, 1.0)
@@ -171,7 +173,7 @@ class MatrixOperatorNorm(CoordinateNorm):
 
     def norming(self, phi):
         u, _, vh = np.linalg.svd(self._mats(phi))
-        return np.conj(u @ vh).reshape(-1)
+        return np.conj(u @ vh).reshape(np.shape(phi))
 
     def dual_vs_l2(self, dim):
         return (np.sqrt(self.side), 1.0)
@@ -214,8 +216,9 @@ class LatticeBlockNorm(CoordinateNorm):
 
     def norming(self, phi):
         weights = dual_extremal(self.lattice, self._block_values(phi, dual=True))
-        return np.concatenate([w * nrm.norming(phi[sl]) for w, nrm, sl
-                               in zip(weights, self.block_norms, self.slices)])
+        return np.concatenate([w[..., None] * nrm.norming(phi[..., sl]) for w, nrm, sl
+                               in zip(np.moveaxis(weights, -1, 0), self.block_norms, self.slices)],
+                              axis=-1)
 
     def dual_vs_l2(self, dim):
         rs = [nrm.dual_vs_l2(d) for nrm, d in zip(self.block_norms, self.block_dims)]

@@ -356,9 +356,11 @@ def dual_norm_batch(spec, rows):
 
 
 def dual_extremal(spec, f):
-    """x with ||x|| <= 1 and sum_i f_i x_i = dual(f) (:func:`dual_norm_batch`):
-    f's conjugate phases times 1 (sup), 1/w (weighted sup), |f|^(q-1) (lp,
-    scaled by max |f|), or at the largest |f_i| alone (l1)."""
+    """x with ||x|| <= 1 and sum_i f_i x_i = dual(f) (:func:`dual_norm_batch`)
+    for each row of f, of shape (..., index_size): f's conjugate phases times
+    1 (sup), 1/w (weighted sup), |f|^(q-1) (lp, scaled by the row's max |f|),
+    or at the row's first largest |f_i| alone (l1).  A zero row gets the
+    extremal of unit phases, of norm 1 except under lp with p > 1 (zero)."""
     a = np.abs(np.asarray(f))
     phase = np.exp(-1j * np.angle(f))
     if spec.weights is not None:
@@ -366,10 +368,12 @@ def dual_extremal(spec, f):
     elif spec.kind != "lp":
         raise NotImplementedError("dual norm for Orlicz lattices is not implemented")
     elif spec.p == 1.0:
-        x = np.where(np.arange(len(a)) == a.argmax(), phase, 0.0)
+        x = np.where(np.arange(a.shape[-1]) == a.argmax(axis=-1)[..., None], phase, 0.0)
     else:
-        x = phase * (a / (a.max() or 1.0)) ** (1.0 / (spec.p - 1.0))
-    return x / (norm_eval_batch(spec, x[None, :])[0] or 1.0)
+        top = a.max(axis=-1, keepdims=True)
+        x = phase * (a / np.where(top > 0, top, 1.0)) ** (1.0 / (spec.p - 1.0))
+    size = norm_eval_batch(spec, x.reshape(-1, x.shape[-1])).reshape(x.shape[:-1] + (1,))
+    return x / np.where(size > 0, size, 1.0)
 
 
 def dual_vs_l2(spec):

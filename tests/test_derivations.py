@@ -559,10 +559,16 @@ def test_esum_wa_check_brackets_match_the_per_draw_oracle(kind, copies, seed):
 
 def test_wam_bracket_solves_every_draw_in_one_call(monkeypatch):
     """A bracket on a weakly amenable algebra makes two implement calls,
-    the basis check and one for all draws, and no Leibniz re-check of a
-    draw; is_weakly_amenable makes one implement call."""
-    calls = {"implement": 0, "leibniz_residual": 0}
+    the basis check and one for all draws, one min_dual_over_affine call for
+    all their witnesses and no Leibniz re-check of a draw; is_weakly_amenable
+    makes one implement call."""
+    calls = {"implement": 0, "leibniz_residual": 0, "min_dual_over_affine": 0}
     implement, leibniz = dv.DerivationSpaceReport.implement, dv.leibniz_residual
+    solve = dv.min_dual_over_affine
+
+    def counting_solve(*args):
+        calls["min_dual_over_affine"] += 1
+        return solve(*args)
 
     def counting_implement(self, D):
         calls["implement"] += 1
@@ -579,12 +585,13 @@ def test_wam_bracket_solves_every_draw_in_one_call(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(dv.DerivationSpaceReport, "implement", counting_implement)
             m.setattr(dv, "leibniz_residual", counting_leibniz)
-            calls.update(implement=0, leibniz_residual=0)
+            m.setattr(dv, "min_dual_over_affine", counting_solve)
+            calls.update(implement=0, leibniz_residual=0, min_dual_over_affine=0)
             assert dv.is_weakly_amenable(alg, rep)[0]
-            assert calls == {"implement": 1, "leibniz_residual": 0}
+            assert calls == {"implement": 1, "leibniz_residual": 0, "min_dual_over_affine": 0}
             blocks = [list(range(4 * i, 4 * i + 4)) for i in range(copies)]
             out = dv.wam_bracket(alg, samples=30, seed=1, blocks=blocks, report=rep)
-            assert calls == {"implement": 3, "leibniz_residual": 0}
+            assert calls == {"implement": 3, "leibniz_residual": 0, "min_dual_over_affine": 1}
             assert out["samples_used"] == 30 * copies + 4
 
 
@@ -668,6 +675,24 @@ class TestEsumChecks:
         rel = abs(rep["bracket_sum"]["lower"] - single["lower"]) / single["lower"]
         assert rel <= 0.1
 
+    def test_each_distinct_summand_is_solved_once(self, monkeypatch):
+        """derivation_space runs on the sum and once per distinct summand
+        object, and the report keeps one equal entry per summand."""
+        calls = []
+        solve = dv.derivation_space
+        monkeypatch.setattr(dv, "derivation_space", lambda a: calls.append(a) or solve(a))
+        m2, c = es.matrix_units_algebra(2), es.scalar_algebra()
+        for summands, distinct in (([m2] * 3, 1), ([m2, c, m2], 2),
+                                   ([m2, es.matrix_units_algebra(2)], 2)):
+            calls.clear()
+            rep = dv.esum_wa_check(summands, lt.sup_norm(len(summands)), samples=10, seed=4)
+            assert rep["ok"] and len(calls) == 1 + distinct
+            assert len(rep["summands"]) == len(rep["bracket_summands"]) == len(summands)
+            for i, a in enumerate(summands):
+                single = dv.wam_bracket(a, samples=10, seed=4)
+                assert rep["bracket_summands"][i] == single
+                assert rep["summands"][i] == solve(a).as_dict()
+
     def test_transfer_bound(self):
         # summand lower <= ||delta_i|| * sum upper, from esum_wa_check's brackets
         lattice = lt.weighted_sup([1.0, 2.0])
@@ -706,8 +731,8 @@ class TestObstruction:
                 assert row["leibniz_residual"] <= 1e-9
 
     def test_demo_solves_each_coordinate_once(self, monkeypatch):
-        # the distance, then one minimum per coordinate of the longest
-        # truncation; the shorter ones take prefixes
+        # the distance, then the minima of every coordinate of the longest
+        # truncation in one stacked call; the shorter ones take prefixes
         calls = []
         solve = dv.min_dual_over_affine
         monkeypatch.setattr(dv, "min_dual_over_affine",
@@ -715,7 +740,7 @@ class TestObstruction:
         psi = np.zeros(4)
         psi[1] = 1.0
         dv.lp_obstruction_demo(es.matrix_units_algebra(2), psi, 3.0, [2, 4, 8])
-        assert len(calls) == 1 + 8
+        assert len(calls) == 2
 
     def test_p2_aggregate_value(self):
         m2 = es.matrix_units_algebra(2)
@@ -808,6 +833,35 @@ def test_witness_is_a_lower_bound(name, k, seed):
         assert best["lower"] <= _powell_oracle(norm, phi0, z) + slack
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(WITNESS_NORMS)), k=st.integers(0, 2),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_stacked_witnesses_match_single_rows(name, k, seed):
+    """min_dual_over_affine and witness_value on a stack (N, d), zero rows
+    included, give each row's single call to 1e-14 relative to its upper
+    end, as arrays (N,) where a single row gives floats."""
+    norm, d = WITNESS_NORMS[name]
+    rng = np.random.default_rng(seed)
+    phi0 = rng.standard_normal((7, d)) + 1j * rng.standard_normal((7, d))
+    phi0[[2, 5]] = 0.0
+    z = _orthonormal_rows(rng.standard_normal((k, d)) + 1j * rng.standard_normal((k, d)))
+    best = dv.min_dual_over_affine(norm, phi0, z)
+    values = dv.witness_value(norm, phi0, z, best["witness"])
+    assert best["lower"].shape == best["upper"].shape == values.shape == (7,)
+    assert np.array_equal(values, best["lower"])
+    for i, row in enumerate(phi0):
+        one = dv.min_dual_over_affine(norm, row, z)
+        assert isinstance(one["lower"], float) and isinstance(one["upper"], float)
+        assert isinstance(dv.witness_value(norm, row, z, one["witness"]), float)
+        scale = 1e-14 * one["upper"]
+        assert abs(best["upper"][i] - one["upper"]) <= scale
+        assert abs(best["lower"][i] - one["lower"]) <= scale
+        assert np.abs(best["phi"][i] - one["phi"]).max() <= 1e-14 * np.abs(row).max(initial=0.0)
+        assert np.abs(best["witness"][i] - one["witness"]).max() <= 1e-14
+    assert np.array_equal(best["lower"][[2, 5]], [0.0, 0.0])
+    assert np.array_equal(best["upper"][[2, 5]], [0.0, 0.0])
+
+
 def test_witness_is_exact_on_m2():
     """Z = span(I): the traceless part of phi0 is the minimiser, its trace
     norm is the minimum, and the witness attains it."""
@@ -867,6 +921,15 @@ def test_tampered_witness_is_refused():
     moved = best["witness"] + 1e-6 * z[0].conj()
     with pytest.raises(AssertionError, match="does not annihilate"):
         dv.witness_value(m2.norm, phi0, z, moved)
+    # in a stack, one tampered row is enough, and the worst residual is reported
+    stack = np.stack([phi0, 2.0 * phi0, np.zeros(4), 1j * phi0])
+    witness = dv.min_dual_over_affine(m2.norm, stack, z)["witness"]
+    dv.witness_value(m2.norm, stack, z, witness)
+    witness[1] += 1e-6 * z[0].conj()
+    witness[3] += 1e-4 * z[0].conj()
+    worst = float(np.abs(z @ witness[3]).max()) / float(m2.norm.eval(witness[3]))
+    with pytest.raises(AssertionError, match=f"does not annihilate the commutant: {worst:.3g}$"):
+        dv.witness_value(m2.norm, stack, z, witness)
 
 
 def test_brackets_run_no_search():

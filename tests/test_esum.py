@@ -379,7 +379,9 @@ def test_two_by_two_closed_forms_match_svd(scale):
 
 def test_norming_elements():
     """X = norm.norming(phi) has ||X|| <= 1 and pairs with phi to its dual
-    norm, for every coordinate norm, zero blocks included."""
+    norm, for every coordinate norm, zero blocks included; on an (N, dim)
+    stack with zero rows and zero blocks, each row's X is its single call's
+    to 1e-14."""
     blocks = [es.MatrixOperatorNorm(2), es.EuclideanCoordinate(), es.MaxAbsCoordinate()]
     norms = [(es.MaxAbsCoordinate(), 3), (es.EuclideanCoordinate(), 3),
              (es.MatrixOperatorNorm(2), 4), (es.MatrixOperatorNorm(3), 9)]
@@ -395,6 +397,17 @@ def test_norming_elements():
             dual = float(norm.dual(phi))
             assert float(norm.eval(x)) <= 1.0 + 1e-12
             assert abs(phi @ x - dual) <= 1e-12 * dual
+        stack = rng.standard_normal((6, dim)) + 1j * rng.standard_normal((6, dim))
+        stack[1] = 0.0
+        stack[3, :4] = 0.0
+        stack[4, 4:6] = 0.0
+        x = norm.norming(stack)
+        assert x.shape == stack.shape
+        assert np.all(norm.eval(x) <= 1.0 + 1e-12)
+        duals = norm.dual(stack)
+        assert np.all(np.abs(np.einsum("nk,nk->n", stack, x) - duals) <= 1e-12 * duals)
+        for row, xr in zip(stack, x):
+            assert np.abs(xr - norm.norming(row)).max() <= 1e-14
 
 
 # ---------------------------------------------------------------------------

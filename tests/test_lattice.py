@@ -352,6 +352,29 @@ def test_dual_norm_values():
         lt.dual_extremal(ramp, np.ones(2))
 
 
+@pytest.mark.parametrize("spec", [lt.sup_norm(4), lt.weighted_sup([1.0, 2.5, 1.0, 4.0]),
+                                  lt.lp_norm(1.0, 4), lt.lp_norm(1.5, 4)], ids=repr)
+def test_stacked_dual_extremal_matches_single_rows(spec):
+    """dual_extremal on a (2, 3, 4) stack equals its calls on single rows,
+    zero rows and tied moduli included; under l1 a tie goes to the first
+    largest modulus."""
+    rng = np.random.default_rng(4)
+    f = rng.standard_normal((2, 3, 4)) + 1j * rng.standard_normal((2, 3, 4))
+    f[0, 1] = 0.0
+    f[1, 0] = [0.5, -2.0, 2.0j, 2.0]
+    f[1, 2, :2] = 0.0
+    stacked = lt.dual_extremal(spec, f)
+    assert stacked.shape == f.shape
+    for k in np.ndindex(2, 3):
+        assert np.array_equal(stacked[k], lt.dual_extremal(spec, f[k]))
+    if spec.kind == "lp" and spec.p == 1.0:
+        assert np.flatnonzero(stacked[1, 0]).tolist() == [1]
+        assert np.array_equal(stacked[0, 1], [1.0, 0.0, 0.0, 0.0])
+    ramp = lt.orlicz_norm(lt.OrliczFunction.shifted_ramp(0.5), 4)
+    with pytest.raises(NotImplementedError):
+        lt.dual_extremal(ramp, f)
+
+
 def test_sup_is_unit_weighted_sup():
     """The sup norm and the weighted sup norm with unit weights agree bit
     for bit in every closed form."""
