@@ -290,7 +290,6 @@ def witness_value(norm, phi0, z_basis, witness):
     which gives a float, or matching stacks (N, d), which give one value a
     row.  When the pairing of some X with a unit row of z_basis exceeds
     WITNESS_TOL ||X||, AssertionError reports the worst row's residual."""
-    witness = np.asarray(witness)
     size = norm.eval(witness)
     safe = np.where(size > 0, size, 1.0)
     residual = np.abs(witness @ np.transpose(z_basis)).max(axis=-1, initial=0.0) / safe
