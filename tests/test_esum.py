@@ -581,3 +581,139 @@ def test_orlicz_certification_memory():
     finally:
         tracemalloc.stop()
     assert rep["ok"] and rep["method"] == "sampled" and peak <= 10 * 2 ** 20, peak
+
+
+# ---------------------------------------------------------------------------
+# The block checks against an oracle of three separate loops
+# ---------------------------------------------------------------------------
+
+def _three_loop_oracle(structure, label):
+    """Blocks, block cubes, commutativity and unit as three separate loops
+    over every block: associativity on each normalised cube, commutativity
+    on each normalised cube again, then one least-squares unit per block,
+    snapped to whole numbers when that leaves a residual under 1e-12."""
+    c = es._as_complex_cube(structure)
+    blocks = es._structure_blocks(c)
+    cubes = [c[np.ix_(b, b, b)] for b in blocks]
+
+    def scaled(cb):
+        top = np.abs(cb).max(initial=0.0)
+        return cb / top if top > 0 else cb
+
+    for cb in map(scaled, cubes):
+        if not np.allclose(np.einsum("ijm,mkl->ijkl", cb, cb), np.einsum("jkm,iml->ijkl", cb, cb),
+                           rtol=0, atol=1e-12):
+            raise es.AlgebraError(f"{label}: structure constants are not associative")
+    commutative = all(np.allclose(cb, cb.transpose(1, 0, 2), rtol=0, atol=1e-12)
+                      for cb in map(scaled, cubes))
+    unit = np.zeros(len(c), complex)
+    for b, cb in zip(blocks, cubes):
+        d = len(cb)
+        eye = np.eye(d).reshape(-1)
+        big = np.vstack([cb.transpose(1, 2, 0).reshape(d * d, d),
+                         cb.transpose(0, 2, 1).reshape(d * d, d)])
+        rhs = np.concatenate([eye, eye])
+        u, *_ = np.linalg.lstsq(big, rhs, rcond=None)
+        snapped = np.round(u.real) + 1j * np.round(u.imag)
+        if np.linalg.norm(big @ snapped - rhs) < 1e-12:
+            unit[b] = snapped
+        elif np.linalg.norm(big @ u - rhs) < 1e-10:
+            unit[b] = u
+        else:
+            unit = None
+            break
+    return blocks, cubes, commutative, unit
+
+
+def _certificate_oracle(alg, samples, seed):
+    """certify_submultiplicative's items in order: the largest bound when
+    every summand's is at most 1, else the one-shot sampler's worst ratio."""
+    bounds = [a.submult_bound for a in alg.summands]
+    if all(b is not None and b <= 1.0 for b in bounds):
+        return [("samples", 0), ("ok", True), ("worst_ratio", max(bounds)), ("method", "bound")]
+    ratio = _one_shot_esum_ratio(alg, samples, seed)
+    if ratio > 1.0 + es.SUBMULT_TOL:
+        raise es.AlgebraError(f"{alg.label}: norm is not submultiplicative (ratio {ratio:.6g})")
+    return [("samples", samples), ("ok", True), ("method", "sampled"), ("worst_ratio", ratio)]
+
+
+def _outcome(build):
+    try:
+        return build()
+    except es.AlgebraError as exc:
+        return f"AlgebraError: {exc}"
+
+
+def _nilpotent_cube():
+    """span{b0, b1} with b0 b0 = b1 and every other product 0: no unit."""
+    c = np.zeros((2, 2, 2))
+    c[0, 0, 1] = 1.0
+    return c
+
+
+def _later_block_not_associative():
+    """M_2 beside span{b0, b1} with b0 b0 = b1 and b1 b0 = b0."""
+    bad = np.zeros((2, 2, 2))
+    bad[0, 0, 1] = bad[1, 0, 0] = 1.0
+    return es.block_cube([es._matrix_unit_cube(2), bad])
+
+
+MIXED_BLOCKS = es.block_cube([es._matrix_unit_cube(2), [[[1.0]]], [[[0.0]]], es._matrix_unit_cube(2)])
+PERMUTATION = [7, 2, 9, 0, 4, 8, 1, 5, 3, 6]
+# (cube, norm, samples at construction, submult_bound)
+GUARD_CUBES = {
+    "C": ([[[1.0]]], es.MaxAbsCoordinate(), es.SUBMULT_SAMPLES, 1.0),
+    **{f"C^{n}": (es.pointwise_algebra(n).structure, es.MaxAbsCoordinate(), es.SUBMULT_SAMPLES,
+                  1.0) for n in range(1, 5)},
+    "M2": (es._matrix_unit_cube(2), es.MatrixOperatorNorm(2), es.SUBMULT_SAMPLES, 1.0),
+    "M3": (es._matrix_unit_cube(3), es.MatrixOperatorNorm(3), es.SUBMULT_SAMPLES, 1.0),
+    "square-zero": ([[[0.0]]], es.MaxAbsCoordinate(), es.SUBMULT_SAMPLES, 0.0),
+    "M2 (euclidean)": (es._matrix_unit_cube(2), es.EuclideanCoordinate(), 500, None),
+    "M2+C+square-zero+M2": (MIXED_BLOCKS, es.MaxAbsCoordinate(), 0, 2.0),
+    "permuted": (MIXED_BLOCKS[np.ix_(PERMUTATION, PERMUTATION, PERMUTATION)],
+                 es.MaxAbsCoordinate(), 0, 2.0),
+    "M2+3C": (es.block_cube([es._matrix_unit_cube(2), [[[3.0]]]]), es.MaxAbsCoordinate(), 0, 3.0),
+    "1e6 M2": (1e6 * es._matrix_unit_cube(2), es.MaxAbsCoordinate(), 0, 2e6),
+    # unit 1 / (1 - 1e-11): snapping it to 1 leaves a residual above 1e-12
+    "C (1 - 1e-11)": ([[[1.0 - 1e-11]]], es.MaxAbsCoordinate(), 0, 1.0 - 1e-11),
+    "nilpotent": (_nilpotent_cube(), es.MaxAbsCoordinate(), 0, 1.0),
+    "later block not associative": (_later_block_not_associative(), es.MaxAbsCoordinate(), 0, None),
+}
+
+
+def _assert_block_facts_match(alg, cube, label):
+    blocks, cubes, commutative, unit = _three_loop_oracle(cube, label)
+    assert [b.tolist() for b in alg.blocks] == [b.tolist() for b in blocks]
+    assert [cb.tobytes() for cb in alg.cubes] == [cb.tobytes() for cb in cubes]
+    assert alg.commutative is commutative
+    assert (alg.unit is None) == (unit is None)
+    assert unit is None or (alg.unit.dtype == unit.dtype and alg.unit.tobytes() == unit.tobytes())
+
+
+@pytest.mark.parametrize("name", list(GUARD_CUBES))
+def test_block_facts_match_the_three_loop_oracle(name):
+    cube, norm, samples, bound = GUARD_CUBES[name]
+    alg = _outcome(lambda: es.FiniteAlgebra(cube, norm, samples=samples, label=name))
+    want = _outcome(lambda: _three_loop_oracle(cube, name))
+    if isinstance(want, str):
+        assert alg == want == f"AlgebraError: {name}: structure constants are not associative"
+        return
+    _assert_block_facts_match(alg, cube, name)
+    assert alg.submult_bound == bound
+    summed = es.ESumAlgebra([alg, alg], lt.lp_norm(1.5, 2))
+    rep = _outcome(lambda: list(summed.certify_submultiplicative(samples=500, seed=3).items()))
+    assert rep == _outcome(lambda: _certificate_oracle(summed, 500, 3))
+
+
+@pytest.mark.parametrize("name", ["C", "M2"])
+@pytest.mark.parametrize("copies", [1, 2, 3, 4])
+def test_assembled_block_facts_match_the_three_loop_oracle(name, copies):
+    summand = GUARD_CUBES[name]
+    summand = es.FiniteAlgebra(summand[0], summand[1], samples=0, label=name)
+    for lattice in (lt.sup_norm(copies), lt.lp_norm(1.5, copies)):
+        algebra = es.ESumAlgebra([summand] * copies, lattice)
+        alg = algebra.as_finite_algebra(samples=500, seed=3)
+        _assert_block_facts_match(alg, alg.structure, alg.label)
+        assert alg.submult_bound is None
+        assert list(algebra.certify_submultiplicative(samples=500, seed=3).items()) == \
+            _certificate_oracle(algebra, 500, 3)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from esum_lab import esum as es
 from esum_lab import jsum as js
 
 
@@ -87,6 +88,19 @@ class TestSystemValidation:
         structures = [np.zeros((0, 0, 0)), np.ones((1, 1, 1)), np.ones((1, 1, 1))]
         with pytest.raises(js.JSystemError, match="^bond 1 is not multiplicative$"):
             js.JSystem([0, 1, 1], [np.zeros((1, 0)), [[1.0 - 1e-6]]], structures=structures)
+
+    @pytest.mark.parametrize("defect, accepted", [(2e-9, False), (5e-10, True)])
+    def test_bond_multiplicativity_tolerance_is_1e_9(self, defect, accepted):
+        # on C^2, diag(1, s) maps b_1 b_1 = b_1 to s b_1 and b_1 to s b_1,
+        # whose square is s^2 b_1: a defect of s - s^2, about 1 - s
+        cube = es.pointwise_algebra(2).structure
+        bonds = [np.zeros((2, 0)), np.diag([1.0, 1.0 - defect])]
+        structures = [np.zeros((0, 0, 0)), cube, cube]
+        if accepted:
+            assert js.JSystem([0, 2, 2], bonds, structures=structures).has_algebra
+        else:
+            with pytest.raises(js.JSystemError, match="^bond 1 is not multiplicative$"):
+                js.JSystem([0, 2, 2], bonds, structures=structures)
 
     def test_asymmetric_multiplicative_bond_accepted(self):
         cube = np.zeros((2, 2, 2))
