@@ -475,9 +475,9 @@ def lp_obstruction_demo(B, psi, p, sizes):
     With d the dual distance from psi to the commutant Z, the derivation
     sending (b_i) to (w_i ad_psi(b_i)) forces every implementing family to
     satisfy ||Phi_i|| >= d |w_i|; the l_q aggregate of the per-coordinate
-    minima is reported against d ||w||_q across the truncation sizes.  d and
-    the per-coordinate minima are the re-checked witness values (the lower
-    ends) of :func:`min_dual_over_affine`.
+    minima is reported against d ||w||_q across the truncation sizes, each
+    once and in increasing order.  d and the per-coordinate minima are the
+    re-checked witness values (the lower ends) of :func:`min_dual_over_affine`.
     """
     psi = np.asarray(psi, complex)
     if psi.shape != (B.dim,):
@@ -496,7 +496,7 @@ def lp_obstruction_demo(B, psi, p, sizes):
     # each truncation's minima are a prefix of the longest one's
     minima = min_dual_over_affine(B.norm, weights[:, None] * psi, rep.z_basis)["lower"]
     rows = []
-    for size in sorted(sizes):
+    for size in sorted(set(sizes)):
         w, per_coord = weights[:size], minima[:size]
         floor = dist * np.abs(w)
         percoord_ok = bool(np.all(per_coord >= floor - FLOOR_TOL))

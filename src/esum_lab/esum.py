@@ -5,7 +5,9 @@ A :class:`FiniteAlgebra` is a basis-free description by structure constants
 coefficient vectors.  Construction finds its ``blocks``, the connected
 components of the cube's nonzero pattern, and slices each block's own cube
 once (``cubes``).  As c[i,j,k] != 0 only when i, j and k share a block,
-associativity, commutativity and the unit are decided block by block:
+associativity, commutativity and the unit are decided block by block, by
+one function of a block cube (:func:`_block_facts`) called once for each
+distinct cube, since equal cubes have equal facts:
 
   - both sides of (b_i b_j) b_k = b_i (b_j b_k) are 0 unless i, j and k
     share a block, where both are sums within it;
@@ -252,15 +254,6 @@ def _as_complex_cube(structure):
     return c
 
 
-def _normalised(c):
-    """The cube c over its largest entry modulus (c itself when it is 0):
-    associativity and commutativity are invariant under scaling, and a
-    fixed absolute tolerance on the normalised cube is one relative to its
-    size that cannot overflow."""
-    top = np.abs(c).max(initial=0.0)
-    return c / top if top > 0 else c
-
-
 def _structure_blocks(c):
     """Index arrays of the connected components of the nonzero pattern of
     the cube c (i, j and m are linked when c[i,j,m] != 0), ordered by their
@@ -315,23 +308,56 @@ def _submult_bound(algebra):
     return None
 
 
-def _certified_bound(algebras, samples):
-    """The largest ``submult_bound`` of ``algebras`` when every one is at
-    most 1, and None otherwise, when they must be sampled; a negative
-    ``samples`` raises ValueError either way."""
+def _block_facts(c, label):
+    """(commutative, unit or None) of one block cube c; AlgebraError when c
+    is not associative.  Both identities are invariant under scaling, so
+    they are compared on c over its largest entry modulus, where an absolute
+    tolerance is one relative to the size of c that cannot overflow.  The
+    unit solves u b_j = b_j and b_j u = b_j for every j as one least-squares
+    system, snapped to whole numbers when that leaves a residual under 1e-12."""
+    top = np.abs(c).max()
+    n = c / top if top > 0 else c
+    defect = np.einsum("ijm,mkl->ijkl", n, n) - np.einsum("jkm,iml->ijkl", n, n)
+    if not np.abs(defect).max() <= 1e-12:   # not (x <= tol) also refuses a nan
+        raise AlgebraError(f"{label}: structure constants are not associative")
+    commutative = bool(np.abs(n - n.transpose(1, 0, 2)).max() <= 1e-12)
+    d = len(c)
+    eye = np.eye(d).reshape(-1)
+    big = np.vstack([c.transpose(1, 2, 0).reshape(d * d, d),    # rows (j,k): c[i,j,k] u_i
+                     c.transpose(0, 2, 1).reshape(d * d, d)])   # rows (j,k): c[j,i,k] u_i
+    rhs = np.concatenate([eye, eye])
+    u, *_ = np.linalg.lstsq(big, rhs, rcond=None)
+    snapped = np.round(u.real) + 1j * np.round(u.imag)
+    if np.linalg.norm(big @ snapped - rhs) < 1e-12:
+        return commutative, snapped
+    return commutative, (u if np.linalg.norm(big @ u - rhs) < 1e-10 else None)
+
+
+def _certify(label, algebras, samples, seed, lattice=None):
+    """The certificate that ||uv|| <= ||u|| ||v|| on ``algebras``, one algebra
+    or the summands of a sum under ``lattice``: their largest
+    ``submult_bound`` when every one is at most 1, and nothing drawn
+    (the module docstring has the lattice argument); otherwise the worst
+    ratio over ``samples`` pairs drawn per algebra, AlgebraError on a
+    violation.  A negative ``samples`` raises ValueError either way."""
     if samples < 0:
         raise ValueError(f"samples must be nonnegative, got {samples}")
     bounds = [alg.submult_bound for alg in algebras]
     if all(b is not None and b <= 1.0 for b in bounds):
-        return max(bounds, default=0.0)
-    return None
+        return {"samples": 0, "ok": True, "worst_ratio": max(bounds, default=0.0),
+                "method": "bound"}
+    return {"samples": samples, "ok": True, "method": "sampled", "worst_ratio": _worst_ratio(
+        label, np.random.default_rng(seed), algebras, samples, lattice)}
 
 
 class FiniteAlgebra:
     """Associative algebra on C^dim given by structure constants and a norm.
 
-    ``submult_bound`` is a certified bound on ||uv|| / (||u|| ||v||), or None;
-    the algebra is sampled ``samples`` times only when it is None or above 1.
+    :func:`_block_facts` decides each distinct block cube once: the algebra
+    is ``commutative`` when every block is, and its ``unit`` is the blocks'
+    units side by side (None when a block has none).  ``submult_bound`` is a
+    certified bound on ||uv|| / (||u|| ||v||), or None; the algebra is
+    sampled ``samples`` times only when it is None or above 1 (:func:`_certify`).
     """
 
     def __init__(self, structure, norm, *, samples=SUBMULT_SAMPLES, seed=0, label=""):
@@ -341,13 +367,20 @@ class FiniteAlgebra:
         self.label = label or f"algebra(dim={self.dim})"
         self.blocks = _structure_blocks(self.structure)
         self.cubes = [self.structure[np.ix_(b, b, b)] for b in self.blocks]
-        self._check_associativity()
-        self.commutative = all(np.allclose(cb, cb.transpose(1, 0, 2), rtol=0, atol=1e-12)
-                               for cb in map(_normalised, self.cubes))
-        self.unit = self._find_unit()
+        known, facts = {}, []
+        for cb in self.cubes:
+            key = cb.tobytes()
+            if key not in known:
+                known[key] = _block_facts(cb, self.label)
+            facts.append(known[key])
+        self.commutative = all(commutative for commutative, _ in facts)
+        self.unit = None
+        if all(u is not None for _, u in facts):
+            self.unit = np.zeros(self.dim, complex)
+            for b, (_, u) in zip(self.blocks, facts):
+                self.unit[b] = u
         self.submult_bound = _submult_bound(self)
-        if _certified_bound([self], samples) is None:
-            _worst_ratio(self.label, np.random.default_rng(seed), [self], samples)
+        _certify(self.label, [self], samples, seed)
 
     @cached_property
     def _right(self):
@@ -373,33 +406,6 @@ class FiniteAlgebra:
 
     def norm_of(self, v):
         return float(self.norm.eval(np.asarray(v, complex)))
-
-    def _check_associativity(self):
-        for c in map(_normalised, self.cubes):   # the module docstring has the argument
-            left = np.einsum("ijm,mkl->ijkl", c, c)
-            right = np.einsum("jkm,iml->ijkl", c, c)
-            if not np.allclose(left, right, rtol=0, atol=1e-12):
-                raise AlgebraError(f"{self.label}: structure constants are not associative")
-
-    def _find_unit(self):
-        unit = np.zeros(self.dim, complex)
-        for b, c in zip(self.blocks, self.cubes):   # the module docstring has the argument
-            d = len(c)
-            eye = np.eye(d).reshape(-1)
-            # u b_j = b_j and b_j u = b_j for all j in the block, as one least-squares system
-            a_left = c.transpose(1, 2, 0).reshape(d * d, d)   # rows (j,k): c[i,j,k] u_i
-            a_right = c.transpose(0, 2, 1).reshape(d * d, d)  # rows (j,k): c[j,i,k] u_i
-            big = np.vstack([a_left, a_right])
-            rhs = np.concatenate([eye, eye])
-            u, *_ = np.linalg.lstsq(big, rhs, rcond=None)
-            snapped = np.round(u.real) + 1j * np.round(u.imag)
-            if np.linalg.norm(big @ snapped - rhs) < 1e-12:
-                unit[b] = snapped
-            elif np.linalg.norm(big @ u - rhs) < 1e-10:
-                unit[b] = u
-            else:
-                return None
-        return unit
 
     @property
     def unital(self):
@@ -510,20 +516,11 @@ class ESumAlgebra:
         return self.element(units)
 
     def certify_submultiplicative(self, samples=SUBMULT_SAMPLES, seed=0):
-        """Certify ||ab|| <= ||a|| ||b||.  When every summand's
-        ``submult_bound`` is at most 1, their largest bound is the sum's
-        (the module docstring has the lattice argument) and nothing is
-        drawn; otherwise ``samples`` random element pairs are drawn per
-        summand and normed by the lattice, and any violation raises
-        AlgebraError.  A negative ``samples`` raises ValueError.  Returns
-        ``ok``, ``worst_ratio`` (the bound, or the worst sampled ratio),
+        """Certify ||ab|| <= ||a|| ||b|| by the summands' bounds, or on
+        ``samples`` pairs per summand normed by the lattice (:func:`_certify`).
+        Returns ``ok``, ``worst_ratio`` (the bound, or the worst sampled ratio),
         ``samples`` (the pairs drawn) and ``method`` ("bound" or "sampled")."""
-        bound = _certified_bound(self.summands, samples)
-        if bound is not None:
-            return {"samples": 0, "ok": True, "worst_ratio": bound, "method": "bound"}
-        rng = np.random.default_rng(seed)
-        return {"samples": samples, "ok": True, "method": "sampled",
-                "worst_ratio": _worst_ratio(self.label, rng, self.summands, samples, self.lattice)}
+        return _certify(self.label, self.summands, samples, seed, self.lattice)
 
     def as_finite_algebra(self, *, samples=SUBMULT_SAMPLES, seed=0):
         """The same algebra as one block FiniteAlgebra (block-diagonal

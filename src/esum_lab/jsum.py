@@ -115,7 +115,7 @@ class JSystem:
             top = max(np.abs(c_lo).max(), np.abs(c_hi).max(initial=0.0)) or 1.0
             lhs = np.einsum("ijm,km->ijk", c_lo / top, bond)
             rhs = np.einsum("pi,qj,pqk->ijk", bond, bond, c_hi / top)
-            if not np.allclose(lhs, rhs, rtol=0, atol=1e-9):
+            if not np.abs(lhs - rhs).max(initial=0.0) <= 1e-9:   # a nan fails too
                 raise JSystemError(f"bond {n} is not multiplicative")
         self.structures = cubes
 

@@ -236,6 +236,14 @@ def test_bad_lp_demo_argument_is_one_line_error(tmp_path, capsys, base, flags, m
     assert _error_line(capsys) == message
 
 
+def test_lp_demo_repeated_size_gives_the_rows_once(tmp_path, capsys):
+    base = write(tmp_path, "base.json", M2_BASE)
+    code, repeated = run_cli(capsys, ["lp-demo", "--base", base, "--p", "2", "--sizes", "2,2,4"])
+    assert code == 0 and repeated["ok"] and repeated["monotone_growth"]
+    distinct = run_cli(capsys, ["lp-demo", "--base", base, "--p", "2", "--sizes", "2,4"])
+    assert distinct == (0, repeated)
+
+
 @pytest.mark.parametrize("command, docs, message", [
     ("wam", {"algebra": M2_BASE}, "ValueError: samples must be nonnegative, got -5"),
     ("jcheck", {"system": CHAIN}, "ValueError: samples must be nonnegative, got -5"),

@@ -730,6 +730,13 @@ class TestObstruction:
                 assert row["per_coordinate_ok"]
                 assert row["leibniz_residual"] <= 1e-9
 
+    def test_repeated_sizes_give_each_row_once(self):
+        m2 = es.matrix_units_algebra(2)
+        psi = np.eye(4)[1]
+        rep = dv.lp_obstruction_demo(m2, psi, 2.0, [4, 2, 2])
+        assert rep == dv.lp_obstruction_demo(m2, psi, 2.0, [2, 4])
+        assert rep["ok"] and rep["monotone_growth"] and [r["size"] for r in rep["rows"]] == [2, 4]
+
     def test_demo_solves_each_coordinate_once(self, monkeypatch):
         # the distance, then the minima of every coordinate of the longest
         # truncation in one stacked call; the shorter ones take prefixes

@@ -658,7 +658,8 @@ def _later_block_not_associative():
     return es.block_cube([es._matrix_unit_cube(2), bad])
 
 
-MIXED_BLOCKS = es.block_cube([es._matrix_unit_cube(2), [[[1.0]]], [[[0.0]]], es._matrix_unit_cube(2)])
+MIXED_BLOCKS = es.block_cube([es._matrix_unit_cube(2), [[[1.0]]], [[[0.0]]],
+                              es._matrix_unit_cube(2)])
 PERMUTATION = [7, 2, 9, 0, 4, 8, 1, 5, 3, 6]
 # (cube, norm, samples at construction, submult_bound)
 GUARD_CUBES = {
@@ -717,3 +718,20 @@ def test_assembled_block_facts_match_the_three_loop_oracle(name, copies):
         assert alg.submult_bound is None
         assert list(algebra.certify_submultiplicative(samples=500, seed=3).items()) == \
             _certificate_oracle(algebra, 500, 3)
+
+
+def test_each_distinct_block_cube_is_decided_once(monkeypatch):
+    m2, c = es.matrix_units_algebra(2), es.scalar_algebra()
+    calls = []
+    real = es._block_facts
+    monkeypatch.setattr(es, "_block_facts",
+                        lambda cube, label: calls.append(len(cube)) or real(cube, label))
+    es.ESumAlgebra([m2] * 4, lt.sup_norm(4)).as_finite_algebra()
+    assert calls == [4]
+    calls.clear()
+    es.FiniteAlgebra(es.block_cube([m2.structure, c.structure, m2.structure]),
+                     es.MaxAbsCoordinate(), samples=0)
+    assert calls == [4, 1]
+    calls.clear()
+    es.pointwise_algebra(5)
+    assert calls == [1]
