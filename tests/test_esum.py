@@ -706,18 +706,57 @@ def test_block_facts_match_the_three_loop_oracle(name):
     assert rep == _outcome(lambda: _certificate_oracle(summed, 500, 3))
 
 
-@pytest.mark.parametrize("name", ["C", "M2"])
-@pytest.mark.parametrize("copies", [1, 2, 3, 4])
-def test_assembled_block_facts_match_the_three_loop_oracle(name, copies):
-    summand = GUARD_CUBES[name]
-    summand = es.FiniteAlgebra(summand[0], summand[1], samples=0, label=name)
-    for lattice in (lt.sup_norm(copies), lt.lp_norm(1.5, copies)):
-        algebra = es.ESumAlgebra([summand] * copies, lattice)
-        alg = algebra.as_finite_algebra(samples=500, seed=3)
-        _assert_block_facts_match(alg, alg.structure, alg.label)
-        assert alg.submult_bound is None
-        assert list(algebra.certify_submultiplicative(samples=500, seed=3).items()) == \
-            _certificate_oracle(algebra, 500, 3)
+ASSEMBLED_SUMS = {
+    **{f"{k}-{name}": [name] * k for name in ("C", "M2") for k in range(1, 5)},
+    "M2+C+square-zero": ["M2", "C", "square-zero"],
+    # blocks that are no runs of consecutive coordinates, after a summand and before one
+    "M2+permuted+C": ["M2", "permuted", "C"],
+    "2 x M2 (euclidean)": ["M2 (euclidean)"] * 2,
+}
+
+
+@pytest.mark.parametrize("names", list(ASSEMBLED_SUMS))
+def test_assembled_block_facts_match_the_three_loop_oracle(names):
+    """Under sup, lp(1.5), weighted sup and ramp(0.5), the assembled sum has
+    the blocks, cubes, unit and structure of the dense block cube's
+    FiniteAlgebra byte for byte, its flags and norm, and the three-loop
+    oracle's facts; it is certified as the summands are."""
+    built = {n: es.FiniteAlgebra(*GUARD_CUBES[n][:2], samples=0, label=n)
+             for n in set(ASSEMBLED_SUMS[names])}
+    summands = [built[n] for n in ASSEMBLED_SUMS[names]]
+    for kind in ("sup", "lp(1.5)", "weighted_sup", "ramp(0.5)"):
+        _assert_assembly_matches_the_dense_cube(
+            es.ESumAlgebra(summands, BLOCK_LATTICES[kind](len(summands))))
+
+
+def _assert_assembly_matches_the_dense_cube(algebra):
+    summands = algebra.summands
+    cert = _outcome(lambda: list(algebra.certify_submultiplicative(samples=500, seed=3).items()))
+    assert cert == _outcome(lambda: _certificate_oracle(algebra, 500, 3))
+    if isinstance(cert, str):
+        assert _outcome(lambda: algebra.as_finite_algebra(samples=500, seed=3)) == cert
+    alg = algebra.as_finite_algebra(samples=0)
+    _assert_block_facts_match(alg, alg.structure, alg.label)
+    assert alg.submult_bound is None
+
+    dense = es.FiniteAlgebra(
+        es.block_cube([a.structure for a in summands]),
+        es.LatticeBlockNorm(algebra.lattice, [a.norm for a in summands], [a.dim for a in summands]),
+        samples=0, label=alg.label)
+    assert [(b.dtype, b.tobytes()) for b in alg.blocks] == \
+        [(b.dtype, b.tobytes()) for b in dense.blocks]
+    assert [cb.tobytes() for cb in alg.cubes] == [cb.tobytes() for cb in dense.cubes]
+    assert alg.structure.shape == dense.structure.shape
+    assert alg.structure.dtype == dense.structure.dtype
+    assert alg.structure.tobytes() == dense.structure.tobytes()
+    assert (alg.unit is None) == (dense.unit is None)
+    assert alg.unit is None or (alg.unit.dtype == dense.unit.dtype
+                                and alg.unit.tobytes() == dense.unit.tobytes())
+    assert (alg.commutative, alg.unital) == (dense.commutative, dense.unital)
+    rng = np.random.default_rng(5)
+    for v in rng.standard_normal((4, 2, alg.dim)):
+        v = v[0] + 1j * v[1]
+        assert alg.norm_of(v) == dense.norm_of(v)
 
 
 def test_each_distinct_block_cube_is_decided_once(monkeypatch):
