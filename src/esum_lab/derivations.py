@@ -393,7 +393,7 @@ def wam_bracket(algebra, samples=200, seed=0, blocks=None, report=None):
 # ---------------------------------------------------------------------------
 
 def esum_wa_check(summands, lattice, samples=120, seed=0):
-    """Assemble the sum as one block algebra and check the finite-scale
+    """Certify the sum (its own block algebra) and check the finite-scale
     coordinate claims: commutative weakly amenable summands force a zero
     derivation space; weak amenability passes to summands; derivations of a
     sum of weakly amenable summands are block-diagonal; and the constant
@@ -401,11 +401,9 @@ def esum_wa_check(summands, lattice, samples=120, seed=0):
     upper(sum), lower(sum) <= C_E^2 max_i upper_i.  Its first half implies
     the transfer bound lower_i <= ||delta_i|| upper(sum), as every lattice
     has embedding norms ||delta_i|| >= 1."""
-    esum = ESumAlgebra(summands, lattice)
-    big = esum.as_finite_algebra(seed=seed)
-    ends = np.cumsum([a.dim for a in summands])
-    blocks = [list(range(end - a.dim, end)) for a, end in zip(summands, ends)]
-    rep_big = derivation_space(big)
+    esum = ESumAlgebra(summands, lattice).as_finite_algebra(seed=seed)
+    blocks = [range(run.start, run.stop) for run in esum.norm.slices]
+    rep_big = derivation_space(esum)
     distinct = {id(a): a for a in summands}   # a summand listed twice is solved once
     spaces = {key: derivation_space(a) for key, a in distinct.items()}
     reps = [spaces[id(a)] for a in summands]
@@ -436,7 +434,7 @@ def esum_wa_check(summands, lattice, samples=120, seed=0):
         if worst > 1e-9:
             report["failures"].append(f"derivation basis is not block-diagonal: {worst}")
 
-        br_big = wam_bracket(big, samples=samples, seed=seed, blocks=blocks, report=rep_big)
+        br_big = wam_bracket(esum, samples=samples, seed=seed, blocks=blocks, report=rep_big)
         brackets = {key: wam_bracket(a, samples=samples, seed=seed, report=spaces[key])
                     for key, a in distinct.items()}
         br_small = [brackets[id(a)] for a in summands]

@@ -51,10 +51,9 @@ and with summand bounds beta_i
 <= max_i beta_i ||a|| ||b||.  So a sum whose summands all have beta_i <= 1 is
 certified with max_i beta_i and no draws
 (:meth:`ESumAlgebra.certify_submultiplicative`).  Otherwise the sum is
-sampled once, summand by summand under the lattice norm; its assembled
-block algebra (:meth:`ESumAlgebra.as_finite_algebra`) is not sampled again,
-because a Gaussian pair on the whole space is a Gaussian pair on each block.
-One sampler serves both, ``ROW_BLOCK`` pairs at a time.
+sampled once, summand by summand under the lattice norm, and not again as the
+block algebra it is, because a Gaussian pair on the whole space is a Gaussian
+pair on each block.  One sampler serves both, ``ROW_BLOCK`` pairs at a time.
 """
 
 from __future__ import annotations
@@ -484,8 +483,11 @@ class ESumElement:
         return f"ESumElement({[list(v) for v in self.values]})"
 
 
-class ESumAlgebra:
-    """Finitely many summands glued along a lattice norm."""
+class ESumAlgebra(FiniteAlgebra):
+    """Finitely many summands glued along a lattice norm; the block algebra
+    of their concatenated coefficients, with the summands' own blocks (each
+    on its run of coordinates), cubes, unit and commutativity.  The sum's
+    certificate is :meth:`certify_submultiplicative`, so ``submult_bound`` is None."""
 
     def __init__(self, summands, lattice):
         if not isinstance(lattice, LatticeNormSpec):
@@ -495,6 +497,19 @@ class ESumAlgebra:
         self.summands = list(summands)
         self.lattice = lattice
         self.label = f"esum({lattice.kind})"
+        self.norm = LatticeBlockNorm(lattice, [a.norm for a in summands], [a.dim for a in summands])
+        self.dim = self.norm.dim
+        self.blocks = [b + s.start for a, s in zip(summands, self.norm.slices) for b in a.blocks]
+        self.cubes = [cb for a in summands for cb in a.cubes]
+        self.commutative = all(a.commutative for a in summands)
+        units = [a.unit for a in summands]
+        self.unit = None if any(u is None for u in units) else np.concatenate(units)
+        self.submult_bound = None
+
+    @cached_property
+    def structure(self):
+        """The dense :func:`block_cube`, built on first read."""
+        return block_cube([a.structure for a in self.summands])
 
     @property
     def size(self):
@@ -509,12 +524,6 @@ class ESumAlgebra:
     def summand_norms(self, a):
         return np.array([alg.norm_of(v) for alg, v in zip(self.summands, a.values)])
 
-    def unit(self):
-        units = [alg.unit for alg in self.summands]
-        if any(u is None for u in units):
-            raise AlgebraError("not unital: some summand lacks a unit")
-        return self.element(units)
-
     def certify_submultiplicative(self, samples=SUBMULT_SAMPLES, seed=0):
         """Certify ||ab|| <= ||a|| ||b|| by the summands' bounds, or on
         ``samples`` pairs per summand normed by the lattice (:func:`_certify`).
@@ -523,18 +532,10 @@ class ESumAlgebra:
         return _certify(self.label, self.summands, samples, seed, self.lattice)
 
     def as_finite_algebra(self, *, samples=SUBMULT_SAMPLES, seed=0):
-        """The same algebra as one block FiniteAlgebra (block-diagonal
-        structure constants, lattice-of-blocks norm).  It is certified once,
-        by :meth:`certify_submultiplicative`: by the summands' bounds when
-        they all certify, and otherwise on ``samples`` pairs drawn block by
-        block.  A Gaussian pair on the blocks is a Gaussian pair on the
-        whole space, so sampling the block cube again would only repeat the
-        same law; its lattice-of-blocks norm has no bound of its own."""
+        """The sum itself, certified by :meth:`certify_submultiplicative`:
+        by the summands' bounds, or on ``samples`` pairs per summand."""
         self.certify_submultiplicative(samples, seed)
-        dims = [a.dim for a in self.summands]
-        c = block_cube([a.structure for a in self.summands])
-        norm = LatticeBlockNorm(self.lattice, [a.norm for a in self.summands], dims)
-        return FiniteAlgebra(c, norm, samples=0, label=self.label)
+        return self
 
 
 def block_cube(structures):
@@ -588,9 +589,9 @@ def coordinate_embedding(algebra, v, i):
     """The element supported at index i with value v."""
     if not (0 <= i < algebra.size):
         raise IndexError(f"summand index {i} out of range")
-    out = algebra.zero()
-    out.values[i] = np.asarray(v, complex).copy()
-    return out
+    values = algebra.zero().values
+    values[i] = np.array(v, complex)
+    return algebra.element(values)
 
 
 def embedding_norm(algebra, i):
@@ -624,7 +625,7 @@ def unit_and_bai_bound_check(algebra):
         un = alg.norm_of(alg.unit)
         if abs(un - 1.0) > 1e-9:
             raise AlgebraError(f"summand unit has norm {un}, expected 1")
-    m_norm = esum_norm(algebra.unit())
+    m_norm = algebra.norm_of(algebra.unit)
     sizes = list(range(1, algebra.size + 1))
     chis = [chi_norm(algebra.lattice, n) for n in sizes]
     ok = all(c <= 2 * m_norm + 1e-12 for c in chis)

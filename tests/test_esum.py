@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from esum_lab import derivations as dv
 from esum_lab import esum as es
 from esum_lab import lattice as lt
 
@@ -165,7 +166,7 @@ class TestESumOperations:
         assert [complex(v[0]) for v in ab.values] == [6.0, 0.0]
         disj = es.esum_mul(alg.element([[1], [0]]), alg.element([[0], [7]]))
         assert es.esum_norm(disj) == 0.0
-        unit = alg.unit()
+        unit = alg.element([alg.unit[run] for run in alg.norm.slices])
         uu = es.esum_mul(unit, unit)
         assert all(np.allclose(u, v) for u, v in zip(uu.values, unit.values))
 
@@ -245,6 +246,15 @@ class TestESumOperations:
         with pytest.raises(es.AlgebraError, match="not submultiplicative"):
             alg.as_finite_algebra(samples=500)
         assert alg.as_finite_algebra(samples=0).dim == 2
+
+    def test_embedding_checks_the_summand_length(self):
+        alg = scalar_sum(lt.sup_norm(2))
+        with pytest.raises(es.AlgebraError, match="^summand coefficient length mismatch$"):
+            es.coordinate_embedding(alg, [1.0, 5.0, 9.0], 0)
+        v = np.array([2.0 + 0j])
+        emb = es.coordinate_embedding(alg, v, 1)
+        v[0] = 7.0   # the element holds a copy
+        assert [complex(u[0]) for u in emb.values] == [0.0, 2.0]
 
     def test_truncate(self):
         alg = scalar_sum(lt.lp_norm(2, 3))
@@ -766,7 +776,7 @@ def test_each_distinct_block_cube_is_decided_once(monkeypatch):
     monkeypatch.setattr(es, "_block_facts",
                         lambda cube, label: calls.append(len(cube)) or real(cube, label))
     es.ESumAlgebra([m2] * 4, lt.sup_norm(4)).as_finite_algebra()
-    assert calls == [4]
+    assert calls == []   # the sum takes its summands' facts
     calls.clear()
     es.FiniteAlgebra(es.block_cube([m2.structure, c.structure, m2.structure]),
                      es.MaxAbsCoordinate(), samples=0)
@@ -774,3 +784,26 @@ def test_each_distinct_block_cube_is_decided_once(monkeypatch):
     calls.clear()
     es.pointwise_algebra(5)
     assert calls == [1]
+
+
+def test_the_sum_is_its_own_block_algebra(monkeypatch):
+    """as_finite_algebra returns the sum; its derivation space and weak
+    amenability read the summands' blocks and never the dense cube, no E-sum
+    path decides a block again, and wam_bracket builds the cube once."""
+    m2 = es.matrix_units_algebra(2)
+    calls, cubes = [], []
+    real_facts, real_cube = es._block_facts, es.block_cube
+    monkeypatch.setattr(es, "_block_facts", lambda c, label: calls.append(label) or real_facts(c, label))
+    monkeypatch.setattr(es, "block_cube", lambda structures: cubes.append(1) or real_cube(structures))
+    alg = es.ESumAlgebra([m2] * 4, lt.sup_norm(4))
+    assert alg.as_finite_algebra(samples=0) is alg
+    rep = dv.derivation_space(alg)
+    assert dv.is_weakly_amenable(alg, rep)[0]
+    assert "structure" not in vars(alg) and cubes == []
+    assert dv.esum_wa_check([m2] * 4, lt.sup_norm(4), samples=5)["ok"]
+    assert calls == [] and cubes == [1]   # its wam_bracket's
+    cubes.clear()
+    runs = [range(4 * i, 4 * i + 4) for i in range(4)]
+    for _ in range(2):
+        dv.wam_bracket(alg, samples=5, blocks=runs, report=rep)
+    assert "structure" in vars(alg) and cubes == [1]
