@@ -438,6 +438,38 @@ def _replaced(doc, path, value):
     return out
 
 
+GOLDEN_RUNS = Path(__file__).parent / "data" / "valid_runs.json"
+
+
+def _assert_matches_golden(got, want, where=()):
+    """Keys, strings, ints, bools and None equal, floats to 1e-12 relative."""
+    assert type(got) is type(want), (where, got, want)
+    if isinstance(want, dict):
+        assert sorted(got) == sorted(want), where
+        for key in want:
+            _assert_matches_golden(got[key], want[key], where + (key,))
+    elif isinstance(want, list):
+        assert len(got) == len(want), where
+        for k, (g, w) in enumerate(zip(got, want)):
+            _assert_matches_golden(g, w, where + (k,))
+    elif isinstance(want, float):
+        assert abs(got - want) <= 1e-12 * abs(want), (where, got, want)
+    else:
+        assert got == want, (where, got, want)
+
+
+def test_valid_runs_replay_the_golden_outputs(tmp_path, capsys):
+    golden = json.loads(GOLDEN_RUNS.read_text())
+    assert [run["flags"] for run in golden] == [flags for flags, _ in VALID_RUNS]
+    for (flags, docs), run in zip(VALID_RUNS, golden):
+        argv = list(flags)
+        for key, doc in docs.items():
+            argv += [f"--{key}", write(tmp_path, f"{key}.json", doc)]
+        code, out = run_cli(capsys, argv)
+        assert code == 0, flags
+        _assert_matches_golden(out, run["stdout"], tuple(flags))
+
+
 def test_every_command_has_a_valid_run():
     parser = cli.build_parser()
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices

@@ -330,16 +330,20 @@ def block_sums(draw):
 class TestBlockNorm:
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(case=block_sums())
-    def test_matches_esum_norm(self, case):
-        """The assembled block algebra has the E-sum's norm and product."""
+    def test_matches_the_summands(self, case):
+        """The sum's norm is the lattice norm of the summand norms, bit for
+        bit, and its product is the summands' products side by side, which
+        is the product of the dense block cube."""
         alg, u, v = case
-        big = alg.as_finite_algebra(samples=0)
         for vals in (u, v):
-            want = es.esum_norm(alg.element(vals))
-            assert abs(big.norm_of(np.concatenate(vals)) - want) <= 1e-12 * want
-        blocked = big.multiply(np.concatenate(u), np.concatenate(v))
-        direct = np.concatenate(es.esum_mul(alg.element(u), alg.element(v)).values)
-        assert np.abs(blocked - direct).max() <= 1e-12 * max(1.0, np.abs(direct).max())
+            want = lt.norm_eval(alg.lattice, [a.norm_of(x) for a, x in zip(alg.summands, vals)])
+            assert alg.norm_of(np.concatenate(vals)) == want
+        got = alg.multiply(np.concatenate(u), np.concatenate(v))
+        direct = np.concatenate([a.multiply(x, y) for a, x, y in zip(alg.summands, u, v)])
+        assert np.abs(got - direct).max() <= 1e-12 * max(1.0, np.abs(direct).max())
+        dense = np.einsum("i,j,ijk->k", np.concatenate(u), np.concatenate(v),
+                          es.block_cube([a.structure for a in alg.summands]))
+        assert np.abs(got - dense).max() <= 1e-12 * max(1.0, np.abs(dense).max())
 
     def test_dual_is_block_sum_for_sup(self):
         alg = es.ESumAlgebra(
