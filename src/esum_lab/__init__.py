@@ -28,7 +28,6 @@ from .lattice import (
 )
 from .esum import (
     ESumAlgebra,
-    ESumElement,
     EuclideanCoordinate,
     FiniteAlgebra,
     MatrixOperatorNorm,
@@ -36,8 +35,6 @@ from .esum import (
     coordinate_embedding,
     coordinate_projection,
     embedding_norm,
-    esum_mul,
-    esum_norm,
     matrix_units_algebra,
     pointwise_algebra,
     projection_norm,

@@ -90,18 +90,17 @@ def cmd_ce(args):
 
 def cmd_esum_norm(args):
     algebra = _algebra_from_dict(_load(args.algebra))
-    element = _element_from_dict(algebra, _load(args.element))
-    return {"norm": es.esum_norm(element)}
+    return {"norm": algebra.norm_of(_element_from_dict(algebra, _load(args.element)))}
 
 
 def cmd_esum_mul(args):
     algebra = _algebra_from_dict(_load(args.algebra))
     x = _element_from_dict(algebra, _load(args.x))
     y = _element_from_dict(algebra, _load(args.y))
-    out = es.esum_mul(x, y)
+    out = algebra.multiply(x, y)
     return {
-        "values": [[ [v.real, v.imag] for v in vec ] for vec in out.values],
-        "norm": es.esum_norm(out),
+        "values": [[[v.real, v.imag] for v in out[run]] for run in algebra.norm.slices],
+        "norm": algebra.norm_of(out),
     }
 
 

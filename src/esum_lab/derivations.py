@@ -337,7 +337,7 @@ def wam_bracket(algebra, samples=200, seed=0, blocks=None, report=None):
     every derivation D admits an implementing phi with ||phi|| <= C ||D||.
     One :meth:`DerivationSpaceReport.implement` call solves the stack
     (N, d, d) of draws g: phi0 (N, d) is the pseudo-inverse solve, and D =
-    ad_phi0 is inner by construction, implemented exactly by phi0 + Z.
+    ad_phi0, formed block by block, is inner: phi0 + Z implements it exactly.
     The lower end is the best over D of the re-checked dual witness value
     over :func:`derivation_norm_upper`, the witnesses of every draw with a
     nonzero D coming from one :func:`min_dual_over_affine` call on their
@@ -370,7 +370,9 @@ def wam_bracket(algebra, samples=200, seed=0, blocks=None, report=None):
     draws.append(g[:, 0] + 1j * g[:, 1])
 
     phi0, _ = rep.implement(np.concatenate(draws))
-    D = (phi0 @ adjoint_map_matrix(algebra.structure).T).reshape(-1, d, d)
+    D = np.zeros((len(phi0), d, d), complex)
+    for b, cb in zip(algebra.blocks, algebra.cubes):
+        D[:, b[:, None], b] = (phi0[:, b] @ adjoint_map_matrix(cb).T).reshape(-1, len(b), len(b))
     nd = derivation_norm_upper(algebra, D)
     kept = nd >= 1e-12
     values = min_dual_over_affine(algebra.norm, phi0[kept], rep.z_basis)["lower"] / nd[kept]

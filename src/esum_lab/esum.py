@@ -39,10 +39,10 @@ other is sampled as a refuter: over Gaussian pairs u, v the worst ratio
 aborts construction.
 
 An :class:`ESumAlgebra` glues finitely many summands along a
-:class:`~esum_lab.lattice.LatticeNormSpec`: elements are per-summand
-coefficient vectors, the norm is the lattice norm of the summand norms, and
-multiplication is coordinatewise.  Coordinate projections are contractive;
-the embedding of summand i has norm exactly ||delta_i||.
+:class:`~esum_lab.lattice.LatticeNormSpec`: an element is the summands'
+coefficient vectors end to end, normed by the lattice norm of the summand
+norms and multiplied summand by summand.  Coordinate projections are
+contractive; the embedding of summand i has norm exactly ||delta_i||.
 
 The sum is a Banach algebra coordinatewise.  E is solid and dominates the
 sup norm (``LatticeNormSpec``'s gate enforces both), so ||b|| >= max_i ||b_i||,
@@ -64,7 +64,7 @@ from functools import cached_property
 import numpy as np
 
 from .lattice import (LatticeNormSpec, chi_norm, delta_norm, dual_extremal, dual_norm_batch,
-                      dual_vs_l2, integer_from_json, norm_eval, norm_eval_batch, required_key)
+                      dual_vs_l2, integer_from_json, norm_eval_batch, required_key)
 
 SUBMULT_SAMPLES = 10_000
 SUBMULT_TOL = 1e-9
@@ -118,15 +118,23 @@ class MaxAbsCoordinate(CoordinateNorm):
 
 
 class EuclideanCoordinate(CoordinateNorm):
-    def eval(self, v):
-        return np.linalg.norm(np.asarray(v), axis=-1)
+    """The self-dual l2 norm.  Each row is divided by its largest modulus,
+    rounded down to a power of two so that the division is exact, before it
+    is squared, so nothing overflows or underflows."""
 
-    def dual(self, v):
-        return np.linalg.norm(np.asarray(v), axis=-1)
+    def _scale(self, v):
+        # each row's largest modulus rounded down to a power of two, 1/2 for a zero row
+        return np.ldexp(1.0, np.frexp(np.abs(v).max(axis=-1, keepdims=True, initial=0.0))[1] - 1)
+
+    def eval(self, v):
+        scale = self._scale(v)
+        return scale[..., 0] * np.linalg.norm(v / scale, axis=-1)
+
+    dual = eval
 
     def norming(self, phi):
-        size = np.linalg.norm(phi, axis=-1, keepdims=True)
-        return np.conj(phi) / np.where(size > 0, size, 1.0)
+        w = phi / self._scale(phi)   # a nonzero row of w has norm at least 1
+        return np.conj(w) / np.maximum(np.linalg.norm(w, axis=-1, keepdims=True), 1.0)
 
     def dual_vs_l2(self, dim):
         return (1.0, 1.0)
@@ -465,29 +473,12 @@ def square_zero_algebra():
 # E-sums
 # ---------------------------------------------------------------------------
 
-class ESumElement:
-    """A family of summand coefficient vectors, one per index."""
-
-    __slots__ = ("parent", "values")
-
-    def __init__(self, parent, values):
-        self.parent = parent
-        self.values = [np.asarray(v, dtype=complex) for v in values]
-        if len(self.values) != len(parent.summands):
-            raise AlgebraError("one coefficient vector per summand is required")
-        for v, alg in zip(self.values, parent.summands):
-            if v.shape != (alg.dim,):
-                raise AlgebraError("summand coefficient length mismatch")
-
-    def __repr__(self):
-        return f"ESumElement({[list(v) for v in self.values]})"
-
-
 class ESumAlgebra(FiniteAlgebra):
     """Finitely many summands glued along a lattice norm; the block algebra
     of their concatenated coefficients, with the summands' own blocks (each
-    on its run of coordinates), cubes, unit and commutativity.  The sum's
-    certificate is :meth:`certify_submultiplicative`, so ``submult_bound`` is None."""
+    on its run of coordinates, ``norm.slices``), cubes, unit and commutativity,
+    multiplied and normed summand by summand.  The sum's certificate is
+    :meth:`certify_submultiplicative`, so ``submult_bound`` is None."""
 
     def __init__(self, summands, lattice):
         if not isinstance(lattice, LatticeNormSpec):
@@ -516,13 +507,23 @@ class ESumAlgebra(FiniteAlgebra):
         return len(self.summands)
 
     def element(self, values):
-        return ESumElement(self, values)
+        """The coefficient vector of the family ``values``, one vector per summand."""
+        values = [np.asarray(v, dtype=complex) for v in values]
+        if len(values) != self.size:
+            raise AlgebraError("one coefficient vector per summand is required")
+        if any(v.shape != (a.dim,) for v, a in zip(values, self.summands)):
+            raise AlgebraError("summand coefficient length mismatch")
+        return np.concatenate(values)
 
-    def zero(self):
-        return self.element([np.zeros(a.dim, complex) for a in self.summands])
-
-    def summand_norms(self, a):
-        return np.array([alg.norm_of(v) for alg, v in zip(self.summands, a.values)])
+    def multiply(self, u, v):
+        """Products of u and v, broadcast over leading axes, summand by summand;
+        ||uv|| <= ||u|| ||v|| (1 + SUBMULT_TOL) + 1e-12 is asserted row by row."""
+        u, v = np.broadcast_arrays(u, v)
+        out = np.concatenate([a.multiply(u[..., run], v[..., run])
+                              for a, run in zip(self.summands, self.norm.slices)], axis=-1)
+        norms = [self.norm.eval(w) for w in (out, u, v)]
+        assert not np.any(norms[0] > norms[1] * norms[2] * (1 + SUBMULT_TOL) + 1e-12)
+        return out
 
     def certify_submultiplicative(self, samples=SUBMULT_SAMPLES, seed=0):
         """Certify ||ab|| <= ||a|| ||b|| by the summands' bounds, or on
@@ -551,27 +552,16 @@ def block_cube(structures):
     return cube
 
 
-def esum_norm(a):
-    """||a|| = lattice norm of the vector of summand norms."""
-    return norm_eval(a.parent.lattice, a.parent.summand_norms(a))
-
-
-def esum_mul(a, b):
-    """Coordinatewise product; submultiplicativity is asserted in debug mode."""
-    if a.parent is not b.parent:
-        raise AlgebraError("operands must come from the same E-sum algebra")
-    out = a.parent.element([
-        alg.multiply(u, v) for alg, u, v in zip(a.parent.summands, a.values, b.values)
-    ])
-    assert esum_norm(out) <= esum_norm(a) * esum_norm(b) * (1 + SUBMULT_TOL) + 1e-12
-    return out
-
-
-def coordinate_projection(a, i):
-    """The i-th summand coefficients; always contractive."""
-    if not (0 <= i < a.parent.size):
+def _summand_run(algebra, i):
+    """The coordinates of summand i; IndexError outside [0, size)."""
+    if not (0 <= i < algebra.size):
         raise IndexError(f"summand index {i} out of range")
-    return a.values[i].copy()
+    return algebra.norm.slices[i]
+
+
+def coordinate_projection(algebra, a, i):
+    """The i-th summand coefficients of a; always contractive."""
+    return np.array(a[..., _summand_run(algebra, i)])
 
 
 def projection_norm(algebra, i):
@@ -580,34 +570,30 @@ def projection_norm(algebra, i):
     Solidity gives ||a|| >= ||a_i|| ||delta_i||, with equality on elements
     supported at i, so the bound is attained and is <= 1.
     """
-    if not (0 <= i < algebra.size):
-        raise IndexError(f"summand index {i} out of range")
-    return 1.0 / delta_norm(algebra.lattice, i)
+    return 1.0 / embedding_norm(algebra, i)
 
 
 def coordinate_embedding(algebra, v, i):
     """The element supported at index i with value v."""
-    if not (0 <= i < algebra.size):
-        raise IndexError(f"summand index {i} out of range")
-    values = algebra.zero().values
-    values[i] = np.array(v, complex)
+    _summand_run(algebra, i)
+    values = [np.zeros(a.dim) for a in algebra.summands]
+    values[i] = v
     return algebra.element(values)
 
 
 def embedding_norm(algebra, i):
     """Exact operator norm of the i-th embedding: ||delta_i||."""
-    if not (0 <= i < algebra.size):
-        raise IndexError(f"summand index {i} out of range")
+    _summand_run(algebra, i)
     return delta_norm(algebra.lattice, i)
 
 
-def truncate(a, keep):
-    """Zero all coordinates outside ``keep``; never increases the norm."""
-    keep = set(keep)
-    out = a.parent.element([
-        v.copy() if i in keep else np.zeros_like(v) for i, v in enumerate(a.values)
-    ])
-    assert esum_norm(out) <= esum_norm(a) * (1 + 1e-12) + 1e-12
+def truncate(algebra, a, keep):
+    """Zero the summands of a outside ``keep``, in [0, size); never increases the norm."""
+    out = np.zeros_like(a)
+    for i in set(keep):
+        run = _summand_run(algebra, i)
+        out[run] = a[run]
+    assert algebra.norm_of(out) <= algebra.norm_of(a) * (1 + 1e-12) + 1e-12
     return out
 
 

@@ -214,6 +214,21 @@ def test_overflowing_norm_is_one_line_error(tmp_path, capsys, command, docs, key
     assert _error_line(capsys) == f"ValueError: the {key} of this input overflows a float (inf)"
 
 
+EUCLID_AND_MAX = {"summands": [{"structure": [[[1.0]]], "norm": "euclidean"},
+                             {"structure": [[[1.0]]], "norm": "max_abs"}],
+                  "lattice": {"kind": "lp", "p": 2, "index_size": 2}}
+
+
+@pytest.mark.parametrize("values, norm", [
+    ([[1e-200], [0.0]], 1e-200),
+    ([[1e308], [1e308]], np.sqrt(2.0) * 1e308),
+])
+def test_esum_norm_of_tiny_and_huge_euclidean_entries(tmp_path, capsys, values, norm):
+    code, out = run_cli(capsys, ["esum-norm", "--algebra", write(tmp_path, "a.json", EUCLID_AND_MAX),
+                                 "--element", write(tmp_path, "e.json", {"values": values})])
+    assert code == 0 and abs(out["norm"] - norm) <= 1e-15 * norm
+
+
 def test_wam_infinity_is_exact(tmp_path, capsys):
     """An algebra that is not weakly amenable has no constant: both ends
     print as null, strict JSON, beside the verdict."""

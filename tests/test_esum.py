@@ -1,9 +1,11 @@
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from esum_lab import cli
 from esum_lab import derivations as dv
 from esum_lab import esum as es
 from esum_lab import lattice as lt
@@ -154,27 +156,40 @@ class TestFiniteAlgebra:
 
 class TestESumOperations:
     def test_norm_examples(self):
-        assert es.esum_norm(scalar_sum(lt.sup_norm(3)).element([[1], [-2], [3]])) == 3.0
-        assert es.esum_norm(scalar_sum(lt.lp_norm(2, 2)).element([[3], [4]])) == 5.0
-        assert es.esum_norm(scalar_sum(lt.weighted_sup([1, 2])).element([[1], [1]])) == 2.0
+        for alg, vals, want in ((scalar_sum(lt.sup_norm(3)), [[1], [-2], [3]], 3.0),
+                                (scalar_sum(lt.lp_norm(2, 2)), [[3], [4]], 5.0),
+                                (scalar_sum(lt.weighted_sup([1, 2])), [[1], [1]], 2.0)):
+            assert alg.norm_of(alg.element(vals)) == want
+
+    def test_element_is_the_concatenated_vector(self):
+        alg = es.ESumAlgebra([es.matrix_units_algebra(2), es.scalar_algebra()], lt.sup_norm(2))
+        a = alg.element([[1, 2, 3, 4], [5j]])
+        assert a.dtype == complex and a.tolist() == [1, 2, 3, 4, 5j]
+        with pytest.raises(es.AlgebraError, match="^one coefficient vector per summand is required$"):
+            alg.element([[1, 2, 3, 4]])
+        with pytest.raises(es.AlgebraError, match="^summand coefficient length mismatch$"):
+            alg.element([[1, 2, 3], [5]])
 
     def test_mul_examples(self):
         alg = scalar_sum(lt.sup_norm(2))
-        a = alg.element([[2], [0]])
-        b = alg.element([[3], [5]])
-        ab = es.esum_mul(a, b)
-        assert [complex(v[0]) for v in ab.values] == [6.0, 0.0]
-        disj = es.esum_mul(alg.element([[1], [0]]), alg.element([[0], [7]]))
-        assert es.esum_norm(disj) == 0.0
-        unit = alg.element([alg.unit[run] for run in alg.norm.slices])
-        uu = es.esum_mul(unit, unit)
-        assert all(np.allclose(u, v) for u, v in zip(uu.values, unit.values))
+        ab = alg.multiply(alg.element([[2], [0]]), alg.element([[3], [5]]))
+        assert ab.tolist() == [6.0, 0.0]
+        disj = alg.multiply(alg.element([[1], [0]]), alg.element([[0], [7]]))
+        assert alg.norm_of(disj) == 0.0
+        assert np.allclose(alg.multiply(alg.unit, alg.unit), alg.unit)
 
-    def test_mul_requires_same_parent(self):
-        a = scalar_sum(lt.sup_norm(2)).element([[1], [1]])
-        b = scalar_sum(lt.sup_norm(2)).element([[1], [1]])
-        with pytest.raises(es.AlgebraError):
-            es.esum_mul(a, b)
+    def test_mul_broadcasts_and_never_builds_the_dense_cube(self, monkeypatch):
+        monkeypatch.setattr(es, "block_cube", lambda structures: pytest.fail("dense cube built"))
+        summands = [es.matrix_units_algebra(2), es.scalar_algebra(), es.pointwise_algebra(2)]
+        alg = es.ESumAlgebra(summands, lt.lp_norm(2, 3))
+        rng = np.random.default_rng(7)
+        u = rng.standard_normal((3, 1, 7)) + 1j * rng.standard_normal((3, 1, 7))
+        v = rng.standard_normal((5, 7)) + 1j * rng.standard_normal((5, 7))
+        got = alg.multiply(u, v)
+        assert got.shape == (3, 5, 7)
+        for run, a in zip(alg.norm.slices, summands):
+            assert np.array_equal(got[..., run], a.multiply(u[..., run], v[..., run]))
+        assert "_right" not in vars(alg) and "structure" not in vars(alg)
 
     def test_projection_embedding_norms(self):
         alg = scalar_sum(lt.weighted_sup([1.0, 2.0, 3.0]))
@@ -189,37 +204,38 @@ class TestESumOperations:
         alg = scalar_sum(lt.lp_norm(2, 3))
         v = np.array([2.5])
         emb = es.coordinate_embedding(alg, v, 1)
-        assert complex(es.coordinate_projection(emb, 1)[0]) == 2.5
-        assert complex(es.coordinate_projection(emb, 0)[0]) == 0.0
+        assert complex(es.coordinate_projection(alg, emb, 1)[0]) == 2.5
+        assert complex(es.coordinate_projection(alg, emb, 0)[0]) == 0.0
+        with pytest.raises(IndexError):
+            es.coordinate_projection(alg, emb, 3)
         # embedding norm attained on supported elements
-        assert es.esum_norm(emb) == 2.5 * es.embedding_norm(alg, 1)
+        assert alg.norm_of(emb) == 2.5 * es.embedding_norm(alg, 1)
         # embeddings are multiplicative
         u, w = np.array([2.0]), np.array([-3.0])
         lhs = es.coordinate_embedding(alg, alg.summands[1].multiply(u, w), 1)
-        rhs = es.esum_mul(es.coordinate_embedding(alg, u, 1),
-                          es.coordinate_embedding(alg, w, 1))
-        assert all(np.allclose(a, b) for a, b in zip(lhs.values, rhs.values))
+        rhs = alg.multiply(es.coordinate_embedding(alg, u, 1), es.coordinate_embedding(alg, w, 1))
+        assert np.allclose(lhs, rhs)
 
     def test_projection_contractive_sampled(self):
         rng = np.random.default_rng(1)
         alg = scalar_sum(lt.weighted_sup([1.0, 1.5, 2.0]))
         for _ in range(300):
             a = alg.element(list(rng.standard_normal((3, 1)) + 1j * rng.standard_normal((3, 1))))
-            na = es.esum_norm(a)
+            na = alg.norm_of(a)
             for i in range(3):
-                assert abs(complex(es.coordinate_projection(a, i)[0])) <= na * (1 + 1e-9)
+                assert abs(complex(es.coordinate_projection(alg, a, i)[0])) <= na * (1 + 1e-9)
 
     def test_homomorphism_laws_sampled(self):
         rng = np.random.default_rng(2)
         summands = [es.matrix_units_algebra(2), es.scalar_algebra()]
         alg = es.ESumAlgebra(summands, lt.sup_norm(2))
         for _ in range(50):
-            a = alg.element([rng.standard_normal(4), rng.standard_normal(1)])
-            b = alg.element([rng.standard_normal(4), rng.standard_normal(1)])
-            ab = es.esum_mul(a, b)
+            a_vals = [rng.standard_normal(4), rng.standard_normal(1)]
+            b_vals = [rng.standard_normal(4), rng.standard_normal(1)]
+            ab = alg.multiply(alg.element(a_vals), alg.element(b_vals))
             for i in range(2):
-                direct = summands[i].multiply(a.values[i], b.values[i])
-                assert np.allclose(es.coordinate_projection(ab, i), direct)
+                direct = summands[i].multiply(a_vals[i], b_vals[i])
+                assert np.allclose(es.coordinate_projection(alg, ab, i), direct)
 
     def test_submultiplicativity_sampled(self):
         rng = np.random.default_rng(3)
@@ -229,8 +245,8 @@ class TestESumOperations:
         for _ in range(200):
             a = alg.element(list(rng.standard_normal((2, 4))))
             b = alg.element(list(rng.standard_normal((2, 4))))
-            assert es.esum_norm(es.esum_mul(a, b)) <= (
-                es.esum_norm(a) * es.esum_norm(b) * (1 + 1e-9) + 1e-12
+            assert alg.norm_of(alg.multiply(a, b)) <= (
+                alg.norm_of(a) * alg.norm_of(b) * (1 + 1e-9) + 1e-12
             )
         rep = alg.certify_submultiplicative(samples=10_000, seed=3)
         assert rep["ok"] and rep["worst_ratio"] <= 1 + 1e-9
@@ -254,24 +270,29 @@ class TestESumOperations:
         v = np.array([2.0 + 0j])
         emb = es.coordinate_embedding(alg, v, 1)
         v[0] = 7.0   # the element holds a copy
-        assert [complex(u[0]) for u in emb.values] == [0.0, 2.0]
+        assert emb.tolist() == [0.0, 2.0]
 
     def test_truncate(self):
         alg = scalar_sum(lt.lp_norm(2, 3))
         a = alg.element([[1], [2], [3]])
-        t = es.truncate(a, {0, 2})
-        assert abs(es.esum_norm(t) - np.sqrt(10)) <= 1e-12
-        again = es.truncate(t, {0, 2})
-        assert all(np.allclose(u, v) for u, v in zip(again.values, t.values))
-        assert es.esum_norm(es.truncate(a, set())) == 0.0
-        full = es.truncate(a, {0, 1, 2})
-        assert es.esum_norm(full) == es.esum_norm(a)
+        t = es.truncate(alg, a, {0, 2})
+        assert abs(alg.norm_of(t) - np.sqrt(10)) <= 1e-12
+        assert np.array_equal(es.truncate(alg, t, {0, 2}), t)
+        assert alg.norm_of(es.truncate(alg, a, set())) == 0.0
+        full = es.truncate(alg, a, {0, 1, 2})
+        assert alg.norm_of(full) == alg.norm_of(a)
         # truncation is multiplicative
         rng = np.random.default_rng(4)
         b = alg.element(list(rng.standard_normal((3, 1))))
-        lhs = es.truncate(es.esum_mul(a, b), {1, 2})
-        rhs = es.esum_mul(es.truncate(a, {1, 2}), es.truncate(b, {1, 2}))
-        assert all(np.allclose(u, v) for u, v in zip(lhs.values, rhs.values))
+        lhs = es.truncate(alg, alg.multiply(a, b), {1, 2})
+        rhs = alg.multiply(es.truncate(alg, a, {1, 2}), es.truncate(alg, b, {1, 2}))
+        assert np.allclose(lhs, rhs)
+
+    @pytest.mark.parametrize("index", [3, 5, -1])
+    def test_truncate_refuses_an_index_outside_the_sum(self, index):
+        alg = scalar_sum(lt.lp_norm(2, 3))
+        with pytest.raises(IndexError, match=f"summand index {index} out of range"):
+            es.truncate(alg, alg.element([[1], [2], [3]]), {0, index})
 
 
 class TestUnitBound:
@@ -340,7 +361,7 @@ class TestBlockNorm:
             assert alg.norm_of(np.concatenate(vals)) == want
         got = alg.multiply(np.concatenate(u), np.concatenate(v))
         direct = np.concatenate([a.multiply(x, y) for a, x, y in zip(alg.summands, u, v)])
-        assert np.abs(got - direct).max() <= 1e-12 * max(1.0, np.abs(direct).max())
+        assert got.dtype == direct.dtype and got.tobytes() == direct.tobytes()
         dense = np.einsum("i,j,ijk->k", np.concatenate(u), np.concatenate(v),
                           es.block_cube([a.structure for a in alg.summands]))
         assert np.abs(got - dense).max() <= 1e-12 * max(1.0, np.abs(dense).max())
@@ -389,6 +410,22 @@ def test_two_by_two_closed_forms_match_svd(scale):
         assert np.abs(norm.eval(flat) / s[:, 0] - 1.0).max() <= 1e-14, kind
         assert np.abs(norm.dual(flat) / s.sum(axis=1) - 1.0).max() <= 1e-14, kind
     assert norm.eval(np.zeros(4)) == 0.0 and norm.dual(np.zeros(4)) == 0.0
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
+def test_euclidean_norm_scales_each_row(scale):
+    """The Euclidean norm, its dual and its norming element neither overflow
+    nor underflow where the norm is a float, and the norming element pairs
+    with phi to its dual norm."""
+    norm = es.EuclideanCoordinate()
+    phi = scale * np.array([[1.0, 1.0], [3.0, -4j]])
+    want = scale * np.array([np.sqrt(2.0), 5.0])
+    assert np.abs(norm.eval(phi) / want - 1.0).max() <= 1e-15
+    assert np.abs(norm.dual(phi) / want - 1.0).max() <= 1e-15
+    x = norm.norming(phi)
+    assert np.abs(norm.eval(x) - 1.0).max() <= 1e-15
+    assert np.abs(np.sum(phi * x, axis=-1).real / want - 1.0).max() <= 1e-15
+    assert norm.eval([1e308]) == 1e308 and norm.eval([5e-324, 0.0]) == 5e-324
 
 
 def test_norming_elements():
@@ -790,24 +827,43 @@ def test_each_distinct_block_cube_is_decided_once(monkeypatch):
     assert calls == [1]
 
 
-def test_the_sum_is_its_own_block_algebra(monkeypatch):
-    """as_finite_algebra returns the sum; its derivation space and weak
-    amenability read the summands' blocks and never the dense cube, no E-sum
-    path decides a block again, and wam_bracket builds the cube once."""
+def _refuse_the_dense_cube(structures):
+    raise AssertionError("the dense block cube was built")
+
+
+def test_the_sum_is_its_own_block_algebra(monkeypatch, tmp_path, capsys):
+    """as_finite_algebra returns the sum; its derivation space, weak
+    amenability, WAM bracket, product and certificate read the summands'
+    blocks and never the dense cube, and no E-sum path decides a block again;
+    nor do the CLI's esum-norm, esum-mul and wam on such a sum."""
     m2 = es.matrix_units_algebra(2)
-    calls, cubes = [], []
-    real_facts, real_cube = es._block_facts, es.block_cube
+    calls = []
+    real_facts = es._block_facts
     monkeypatch.setattr(es, "_block_facts", lambda c, label: calls.append(label) or real_facts(c, label))
-    monkeypatch.setattr(es, "block_cube", lambda structures: cubes.append(1) or real_cube(structures))
+    monkeypatch.setattr(es, "block_cube", _refuse_the_dense_cube)
     alg = es.ESumAlgebra([m2] * 4, lt.sup_norm(4))
     assert alg.as_finite_algebra(samples=0) is alg
     rep = dv.derivation_space(alg)
     assert dv.is_weakly_amenable(alg, rep)[0]
-    assert "structure" not in vars(alg) and cubes == []
     assert dv.esum_wa_check([m2] * 4, lt.sup_norm(4), samples=5)["ok"]
-    assert calls == [] and cubes == [1]   # its wam_bracket's
-    cubes.clear()
     runs = [range(4 * i, 4 * i + 4) for i in range(4)]
     for _ in range(2):
         dv.wam_bracket(alg, samples=5, blocks=runs, report=rep)
-    assert "structure" in vars(alg) and cubes == [1]
+    rng = np.random.default_rng(8)
+    alg.multiply(rng.standard_normal((3, 16)), rng.standard_normal(16))
+    assert alg.certify_submultiplicative(samples=100)["ok"]
+    assert calls == [] and "structure" not in vars(alg) and "_right" not in vars(alg)
+
+    m2_doc = {"structure": m2.structure.real.tolist(), "norm": {"kind": "matrix_operator", "side": 2}}
+    docs = {"algebra": {"summands": [m2_doc] * 4, "lattice": {"kind": "sup", "index_size": 4}},
+            "element": {"values": [[1, 0, 0, 2]] * 4}}
+    docs["x"] = docs["y"] = docs["element"]
+    paths = {}
+    for key, doc in docs.items():
+        paths[key] = tmp_path / f"{key}.json"
+        paths[key].write_text(json.dumps(doc))
+    for flags, keys in ((["esum-norm"], ("algebra", "element")), (["esum-mul"], ("algebra", "x", "y")),
+                        (["wam", "--samples", "2"], ("algebra",))):
+        argv = flags + [arg for key in keys for arg in (f"--{key}", str(paths[key]))]
+        assert cli.main(argv) == 0, flags
+        assert json.loads(capsys.readouterr().out)
