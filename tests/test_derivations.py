@@ -707,6 +707,35 @@ class TestEsumChecks:
                 assert br["lower"] <= lt.delta_norm(lat, i) * bound + dv.BRACKET_TOL
 
 
+def _whole_cube_demo(B, psi, p, sizes):
+    """Oracle: lp_obstruction_demo on the dense structure cube of B, with
+    ad_psi from the whole adjoint matrix and each row's Leibniz residual
+    taken on the whole cube; ``sizes`` distinct and increasing."""
+    rep = dv.derivation_space(B)
+    ad_psi = (dv.adjoint_map_matrix(B.structure) @ psi).reshape(B.dim, B.dim)
+    dist = dv.min_dual_over_affine(B.norm, psi, rep.z_basis)["lower"]
+    q = p / (p - 1.0)
+    weights = dv.obstruction_weights(p, sizes[-1])
+    minima = dv.min_dual_over_affine(B.norm, weights[:, None] * psi, rep.z_basis)["lower"]
+    rows = []
+    for size in sizes:
+        w, per_coord = weights[:size], minima[:size]
+        floor = dist * np.abs(w)
+        rows.append({
+            "size": size,
+            "per_coordinate": per_coord.tolist(),
+            "floor": floor.tolist(),
+            "per_coordinate_ok": bool(np.all(per_coord >= floor - dv.FLOOR_TOL)),
+            "aggregate": float(np.sum(per_coord ** q) ** (1.0 / q)),
+            "reference": float(dist * np.sum(np.abs(w) ** q) ** (1.0 / q)),
+            "leibniz_residual": float(np.abs(dv._leibniz_defect(
+                B.structure, w[:, None, None] * ad_psi)).max()),
+        })
+    growing = all(a["aggregate"] > b["aggregate"] for a, b in zip(rows[1:], rows[:-1]))
+    ok = growing and all(r["per_coordinate_ok"] and r["leibniz_residual"] <= 1e-9 for r in rows)
+    return {"distance": dist, "q": q, "rows": rows, "monotone_growth": growing, "ok": ok}
+
+
 class TestObstruction:
     def test_weights(self):
         assert np.allclose(dv.obstruction_weights(1.5, 4), np.ones(4))
@@ -762,6 +791,21 @@ class TestObstruction:
         trace = np.array([1.0, 0.0, 0.0, 1.0])
         with pytest.raises(ValueError):
             dv.lp_obstruction_demo(m2, trace, 2.0, [2])
+
+    @pytest.mark.parametrize("kind", sorted(WAM_LATTICES))
+    @pytest.mark.parametrize("copies", [1, 2, 3, 4])
+    def test_demo_rows_match_the_whole_cube(self, kind, copies):
+        """On copies of M_2, with psi = e_12 of the first copy and with a
+        random complex psi, the report equals, bit for bit, the one built on
+        the dense structure cube: ad_psi from the whole adjoint matrix and
+        the Leibniz residual of the whole cube."""
+        B = _sum_algebra([es.matrix_units_algebra(2)] * copies, WAM_LATTICES[kind](copies))
+        rng = np.random.default_rng(copies)
+        d = B.dim
+        for psi in (np.eye(d)[1], rng.standard_normal(d) + 1j * rng.standard_normal(d)):
+            for p in (1.5, 2.0, 3.0):
+                got = dv.lp_obstruction_demo(B, psi, p, [3, 1, 5])
+                assert got == _whole_cube_demo(B, psi, p, [1, 3, 5]), (kind, copies, p)
 
     def test_zero_weight_coordinate_needs_nothing(self):
         # a vanished derivation component is implemented by the zero functional

@@ -140,10 +140,15 @@ class TestFiniteAlgebra:
     @pytest.mark.parametrize("block", [es.ROW_BLOCK, 40])
     def test_blocked_product_equals_einsum(self, block, monkeypatch):
         # the BLAS partial products give the three-operand einsum's floats
-        # on matrix-unit cubes, in one block or in many, broadcast or not
+        # on matrix-unit cubes, in one block or in many, broadcast or not;
+        # also on blocks that are no runs of coordinates, and on an E-sum
         monkeypatch.setattr(es, "ROW_BLOCK", block)
         rng = np.random.default_rng(1)
-        for alg in (es.scalar_algebra(), es.matrix_units_algebra(2), es.matrix_units_algebra(3)):
+        permuted = es.FiniteAlgebra(GUARD_CUBES["permuted"][0], es.MaxAbsCoordinate(), samples=0)
+        three = es.ESumAlgebra([es.matrix_units_algebra(2), es.scalar_algebra(),
+                                es.pointwise_algebra(2)], lt.lp_norm(2, 3))
+        for alg in (es.scalar_algebra(), es.matrix_units_algebra(2), es.matrix_units_algebra(3),
+                    permuted, three):
             d = alg.dim
             for ushape, vshape in (((d,), (d,)), ((50, d), (50, d)), ((d,), (7, d)),
                                    ((3, 1, d), (1, 5, d))):
