@@ -35,8 +35,7 @@ construction, a re-checked dual witness over phi0 + Z for the lower end).
 Each step takes the N draws as one stack, as the coordinate norms' dual
 and norming do: maps (N, d, d), functionals and witnesses (N, d), and one
 value per draw.  Beside them sit the finite-scale coordinate mechanisms for
-direct sums:
-block-diagonality of derivations, the two-sided estimate with its
+direct sums: block-diagonality of derivations, the two-sided estimate with its
 transfer bound, and the per-coordinate growth obstruction on p-summed
 copies of a noncommutative algebra.
 """
@@ -45,7 +44,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import esum as es
 from .esum import ESumAlgebra, EuclideanCoordinate
 from .lattice import ce_constant
 
@@ -64,6 +62,16 @@ def adjoint_map_matrix(c):
     return (c - c.transpose(1, 0, 2)).reshape(d * d, d)
 
 
+def ad_maps(algebra, phi):
+    """ad_phi (..., d, d) for each row of an array phi (..., d), block by
+    block: on each block's square b x b it is phi[b] times b's adjoint matrix."""
+    lead = phi.shape[:-1]
+    D = np.zeros(lead + (algebra.dim, algebra.dim), complex)
+    for b, cb in zip(algebra.blocks, algebra.cubes):
+        D[..., b[:, None], b] = (phi[..., b] @ adjoint_map_matrix(cb).T).reshape(lead + (len(b),) * 2)
+    return D
+
+
 def _leibniz_defect(c, D):
     """The defect of the derivation identity for the cube c, of shape
     (..., d, d, d) for a map D (d, d) or a stack (..., d, d); entry (i, j, k)
@@ -72,10 +80,9 @@ def _leibniz_defect(c, D):
             - np.einsum("jkq,...qi->...ijk", c, D))
 
 
-def leibniz_residual(algebra, D):
-    """Max-abs violation of the derivation identity by a map D (d, d) or by
-    a whole stack (..., d, d), for an algebra or a bare structure cube."""
-    c = algebra.structure if isinstance(algebra, es.FiniteAlgebra) else algebra
+def leibniz_residual(c, D):
+    """Max-abs violation of the derivation identity of the structure cube c
+    by a map D (d, d) or by a whole stack (..., d, d)."""
     return float(np.abs(_leibniz_defect(c, D)).max(initial=0.0))
 
 
@@ -118,32 +125,28 @@ def _embed(rows, d, *index):
 class DerivationSpaceReport:
     """Derivations of an algebra, with the map phi -> ad_phi solved once.
 
-    ``adjoint`` holds, per structure block b, the (rank, u, s, vh) of
+    ``adjoint`` holds, per structure block b, (b, (rank, u, s, vh)) of
     :func:`_rank_split` for :func:`adjoint_map_matrix` of the block's cube.
-    Embedded on b, the kept triplets give the orthonormal inner basis u_i,
-    its preimages conj(v_i) / s_i (ad of preimage i is inner basis element
-    i) and ``sigma_min``, the least kept singular value over all blocks;
-    the trailing rows of vh span the commutant Z.  Each block's reduced vh
-    is square, so its kept and trailing rows add up to the block's
-    dimension and ``dim_inner + center_annihilator_dim == dim`` holds by
-    construction (rank-nullity needs no check).  ``essential`` is
-    :func:`derivation_space`'s verdict that span{ab : a, b in A} = A.
+    On b, the kept triplets give the orthonormal inner basis u_i (maps on
+    b x b), their preimages conj(v_i) / s_i and ``sigma_min``, the least
+    kept singular value over all blocks; the trailing rows of vh, embedded,
+    span the commutant Z.  Each block's reduced vh is square, so its kept
+    and trailing rows add up to the block's dimension and ``dim_inner +
+    center_annihilator_dim == dim`` holds by construction (rank-nullity
+    needs no check).  ``essential`` is :func:`derivation_space`'s verdict
+    that span{ab : a, b in A} = A.
     """
 
     def __init__(self, algebra, derivation_basis, adjoint, essential):
-        d = algebra.dim
         self.algebra = algebra
         self.essential = essential
         self.derivation_basis = derivation_basis   # (k, d, d), orthonormal rows
-        self.inner_basis = np.concatenate([        # (r, d, d), orthonormal rows
-            _embed(u[:, :r].T.reshape(-1, len(b), len(b)), d, b, b) for b, (r, u, _, _) in adjoint])
-        self.preimages = np.concatenate([          # (r, d)
-            _embed(vh[:r].conj() / s[:r, None], d, b) for b, (r, _, s, vh) in adjoint])
+        self.adjoint = adjoint
         self.z_basis = np.concatenate([            # (z, d), orthonormal rows
-            _embed(vh[r:].conj(), d, b) for b, (r, _, _, vh) in adjoint])
+            _embed(vh[r:].conj(), algebra.dim, b) for b, (r, _, _, vh) in adjoint])
         self.sigma_min = float(min((s[r - 1] for _, (r, _, s, _) in adjoint if r), default=np.inf))
         self.dim_derivations = len(derivation_basis)
-        self.dim_inner = len(self.inner_basis)
+        self.dim_inner = sum(r for _, (r, _, _, _) in adjoint)
         self.center_annihilator_dim = len(self.z_basis)
         self.weakly_amenable = self.dim_derivations == self.dim_inner
 
@@ -151,15 +154,21 @@ class DerivationSpaceReport:
         """(phi, residual) for a map D of shape (d, d) or for each map of a
         stack (..., d, d): the least-l2 phi whose ad_phi is nearest to D, of
         shape (..., d), and that distance ||ad_phi - D||_F, of shape (...)
-        (a float for one map).  With a_i = <u_i, D>, ad_phi = sum a_i u_i is
-        the projection of D onto the inner span and phi = sum a_i conj(v_i)
-        / s_i, the pseudo-inverse solution."""
-        d = self.algebra.dim
-        target = np.reshape(D, np.shape(D)[:-2] + (d * d,))
-        flat = self.inner_basis.reshape(self.dim_inner, d * d)
-        coef = target @ flat.conj().T
-        residual = np.linalg.norm(target - coef @ flat, axis=-1)
-        return coef @ self.preimages, residual if residual.ndim else float(residual)
+        (a float for one map).  With a_i = <u_i, D[b, b]> per block b,
+        ad_phi = sum a_i u_i is the projection of D onto the inner span and
+        phi[b] = sum a_i conj(v_i) / s_i, the pseudo-inverse solution.  The
+        residual is the norm of what is left of D, as a difference of
+        squares would cancel below INNER_TOL."""
+        rest = np.array(D, dtype=complex)   # what the projections leave of D
+        lead, phi = rest.shape[:-2], np.zeros(rest.shape[:-1], complex)
+        for b, (r, u, s, vh) in self.adjoint:
+            square, m = (..., b[:, None], b), len(b)
+            coef = rest[square].reshape(lead + (m * m,)) @ u[:, :r].conj()
+            rest[square] -= (coef @ u[:, :r].T).reshape(lead + (m, m))
+            phi[..., b] = coef @ (vh[:r].conj() / s[:r, None])
+        # summed in place, where norm would copy the remainder twice
+        residual = np.sqrt(sum(np.einsum("...ij,...ij->...", x, x) for x in (rest.real, rest.imag)))
+        return phi, residual if residual.ndim else float(residual)
 
     def as_dict(self):
         return {
@@ -206,9 +215,9 @@ def derivation_space(algebra):
     rank, at one threshold for all blocks (:func:`_rank_split`), is the sum
     of their ranks.  It is d exactly when rank M_B = dim_B for every B.
 
-    The inner basis is re-checked as embedded.  For a map on P x P every
-    term above needs i, j and k in P, so an element of block P passes when
-    it vanishes off P x P and its restriction satisfies c_P's identity.
+    The inner basis is re-checked block by block: an element of block P is
+    a map on P x P, where every term above needs i, j and k in P, so it is
+    a derivation when it satisfies c_P's identity.
     """
     d = algebra.dim
     blocks, cubes = algebra.blocks, algebra.cubes
@@ -229,11 +238,8 @@ def derivation_space(algebra):
                                    not any(len(u) for u in annihilators))
 
     scale = max([1.0] + [float(np.abs(cb).max()) for cb in cubes])
-    ends = np.cumsum([r for _, (r, _, _, _) in adjoint])
-    for b, cb, inner in zip(blocks, cubes, np.split(report.inner_basis, ends[:-1])):
-        own = inner[:, b[:, None], b]   # inner - embed(own) is what lies off b x b
-        off = float(np.abs(inner - _embed(own, d, b, b)).max(initial=0.0))
-        res = max(leibniz_residual(cb, own), off)
+    for cb, (b, (r, u, _, _)) in zip(cubes, report.adjoint):
+        res = leibniz_residual(cb, u[:, :r].T.reshape(r, len(b), len(b)))
         if res > LEIBNIZ_TOL * scale * 10:
             raise AssertionError(f"inner derivation violates the Leibniz identity: {res}")
     return report
@@ -370,10 +376,7 @@ def wam_bracket(algebra, samples=200, seed=0, blocks=None, report=None):
     draws.append(g[:, 0] + 1j * g[:, 1])
 
     phi0, _ = rep.implement(np.concatenate(draws))
-    D = np.zeros((len(phi0), d, d), complex)
-    for b, cb in zip(algebra.blocks, algebra.cubes):
-        D[:, b[:, None], b] = (phi0[:, b] @ adjoint_map_matrix(cb).T).reshape(-1, len(b), len(b))
-    nd = derivation_norm_upper(algebra, D)
+    nd = derivation_norm_upper(algebra, ad_maps(algebra, phi0))
     kept = nd >= 1e-12
     values = min_dual_over_affine(algebra.norm, phi0[kept], rep.z_basis)["lower"] / nd[kept]
     lower = float(max(values, default=0.0))
@@ -478,45 +481,41 @@ def lp_obstruction_demo(B, psi, p, sizes):
     minima is reported against d ||w||_q across the truncation sizes, each
     once and in increasing order.  d and the per-coordinate minima are the
     re-checked witness values (the lower ends) of :func:`min_dual_over_affine`.
+    A bad psi, sizes (none, or one below 1) or p raises ValueError.
     """
     psi = np.asarray(psi, complex)
     if psi.shape != (B.dim,):
         raise ValueError("psi must be a dual coefficient vector for B")
+    sizes = sorted(set(sizes))
+    if not sizes or sizes[0] < 1:
+        raise ValueError(f"sizes must list positive integers, got {sizes}")
+    weights = obstruction_weights(p, sizes[-1])
+    q = p / (p - 1.0)
     rep = derivation_space(B)
-    admat = adjoint_map_matrix(B.structure)
-    ad_psi = (admat @ psi).reshape(B.dim, B.dim)
+    ad_psi = ad_maps(B, psi)
     if float(np.abs(ad_psi).max()) <= 1e-12:
         raise ValueError("psi lies in the commutant; the construction degenerates")
     dist = min_dual_over_affine(B.norm, psi, rep.z_basis)["lower"]
     if dist <= 1e-12:
         raise ValueError("psi has zero distance to the commutant")
 
-    q = p / (p - 1.0)
-    weights = obstruction_weights(p, max(sizes))
     # each truncation's minima are a prefix of the longest one's
     minima = min_dual_over_affine(B.norm, weights[:, None] * psi, rep.z_basis)["lower"]
     rows = []
-    for size in sorted(set(sizes)):
+    for size in sizes:
         w, per_coord = weights[:size], minima[:size]
         floor = dist * np.abs(w)
-        percoord_ok = bool(np.all(per_coord >= floor - FLOOR_TOL))
-        aggregate = float(np.sum(per_coord ** q) ** (1.0 / q))
-        reference = float(dist * np.sum(np.abs(w) ** q) ** (1.0 / q))
-
-        # the block map of the w_i ad_psi is a derivation of the truncated sum, block by block
-        residual = leibniz_residual(B, w[:, None, None] * ad_psi)
-
         rows.append({
             "size": size,
             "per_coordinate": per_coord.tolist(),
             "floor": floor.tolist(),
-            "per_coordinate_ok": percoord_ok,
-            "aggregate": aggregate,
-            "reference": reference,
-            "leibniz_residual": residual,
+            "per_coordinate_ok": bool(np.all(per_coord >= floor - FLOOR_TOL)),
+            "aggregate": float(np.sum(per_coord ** q) ** (1.0 / q)),
+            "reference": float(dist * np.sum(np.abs(w) ** q) ** (1.0 / q)),
+            # the block map of the w_i ad_psi is a derivation of the truncated sum, on each block's cube
+            "leibniz_residual": max(leibniz_residual(cb, w[:, None, None] * ad_psi[b[:, None], b])
+                                    for b, cb in zip(B.blocks, B.cubes)),
         })
     growing = all(a["aggregate"] > b["aggregate"] for a, b in zip(rows[1:], rows[:-1]))
-    ok = growing and all(r["per_coordinate_ok"] for r in rows) and all(
-        r["leibniz_residual"] <= 1e-9 for r in rows
-    )
+    ok = growing and all(r["per_coordinate_ok"] and r["leibniz_residual"] <= 1e-9 for r in rows)
     return {"distance": dist, "q": q, "rows": rows, "monotone_growth": growing, "ok": ok}

@@ -3,11 +3,12 @@
 A :class:`FiniteAlgebra` is a basis-free description by structure constants
 ``c[i][j][k]`` (``b_i b_j = sum_k c[i][j][k] b_k``) together with a norm on
 coefficient vectors.  Construction finds its ``blocks``, the connected
-components of the cube's nonzero pattern, and slices each block's own cube
-once (``cubes``).  As c[i,j,k] != 0 only when i, j and k share a block,
-associativity, commutativity and the unit are decided block by block, by
-one function of a block cube (:func:`_block_facts`) called once for each
-distinct cube, since equal cubes have equal facts:
+components of the cube's nonzero pattern, slices each block's own cube
+once (``cubes``) and stacks the blocks of each distinct cube (``stacks``).
+As c[i,j,k] != 0 only when i, j and k share a block, products are taken
+stack by stack, and associativity, commutativity and the unit are decided
+by one function of a block cube (:func:`_block_facts`) called once per
+stack, since equal cubes have equal facts:
 
   - both sides of (b_i b_j) b_k = b_i (b_j b_k) are 0 unless i, j and k
     share a block, where both are sums within it;
@@ -41,7 +42,7 @@ aborts construction.
 An :class:`ESumAlgebra` glues finitely many summands along a
 :class:`~esum_lab.lattice.LatticeNormSpec`: an element is the summands'
 coefficient vectors end to end, normed by the lattice norm of the summand
-norms and multiplied summand by summand.  Coordinate projections are
+norms and multiplied on the summands' blocks.  Coordinate projections are
 contractive; the embedding of summand i has norm exactly ||delta_i||.
 
 The sum is a Banach algebra coordinatewise.  E is solid and dominates the
@@ -68,7 +69,7 @@ from .lattice import (LatticeNormSpec, chi_norm, delta_norm, dual_extremal, dual
 
 SUBMULT_SAMPLES = 10_000
 SUBMULT_TOL = 1e-9
-ROW_BLOCK = 2048   # sampled pairs in one block; multiply's blocks hold as many products
+ROW_BLOCK = 2048   # sampled pairs per batch; multiply's partial products stay within ROW_BLOCK * dim
 
 
 class AlgebraError(ValueError):
@@ -360,7 +361,7 @@ def _certify(label, algebras, samples, seed, lattice=None):
 class FiniteAlgebra:
     """Associative algebra on C^dim given by structure constants and a norm.
 
-    :func:`_block_facts` decides each distinct block cube once: the algebra
+    :func:`_block_facts` decides each cube of ``stacks`` once: the algebra
     is ``commutative`` when every block is, and its ``unit`` is the blocks'
     units side by side (None when a block has none).  ``submult_bound`` is a
     certified bound on ||uv|| / (||u|| ||v||), or None; the algebra is
@@ -374,41 +375,42 @@ class FiniteAlgebra:
         self.label = label or f"algebra(dim={self.dim})"
         self.blocks = _structure_blocks(self.structure)
         self.cubes = [self.structure[np.ix_(b, b, b)] for b in self.blocks]
-        known, facts = {}, []
-        for cb in self.cubes:
-            key = cb.tobytes()
-            if key not in known:
-                known[key] = _block_facts(cb, self.label)
-            facts.append(known[key])
+        facts = [_block_facts(cb, self.label) for cb, _ in self.stacks]
         self.commutative = all(commutative for commutative, _ in facts)
         self.unit = None
         if all(u is not None for _, u in facts):
             self.unit = np.zeros(self.dim, complex)
-            for b, (_, u) in zip(self.blocks, facts):
-                self.unit[b] = u
+            for (_, idx), (_, u) in zip(self.stacks, facts):
+                self.unit[idx] = u
         self.submult_bound = _submult_bound(self)
         _certify(self.label, [self], samples, seed)
 
     @cached_property
-    def _right(self):
-        """[j, (i, k)] = c[i, j, k]: a d^3 copy of the cube, built on the
-        first :meth:`multiply`."""
-        return self.structure.transpose(1, 0, 2).reshape(self.dim, -1)
+    def stacks(self):
+        """(cube, indices (n, m) of its n blocks, one row each) per distinct
+        block cube, keyed by its bytes at construction or an E-sum's first product."""
+        groups = {}
+        for b, cb in zip(self.blocks, self.cubes):
+            groups.setdefault(cb.tobytes(), (cb, []))[1].append(b)
+        return [(cb, np.stack(bs)) for cb, bs in groups.values()]
 
     # b_i b_j = sum_k c[i,j,k] b_k
     def multiply(self, u, v):
-        """Products of u and v, broadcast over leading axes: the partial
-        products w[i, k] = sum_j v_j c[i, j, k] as one BLAS product per
-        ``ROW_BLOCK // dim`` rows (as many entries as ``ROW_BLOCK`` rows of
-        products), then (uv)_k = sum_i u_i w[i, k]."""
+        """Products of u and v, broadcast over leading axes, stack by stack:
+        the partial products w[i, k] = sum_j v_j c[i, j, k] of the stack's
+        m x m x m cube are one BLAS product per ``ROW_BLOCK // m`` rows (at
+        most ``ROW_BLOCK`` * dim entries), then (uv)_k = sum_i u_i w[i, k]."""
         u, v = np.broadcast_arrays(u, v)
-        shape, d = u.shape, self.dim
-        u, v = u.reshape(-1, d), v.reshape(-1, d)
-        out = np.empty(u.shape, dtype=np.result_type(u, v, self._right))
-        step = max(1, ROW_BLOCK // d)
-        for a in range(0, len(u), step):
-            w = (v[a:a + step] @ self._right).reshape(-1, d, d)
-            out[a:a + step] = np.einsum("ni,nik->nk", u[a:a + step], w)
+        shape = u.shape
+        u, v = u.reshape(-1, self.dim), v.reshape(-1, self.dim)
+        out = np.empty(u.shape, dtype=np.result_type(u, v, np.complex128))
+        for cube, idx in self.stacks:
+            m = len(cube)
+            right = cube.transpose(1, 0, 2).reshape(m, m * m)   # [j, (i, k)] = c[i, j, k]
+            step = max(1, ROW_BLOCK // m)
+            for a in range(0, len(u), step):
+                w = (v[a:a + step, idx] @ right).reshape(-1, len(idx), m, m)
+                out[a:a + step, idx] = np.einsum("rni,rnik->rnk", u[a:a + step, idx], w)
         return out.reshape(shape)
 
     def norm_of(self, v):
@@ -477,7 +479,7 @@ class ESumAlgebra(FiniteAlgebra):
     """Finitely many summands glued along a lattice norm; the block algebra
     of their concatenated coefficients, with the summands' own blocks (each
     on its run of coordinates, ``norm.slices``), cubes, unit and commutativity,
-    multiplied and normed summand by summand.  The sum's certificate is
+    normed summand by summand.  The sum's certificate is
     :meth:`certify_submultiplicative`, so ``submult_bound`` is None."""
 
     def __init__(self, summands, lattice):
@@ -516,13 +518,11 @@ class ESumAlgebra(FiniteAlgebra):
         return np.concatenate(values)
 
     def multiply(self, u, v):
-        """Products of u and v, broadcast over leading axes, summand by summand;
-        ||uv|| <= ||u|| ||v|| (1 + SUBMULT_TOL) + 1e-12 is asserted row by row."""
-        u, v = np.broadcast_arrays(u, v)
-        out = np.concatenate([a.multiply(u[..., run], v[..., run])
-                              for a, run in zip(self.summands, self.norm.slices)], axis=-1)
-        norms = [self.norm.eval(w) for w in (out, u, v)]
-        assert not np.any(norms[0] > norms[1] * norms[2] * (1 + SUBMULT_TOL) + 1e-12)
+        """:meth:`FiniteAlgebra.multiply`, with ||uv|| <= ||u|| ||v||
+        (1 + SUBMULT_TOL) + 1e-12 asserted row by row."""
+        out = super().multiply(u, v)
+        nuv, nu, nv = (self.norm.eval(w) for w in (out, u, v))
+        assert not np.any(nuv > nu * nv * (1 + SUBMULT_TOL) + 1e-12)
         return out
 
     def certify_submultiplicative(self, samples=SUBMULT_SAMPLES, seed=0):

@@ -244,6 +244,7 @@ def test_wam_infinity_is_exact(tmp_path, capsys):
     (M2_BASE, ["--sizes", "0"], "ValueError: --sizes must list positive integers, got 0"),
     (M2_BASE, ["--sizes=-2"], "ValueError: --sizes must list positive integers, got -2"),
     (M2_BASE, ["--sizes", "2,0,4"], "ValueError: --sizes must list positive integers, got 2,0,4"),
+    (M2_BASE, ["--p", "1"], "ValueError: exponent must satisfy 1 < p < inf, got 1.0"),
 ])
 def test_bad_lp_demo_argument_is_one_line_error(tmp_path, capsys, base, flags, message):
     argv = ["lp-demo", "--base", write(tmp_path, "base.json", base), "--p", "2"] + flags

@@ -70,6 +70,14 @@ def _permuted_sum(names, scales, perm):
     return es.FiniteAlgebra(c, es.MaxAbsCoordinate(), samples=0)
 
 
+def _inner_basis(rep):
+    """The report's inner basis as one dense stack (r, d, d): each block's
+    kept left singular vectors as maps on its square, zero elsewhere."""
+    d = rep.algebra.dim
+    return np.concatenate([dv._embed(u[:, :r].T.reshape(r, len(b), len(b)), d, b, b)
+                           for b, (r, u, _, _) in rep.adjoint])
+
+
 def _flat(basis):
     return basis.reshape(len(basis), basis.shape[1] * basis.shape[2])
 
@@ -106,12 +114,20 @@ class TestSpaces:
         assert not rep.weakly_amenable
 
     def test_leibniz_residuals_of_bases(self):
-        for alg in (es.matrix_units_algebra(2), es.pointwise_algebra(3)):
+        # each block's inner elements, embedded, are derivations of the whole
+        # cube, and implement finds the preimage whose ad map each one is
+        for alg in (es.matrix_units_algebra(2), es.pointwise_algebra(3),
+                    _permuted_sum(["M2", "en", "C"], [1.0, 3.0, 0.5], [3, 0, 6, 1, 5, 2, 4])):
             rep = dv.derivation_space(alg)
             for mat in rep.derivation_basis:
-                assert dv.leibniz_residual(alg, mat) <= 1e-10
-            for mat in rep.inner_basis:
-                assert dv.leibniz_residual(alg, mat) <= 1e-10
+                assert dv.leibniz_residual(alg.structure, mat) <= 1e-10
+            inner = _inner_basis(rep)
+            assert len(inner) == rep.dim_inner
+            for mat in inner:
+                assert dv.leibniz_residual(alg.structure, mat) <= 1e-10
+            phis, res = rep.implement(inner)
+            assert np.all(res <= 1e-12)
+            assert np.abs(dv.ad_maps(alg, phis) - inner).max(initial=0.0) <= 1e-12
 
     def test_rank_nullity(self):
         for alg in (es.matrix_units_algebra(2), es.matrix_units_algebra(3),
@@ -208,18 +224,17 @@ class TestSpaces:
             D = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
             ref = np.abs(np.einsum("ijm,km->ijk", c, D) - np.einsum("kiq,qj->ijk", c, D)
                          - np.einsum("jkq,qi->ijk", c, D)).max()
-            assert dv.leibniz_residual(c, D) == dv.leibniz_residual(alg, D)
-            assert abs(dv.leibniz_residual(alg, D) - ref) <= 1e-13 * ref
+            assert abs(dv.leibniz_residual(c, D) - ref) <= 1e-13 * ref
 
     def test_residual_of_a_stack_is_the_max_over_its_maps(self):
         rng = np.random.default_rng(8)
         alg = _permuted_sum(["M2", "en", "C"], [1.0, 3.0, 0.5], rng.permutation(7))
-        inner = dv.derivation_space(alg).inner_basis
+        c, inner = alg.structure, _inner_basis(dv.derivation_space(alg))
         gauss = rng.standard_normal((2, 3, 7, 7)) + 1j * rng.standard_normal((2, 3, 7, 7))
         for stack in (gauss, inner, np.concatenate([inner, gauss[0]])):
-            want = max(dv.leibniz_residual(alg, D) for D in stack.reshape(-1, 7, 7))
-            assert dv.leibniz_residual(alg, stack) == want
-        assert dv.leibniz_residual(alg, inner[:0]) == 0.0
+            want = max(dv.leibniz_residual(c, D) for D in stack.reshape(-1, 7, 7))
+            assert dv.leibniz_residual(c, stack) == want
+        assert dv.leibniz_residual(c, inner[:0]) == 0.0
 
 
 @st.composite
@@ -254,7 +269,7 @@ def test_blockwise_matches_monolithic(alg):
     flat = _flat(basis)
     assert np.abs(flat.conj() @ flat.T - np.eye(len(basis))).max(initial=0.0) <= 1e-10
     for mat in basis:
-        assert dv.leibniz_residual(alg, mat) <= 1e-10
+        assert dv.leibniz_residual(alg.structure, mat) <= 1e-10
 
 
 def _assert_same_system(c):
@@ -299,18 +314,23 @@ def test_inner_recheck_catches_a_perturbed_block(which, monkeypatch):
     assert calls == [4, 1, 4]
 
 
-def test_inner_recheck_catches_an_entry_off_its_block(monkeypatch):
-    """Inner basis element 0 lives on the first M_2 block of M_2 (+) C (+)
-    M_2; one entry between the two M_2 blocks makes it no derivation."""
+def test_inner_recheck_catches_a_tampered_block_factor(monkeypatch):
+    """One entry of the last kept left singular vector of the second M_2
+    block of M_2 (+) C (+) M_2, moved by 0.01 once the report holds it,
+    makes that inner element no derivation of the block's cube, and the
+    re-check refuses it; untampered, the same report passes."""
     alg = _sum_algebra([es.matrix_units_algebra(2), es.scalar_algebra(),
                         es.matrix_units_algebra(2)], lt.sup_norm(3))
     init = dv.DerivationSpaceReport.__init__
 
-    def leaky(self, *args):
+    def tampered(self, *args):
         init(self, *args)
-        self.inner_basis[0, 0, 8] = 0.01
+        b, (r, u, _, _) = self.adjoint[2]
+        assert b.tolist() == [5, 6, 7, 8] and r == 3
+        u[0, r - 1] += 0.01
 
-    monkeypatch.setattr(dv.DerivationSpaceReport, "__init__", leaky)
+    dv.derivation_space(alg)
+    monkeypatch.setattr(dv.DerivationSpaceReport, "__init__", tampered)
     with pytest.raises(AssertionError, match="inner derivation violates the Leibniz identity"):
         dv.derivation_space(alg)
 
@@ -491,7 +511,7 @@ def _parent_wam_oracle(algebra, samples, seed, blocks, rep):
     flat = rep.derivation_basis.reshape(rep.dim_derivations, d * d)
     for g in draws:
         D = ((flat.conj() @ g.reshape(-1)) @ flat).reshape(d, d)
-        if dv.leibniz_residual(algebra, D) > 1e-8 * max(1.0, float(np.abs(D).max())):
+        if dv.leibniz_residual(algebra.structure, D) > 1e-8 * max(1.0, float(np.abs(D).max())):
             continue
         nd = dv.derivation_norm_upper(algebra, D)
         if nd < 1e-12:
@@ -785,6 +805,17 @@ class TestObstruction:
         rep = dv.lp_obstruction_demo(m2, psi, 2.0, [2, 4])
         for row in rep["rows"]:
             assert abs(row["aggregate"] - np.sqrt(row["size"])) <= 1e-6
+
+    @pytest.mark.parametrize("sizes, p, message", [
+        ([], 2.0, r"^sizes must list positive integers, got \[\]$"),
+        ([0], 2.0, r"^sizes must list positive integers, got \[0\]$"),
+        ([4, -1, 2], 2.0, r"^sizes must list positive integers, got \[-1, 2, 4\]$"),
+        ([2], 1.0, r"^exponent must satisfy 1 < p < inf, got 1.0$"),
+        ([2], np.inf, r"^exponent must satisfy 1 < p < inf, got inf$"),
+    ])
+    def test_bad_sizes_and_exponents_are_refused(self, sizes, p, message):
+        with pytest.raises(ValueError, match=message):
+            dv.lp_obstruction_demo(es.matrix_units_algebra(2), np.eye(4)[1], p, sizes)
 
     def test_commutant_psi_rejected(self):
         m2 = es.matrix_units_algebra(2)

@@ -836,9 +836,10 @@ def _refuse_the_dense_cube(structures):
 
 def test_the_sum_is_its_own_block_algebra(monkeypatch, tmp_path, capsys):
     """as_finite_algebra returns the sum; its derivation space, weak
-    amenability, WAM bracket, product and certificate read the summands'
-    blocks and never the dense cube, and no E-sum path decides a block again;
-    nor do the CLI's esum-norm, esum-mul and wam on such a sum."""
+    amenability, WAM bracket, lp demo, product and certificate read the
+    summands' blocks and never the dense cube, and no E-sum path decides a
+    block again; nor do the CLI's esum-norm, esum-mul, wam and lp-demo on
+    such a sum."""
     m2 = es.matrix_units_algebra(2)
     calls = []
     real_facts = es._block_facts
@@ -855,18 +856,22 @@ def test_the_sum_is_its_own_block_algebra(monkeypatch, tmp_path, capsys):
     rng = np.random.default_rng(8)
     alg.multiply(rng.standard_normal((3, 16)), rng.standard_normal(16))
     assert alg.certify_submultiplicative(samples=100)["ok"]
-    assert calls == [] and "structure" not in vars(alg) and "_right" not in vars(alg)
+    psi = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+    assert dv.lp_obstruction_demo(alg, psi, 1.5, [1, 2, 4])["ok"]
+    assert calls == [] and "structure" not in vars(alg)
 
     m2_doc = {"structure": m2.structure.real.tolist(), "norm": {"kind": "matrix_operator", "side": 2}}
     docs = {"algebra": {"summands": [m2_doc] * 4, "lattice": {"kind": "sup", "index_size": 4}},
             "element": {"values": [[1, 0, 0, 2]] * 4}}
     docs["x"] = docs["y"] = docs["element"]
+    docs["base"], docs["psi"] = docs["algebra"], [0, 1, 0, 0] * 4
     paths = {}
     for key, doc in docs.items():
         paths[key] = tmp_path / f"{key}.json"
         paths[key].write_text(json.dumps(doc))
     for flags, keys in ((["esum-norm"], ("algebra", "element")), (["esum-mul"], ("algebra", "x", "y")),
-                        (["wam", "--samples", "2"], ("algebra",))):
+                        (["wam", "--samples", "2"], ("algebra",)),
+                        (["lp-demo", "--p", "3", "--sizes", "1,2"], ("base", "psi"))):
         argv = flags + [arg for key in keys for arg in (f"--{key}", str(paths[key]))]
         assert cli.main(argv) == 0, flags
         assert json.loads(capsys.readouterr().out)
