@@ -854,7 +854,9 @@ def test_the_sum_is_its_own_block_algebra(monkeypatch, tmp_path, capsys):
     for _ in range(2):
         dv.wam_bracket(alg, samples=5, blocks=runs, report=rep)
     rng = np.random.default_rng(8)
+    assert "stacks" not in vars(alg)   # keyed on the first product, not at construction
     alg.multiply(rng.standard_normal((3, 16)), rng.standard_normal(16))
+    assert [idx.tolist() for _, idx in alg.stacks] == [np.arange(16).reshape(4, 4).tolist()]
     assert alg.certify_submultiplicative(samples=100)["ok"]
     psi = rng.standard_normal(16) + 1j * rng.standard_normal(16)
     assert dv.lp_obstruction_demo(alg, psi, 1.5, [1, 2, 4])["ok"]
