@@ -70,12 +70,31 @@ def _permuted_sum(names, scales, perm):
     return es.FiniteAlgebra(c, es.MaxAbsCoordinate(), samples=0)
 
 
+def _dense(pieces, algebra):
+    """A stack of maps given by pieces, as one dense stack (..., d, d)."""
+    out = np.zeros(pieces[0][2].shape[:-2] + (algebra.dim,) * 2, complex)
+    for i, j, x in pieces:
+        out[..., algebra.blocks[i][:, None], algebra.blocks[j]] = x
+    return out
+
+
+def _cut(D, algebra):
+    """A dense map (..., d, d) as pieces on every pair of blocks."""
+    return [(i, j, D[..., bi[:, None], bj]) for i, bi in enumerate(algebra.blocks)
+            for j, bj in enumerate(algebra.blocks)]
+
+
+def _derivation_basis(rep):
+    """The report's derivation basis as one dense stack (k, d, d), in the
+    order of its pieces."""
+    return np.concatenate([_dense([piece], rep.algebra) for piece in rep.pieces])
+
+
 def _inner_basis(rep):
     """The report's inner basis as one dense stack (r, d, d): each block's
     kept left singular vectors as maps on its square, zero elsewhere."""
-    d = rep.algebra.dim
-    return np.concatenate([dv._embed(u[:, :r].T.reshape(r, len(b), len(b)), d, b, b)
-                           for b, (r, u, _, _) in rep.adjoint])
+    return np.concatenate([_dense([(i, i, u[:, :r].T.reshape(r, len(b), len(b)))], rep.algebra)
+                           for i, (b, (r, u, _, _)) in enumerate(rep.adjoint)])
 
 
 def _flat(basis):
@@ -119,15 +138,15 @@ class TestSpaces:
         for alg in (es.matrix_units_algebra(2), es.pointwise_algebra(3),
                     _permuted_sum(["M2", "en", "C"], [1.0, 3.0, 0.5], [3, 0, 6, 1, 5, 2, 4])):
             rep = dv.derivation_space(alg)
-            for mat in rep.derivation_basis:
+            for mat in _derivation_basis(rep):
                 assert dv.leibniz_residual(alg.structure, mat) <= 1e-10
             inner = _inner_basis(rep)
             assert len(inner) == rep.dim_inner
             for mat in inner:
                 assert dv.leibniz_residual(alg.structure, mat) <= 1e-10
-            phis, res = rep.implement(inner)
+            phis, res = rep.implement(_cut(inner, alg))
             assert np.all(res <= 1e-12)
-            assert np.abs(dv.ad_maps(alg, phis) - inner).max(initial=0.0) <= 1e-12
+            assert np.abs(_dense(dv.ad_maps(alg, phis), alg) - inner).max(initial=0.0) <= 1e-12
 
     def test_rank_nullity(self):
         for alg in (es.matrix_units_algebra(2), es.matrix_units_algebra(3),
@@ -172,6 +191,33 @@ class TestSpaces:
         rep = dv.derivation_space(_permuted_sum(["square-zero"] * 2, [1.0, 1.0], [0, 1]))
         assert (rep.dim_derivations, rep.dim_inner) == (4, 0)
         assert not rep.weakly_amenable
+
+    def test_pieces_skip_pairs_with_an_empty_annihilator(self):
+        # one diagonal piece per block; off-block pieces only between the
+        # two square-zero blocks, the only ones whose products miss a vector
+        alg = _permuted_sum(["square-zero", "M2", "square-zero", "C"], [1.0] * 4, range(7))
+        rep = dv.derivation_space(alg)
+        assert [(i, j, x.shape) for i, j, x in rep.pieces] == [
+            (0, 0, (1, 1, 1)), (1, 1, (3, 4, 4)), (2, 2, (1, 1, 1)), (3, 3, (0, 1, 1)),
+            (0, 2, (1, 1, 1)), (2, 0, (1, 1, 1))]
+        alg = es.ESumAlgebra([es.matrix_units_algebra(2)] * 64,
+                             lt.sup_norm(64)).as_finite_algebra(samples=0)
+        pieces = dv.derivation_space(alg).pieces
+        assert [(i, j, x.shape) for i, j, x in pieces] == [(i, i, (3, 4, 4)) for i in range(64)]
+
+    def test_sixty_four_matrix_copies_stay_on_their_blocks(self):
+        # no derivation basis, remainder or certificate at the size d x d
+        alg = es.ESumAlgebra([es.matrix_units_algebra(2)] * 64,
+                             lt.sup_norm(64)).as_finite_algebra(samples=0)
+        tracemalloc.start()
+        try:
+            rep = dv.derivation_space(alg)
+            flag, _ = dv.is_weakly_amenable(alg, rep)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [rep.dim_derivations, rep.dim_inner, rep.center_annihilator_dim] == [192, 192, 64]
+        assert flag and peak <= 16 * 2 ** 20, peak
 
     def test_twelve_matrix_copies_stay_small(self):
         # the blocks are checked one at a time: no d^4 associativity
@@ -263,7 +309,7 @@ def test_rescaled_complex_bases_are_accepted(name, scale):
 def test_blockwise_matches_monolithic(alg):
     rep = dv.derivation_space(alg)
     oracle = _monolithic_derivations(alg)
-    basis = rep.derivation_basis
+    basis = _derivation_basis(rep)
     assert rep.dim_derivations == len(oracle)
     assert np.abs(_projector(basis) - _projector(oracle)).max(initial=0.0) <= 1e-10
     flat = _flat(basis)
@@ -354,7 +400,7 @@ def test_report_implements_like_the_dense_solve(alg, seed):
     psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     for D in ((admat @ psi).reshape(d, d), g):
-        phi, res = rep.implement(D)
+        phi, res = rep.implement(_cut(D, alg))
         oracle, *_ = np.linalg.lstsq(admat, D.reshape(-1), rcond=dv.RANK_TOL)
         assert np.linalg.norm(phi - oracle) <= 1e-10 * np.linalg.norm(oracle)
         oracle_res = np.linalg.norm(admat @ oracle - D.reshape(-1))
@@ -455,7 +501,7 @@ class TestMinimization:
         psi[1] = 1.0
         admat = dv.adjoint_map_matrix(m2.structure)
         D = (admat @ psi).reshape(4, 4)
-        phi0, res = rep.implement(D)
+        phi0, res = rep.implement(_cut(D, m2))
         assert res <= dv.INNER_TOL
         best = dv.min_dual_over_affine(m2.norm, phi0, rep.z_basis)
         recon = (admat @ best["phi"]).reshape(4, 4)
@@ -467,8 +513,8 @@ class TestMinimization:
         # the (zero) inner span, so its residual is its whole norm
         sz = es.square_zero_algebra()
         rep = dv.derivation_space(sz)
-        D = rep.derivation_basis[0]
-        phi0, res = rep.implement(D)
+        D = _derivation_basis(rep)[0]
+        phi0, res = rep.implement(_cut(D, sz))
         assert res > dv.INNER_TOL and abs(res - 1.0) <= 1e-12
         assert np.abs(phi0).max() == 0.0
 
@@ -508,15 +554,15 @@ def _parent_wam_oracle(algebra, samples, seed, blocks, rep):
     for _ in range(max(4, samples // 10)):
         draws.append(rng_mix.standard_normal((d, d)) + 1j * rng_mix.standard_normal((d, d)))
     lower, used = 0.0, 0
-    flat = rep.derivation_basis.reshape(rep.dim_derivations, d * d)
+    flat = _derivation_basis(rep).reshape(rep.dim_derivations, d * d)
     for g in draws:
         D = ((flat.conj() @ g.reshape(-1)) @ flat).reshape(d, d)
         if dv.leibniz_residual(algebra.structure, D) > 1e-8 * max(1.0, float(np.abs(D).max())):
             continue
-        nd = dv.derivation_norm_upper(algebra, D)
+        nd = dv.derivation_norm_upper(algebra, _cut(D, algebra))
         if nd < 1e-12:
             continue
-        phi0, res = rep.implement(D)
+        phi0, res = rep.implement(_cut(D, algebra))
         assert res <= dv.INNER_TOL * max(1.0, float(np.linalg.norm(D)))
         lower = max(lower, dv.min_dual_over_affine(algebra.norm, phi0, rep.z_basis)["lower"] / nd)
         used += 1
@@ -534,13 +580,18 @@ WAM_LATTICES = {
 
 
 @pytest.mark.parametrize("seed", [0, 7, 42])
-@pytest.mark.parametrize("case", ["M2"] + [f"{k} x {n}" for n in (2, 3) for k in sorted(WAM_LATTICES)])
+@pytest.mark.parametrize("case", ["M2", "split"] + [f"{k} x {n}" for n in (2, 3)
+                                                  for k in sorted(WAM_LATTICES)])
 def test_wam_bracket_matches_the_per_draw_oracle(case, seed):
     """wam_bracket's ends agree with the per-draw oracle to 1e-12 relative
     and use as many samples, on M_2 and on 2 and 3 copies of M_2 drawn
-    block by block."""
+    block by block; "split" draws on unsorted index lists that cut across
+    the structure blocks of 2 copies."""
     if case == "M2":
         alg, blocks = es.matrix_units_algebra(2), None
+    elif case == "split":
+        alg = _sum_algebra([es.matrix_units_algebra(2)] * 2, lt.sup_norm(2))
+        blocks = [[1, 0], [2, 3, 4], [7, 6, 5]]
     else:
         kind, copies = case.split(" x ")
         copies = int(copies)
@@ -578,10 +629,11 @@ def test_esum_wa_check_brackets_match_the_per_draw_oracle(kind, copies, seed):
 
 
 def test_wam_bracket_solves_every_draw_in_one_call(monkeypatch):
-    """A bracket on a weakly amenable algebra makes two implement calls,
-    the basis check and one for all draws, one min_dual_over_affine call for
-    all their witnesses and no Leibniz re-check of a draw; is_weakly_amenable
-    makes one implement call."""
+    """A bracket on a weakly amenable algebra makes one implement call per
+    basis piece for the basis check and one per group of draws (a block's,
+    or the whole-space mix), one min_dual_over_affine call for all their
+    witnesses and no Leibniz re-check of a draw; is_weakly_amenable makes
+    one implement call per basis piece."""
     calls = {"implement": 0, "leibniz_residual": 0, "min_dual_over_affine": 0}
     implement, leibniz = dv.DerivationSpaceReport.implement, dv.leibniz_residual
     solve = dv.min_dual_over_affine
@@ -607,12 +659,29 @@ def test_wam_bracket_solves_every_draw_in_one_call(monkeypatch):
             m.setattr(dv, "leibniz_residual", counting_leibniz)
             m.setattr(dv, "min_dual_over_affine", counting_solve)
             calls.update(implement=0, leibniz_residual=0, min_dual_over_affine=0)
-            assert dv.is_weakly_amenable(alg, rep)[0]
-            assert calls == {"implement": 1, "leibniz_residual": 0, "min_dual_over_affine": 0}
+            assert dv.is_weakly_amenable(alg, rep)[0] and len(rep.pieces) == copies
+            assert calls == {"implement": copies, "leibniz_residual": 0, "min_dual_over_affine": 0}
             blocks = [list(range(4 * i, 4 * i + 4)) for i in range(copies)]
             out = dv.wam_bracket(alg, samples=30, seed=1, blocks=blocks, report=rep)
-            assert calls == {"implement": 3, "leibniz_residual": 0, "min_dual_over_affine": 1}
+            assert calls == {"implement": 2 * copies + (copies + 1), "leibniz_residual": 0,
+                             "min_dual_over_affine": 1}
             assert out["samples_used"] == 30 * copies + 4
+
+
+def test_wam_bracket_on_sixteen_copies_stays_on_its_blocks():
+    """120 draws a block on 16 copies of M_2 and 12 whole-space draws, each
+    cut to its blocks: no stack of draws or ad maps at the size d x d."""
+    alg = es.ESumAlgebra([es.matrix_units_algebra(2)] * 16,
+                         lt.sup_norm(16)).as_finite_algebra(samples=0)
+    blocks = [list(range(4 * i, 4 * i + 4)) for i in range(16)]
+    tracemalloc.start()
+    try:
+        out = dv.wam_bracket(alg, samples=120, seed=0, blocks=blocks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out["samples_used"] == 16 * 120 + 12
+    assert peak <= 64 * 2 ** 20, peak
 
 
 def test_wam_bracket_refuses_negative_samples():
@@ -656,18 +725,47 @@ def test_stacked_helpers_match_single_maps(name, lead, seed):
     inner = (psi @ dv.adjoint_map_matrix(alg.structure).T).reshape(lead + (d, d))
     gauss = rng.standard_normal(lead + (d, d)) + 1j * rng.standard_normal(lead + (d, d))
     for stack, is_inner in ((inner, True), (gauss, False)):
-        phis, res = rep.implement(stack)
-        bounds = dv.derivation_norm_upper(alg, stack)
+        phis, res = rep.implement(_cut(stack, alg))
+        bounds = dv.derivation_norm_upper(alg, _cut(stack, alg))
         assert phis.shape == lead + (d,) and res.shape == bounds.shape == lead
         for k in np.ndindex(*lead):
-            phi, r = rep.implement(stack[k])
-            bound = dv.derivation_norm_upper(alg, stack[k])
+            phi, r = rep.implement(_cut(stack[k], alg))
+            bound = dv.derivation_norm_upper(alg, _cut(stack[k], alg))
             assert isinstance(r, float) and isinstance(bound, float)
             scale = float(np.linalg.norm(stack[k]))
             assert np.linalg.norm(phis[k] - phi) <= 1e-15 * np.linalg.norm(phi)
             assert abs(res[k] - r) <= 1e-15 * scale
             assert abs(bounds[k] - bound) <= 1e-15 * bound
             assert (r <= dv.INNER_TOL * scale) if is_inner else (r > dv.INNER_TOL)
+
+
+NORM_ALGEBRAS = dict(STACK_ALGEBRAS, **{   # and one Euclidean algebra of several blocks
+    "euclidean(sz, M2, sz, C)": es.FiniteAlgebra(
+        es.block_cube([SUMMANDS[n].structure for n in ("square-zero", "M2", "square-zero", "C")]),
+        es.EuclideanCoordinate(), samples=0)})
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(NORM_ALGEBRAS)), lead=st.sampled_from([(), (3,)]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_norm_bound_of_pieces_matches_the_dense_map(name, lead, seed):
+    """derivation_norm_upper of pieces on a random set of block pairs,
+    linked or not, is the bound of the assembled map to 1e-12 relative:
+    its spectral norm under the Euclidean norm, and else the sum of the
+    dual norms of its columns."""
+    alg = NORM_ALGEBRAS[name]
+    rng = np.random.default_rng(seed)
+    k = len(alg.blocks)
+    pairs = [(i, j) for i in range(k) for j in range(k) if rng.random() < 0.4] or [(0, 0)]
+    pieces = [(i, j, rng.standard_normal(lead + (len(alg.blocks[i]), len(alg.blocks[j]), 2)) @ [1, 1j])
+              for i, j in pairs]
+    D = _dense(pieces, alg)
+    if isinstance(alg.norm, es.EuclideanCoordinate):
+        want = np.linalg.svd(D, compute_uv=False)[..., 0]
+    else:
+        want = alg.norm.dual(np.swapaxes(D, -1, -2)).sum(axis=-1)
+    got = dv.derivation_norm_upper(alg, pieces)
+    assert np.shape(got) == lead and np.all(np.abs(got - want) <= 1e-12 * want)
 
 
 class TestEsumChecks:
@@ -712,6 +810,13 @@ class TestEsumChecks:
                 single = dv.wam_bracket(a, samples=10, seed=4)
                 assert rep["bracket_summands"][i] == single
                 assert rep["summands"][i] == solve(a).as_dict()
+
+    def test_negative_samples_are_refused(self):
+        # before any work: [C, square-zero] is not weakly amenable and takes no bracket
+        for summands in ([es.scalar_algebra(), es.square_zero_algebra()],
+                         [es.matrix_units_algebra(2)] * 2):
+            with pytest.raises(ValueError, match="^samples must be nonnegative, got -1$"):
+                dv.esum_wa_check(summands, lt.sup_norm(2), samples=-1)
 
     def test_transfer_bound(self):
         # summand lower <= ||delta_i|| * sum upper, from esum_wa_check's brackets
