@@ -407,6 +407,143 @@ def test_report_implements_like_the_dense_solve(alg, seed):
         assert abs(res - oracle_res) <= 1e-10 * np.linalg.norm(D)
 
 
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _per_block_space(algebra):
+    """Oracle: the pieces, adjoint factors, z_basis and sigma_min of
+    derivation_space with each block's Leibniz system, product matrix and
+    adjoint matrix factored on their own, each at RANK_TOL times its own
+    largest singular value."""
+    def split(m):
+        u, s, vh = np.linalg.svd(m, full_matrices=False)
+        return int(np.sum(s > dv.RANK_TOL * s.max(initial=0.0))), u, s, vh
+
+    blocks = algebra.blocks
+    facts = [[split(m) for m in (dv._leibniz_system(cb), cb.reshape(len(cb) ** 2, len(cb)),
+                                 dv.adjoint_map_matrix(cb))] for cb in algebra.cubes]
+    pieces = [(i, i, vh[r:].conj().reshape(-1, len(b), len(b)))
+              for i, (b, ((r, _, _, vh), _, _)) in enumerate(zip(blocks, facts))]
+    null = [(i, vh[r:].conj()) for i, (_, (r, _, _, vh), _) in enumerate(facts) if r < len(vh)]
+    pieces += [(K, P, np.einsum("ak,bp->abkp", u, v).reshape(-1, u.shape[1], v.shape[1]))
+               for K, u in null for P, v in null if K != P]
+    adjoint = [(b, f[2]) for b, f in zip(blocks, facts)]
+    z_basis = np.zeros((sum(len(b) - r for b, (r, _, _, _) in adjoint), algebra.dim), complex)
+    row = 0
+    for b, (r, _, _, vh) in adjoint:
+        z_basis[row:row + len(b) - r, b] = vh[r:].conj()
+        row += len(b) - r
+    sigma_min = float(min((s[r - 1] for _, (r, _, s, _) in adjoint if r), default=np.inf))
+    return pieces, adjoint, z_basis, sigma_min
+
+
+def _interleaved(sizes, seed):
+    """A relabelling of coordinates that interleaves runs of the given sizes
+    but keeps each run's own order, so that equal summands keep equal cubes."""
+    labels = np.random.default_rng(seed).permutation(np.repeat(np.arange(len(sizes)), sizes))
+    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    perm = np.empty(len(labels), int)
+    for k, start in enumerate(starts):
+        perm[labels == k] = start + np.arange(sizes[k])
+    return perm
+
+
+def _named_sum(names, perm=None):
+    """Block sum of matrix algebras (M2, M3), C and square-zero blocks under
+    max-abs, with coordinates relabelled by ``perm``."""
+    cubes = {"M2": es._matrix_unit_cube(2), "M3": es._matrix_unit_cube(3), "C": np.ones((1, 1, 1)),
+             "square-zero": np.zeros((1, 1, 1))}
+    c = es.block_cube([cubes[n] for n in names])
+    if perm is not None:
+        c = c[np.ix_(perm, perm, perm)]
+    return es.FiniteAlgebra(c, es.MaxAbsCoordinate(), samples=0)
+
+
+REPEATED = ["M2", "M3", "C", "M2", "M3"]
+SQUARE_ZEROS = ["square-zero", "M2", "square-zero", "C", "square-zero", "M2"]
+PER_BLOCK_ALGEBRAS = {
+    "M2+M3+C+M2+M3": _named_sum(REPEATED),
+    "interleaved": _named_sum(REPEATED, _interleaved([4, 9, 1, 4, 9], 3)),
+    "permuted": _named_sum(REPEATED, np.random.default_rng(4).permutation(27)),
+    "square-zeros interleaved": _named_sum(SQUARE_ZEROS, _interleaved([1, 4, 1, 1, 1, 4], 5)),
+    "esum lp(1.5)": es.ESumAlgebra([es.matrix_units_algebra(2), es.matrix_units_algebra(3),
+                                    es.scalar_algebra(), es.matrix_units_algebra(2),
+                                    es.matrix_units_algebra(3)], lt.lp_norm(1.5, 5)),
+}
+
+
+@pytest.mark.parametrize("name", list(PER_BLOCK_ALGEBRAS))
+def test_derivation_space_matches_the_per_block_oracle(name):
+    """Pieces, adjoint factors, z_basis and sigma_min equal the per-block
+    oracle's bit for bit, on sums with repeated and distinct cubes, in
+    runs, interleaved (equal copies keep equal cubes) and permuted."""
+    alg = PER_BLOCK_ALGEBRAS[name]
+    rep = dv.derivation_space(alg)
+    pieces, adjoint, z_basis, sigma_min = _per_block_space(alg)
+    assert [(i, j) for i, j, _ in rep.pieces] == [(i, j) for i, j, _ in pieces]
+    assert all(_same_bits(x, y) for (_, _, x), (_, _, y) in zip(rep.pieces, pieces))
+    assert len(rep.adjoint) == len(adjoint)
+    for (b, (r, u, s, vh)), (b0, (r0, u0, s0, vh0)) in zip(rep.adjoint, adjoint):
+        assert _same_bits(b, b0) and r == r0
+        assert _same_bits(u, u0) and _same_bits(s, s0) and _same_bits(vh, vh0)
+    assert _same_bits(rep.z_basis, z_basis) and rep.sigma_min == sigma_min
+
+
+def _grouped_norm_bound(algebra, pieces, dual):
+    """Oracle: derivation_norm_upper under a lattice norm, by the dense
+    assembly.  Column blocks linked by a shared row block form one group;
+    each group's columns of the dense map (..., d, d) are normed by ``dual``
+    and summed, and the groups are summed in the order of their largest
+    row block, the order in which the bound adds them."""
+    D = _dense(pieces, algebra)
+    groups = []   # (row blocks, column blocks)
+    for i, j, _ in pieces:
+        linked = [g for g in groups if i in g[0] or j in g[1]]
+        groups = [g for g in groups if g not in linked] + [
+            ({i}.union(*(g[0] for g in linked)), {j}.union(*(g[1] for g in linked)))]
+    values = []
+    for _, cols in sorted(groups, key=lambda g: max(g[0])):
+        where = np.sort(np.concatenate([algebra.blocks[j] for j in cols]))
+        values.append(dual(np.swapaxes(D[..., where], -1, -2)).sum(axis=-1))
+    return np.sum(values, axis=0)
+
+
+NORM_LATTICES = {"sup": lt.sup_norm, "lp(1.5)": lambda k: lt.lp_norm(1.5, k),
+                 "weighted_sup": lambda k: lt.weighted_sup(np.linspace(1.0, 2.0, k))}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(sorted(NORM_LATTICES)), lead=st.sampled_from([(), (3,)]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_norm_bound_under_a_lattice_matches_the_dense_assembly(kind, lead, seed):
+    """Under a lattice norm of separate but equal summand norms, as the CLI
+    builds it, derivation_norm_upper of pieces on random block pairs, and of
+    ad maps, equals the dense assembly's column dual norms bit for bit,
+    each column normed by one summand-norm call per summand."""
+    names = ["M2", "square-zero", "C", "M2", "square-zero", "M3"]
+    summands = [es.FiniteAlgebra(_named_sum([n]).structure,
+                                 es.MatrixOperatorNorm(int(n[1])) if n[0] == "M" else es.MaxAbsCoordinate(),
+                                 samples=0) for n in names]
+    alg = _sum_algebra(summands, NORM_LATTICES[kind](len(names)))
+    norm = alg.norm
+
+    def dual(v):
+        vals = np.stack([nrm.dual(v[..., sl]) for nrm, sl in zip(norm.block_norms, norm.slices)], axis=-1)
+        return lt.dual_norm_batch(norm.lattice, vals.reshape(-1, vals.shape[-1])).reshape(vals.shape[:-1])
+
+    rng = np.random.default_rng(seed)
+    k = len(alg.blocks)
+    pairs = [(i, j) for i in range(k) for j in range(k) if rng.random() < 0.3] or [(0, 0)]
+    pieces = [(i, j, rng.standard_normal(lead + (len(alg.blocks[i]), len(alg.blocks[j]), 2)) @ [1, 1j])
+              for i, j in pairs]
+    psi = rng.standard_normal(lead + (alg.dim, 2)) @ [1, 1j]
+    for stack in (pieces, dv.ad_maps(alg, psi)):
+        got, want = dv.derivation_norm_upper(alg, stack), _grouped_norm_bound(alg, stack, dual)
+        assert _same_bits(got, want if lead else float(want))
+
+
 def _whole_cube_unit(c):
     """Oracle: the unit as one least-squares system over the whole cube,
     u b_j = b_j and b_j u = b_j for all j, snapped to integers when they

@@ -464,6 +464,52 @@ def test_norming_elements():
             assert np.abs(xr - norm.norming(row)).max() <= 1e-14
 
 
+def _per_summand_values(norm, v, dual):
+    """Oracle: one summand-norm call per summand, stacked on a last axis."""
+    return np.stack([nrm.dual(v[..., sl]) if dual else nrm.eval(v[..., sl])
+                     for nrm, sl in zip(norm.block_norms, norm.slices)], axis=-1)
+
+
+def _per_summand_norm(norm, v, kind):
+    """Oracle: a LatticeBlockNorm's eval, dual or norming with one summand-norm
+    call per summand."""
+    vals = _per_summand_values(norm, v, kind != "eval")
+    if kind == "norming":
+        weights = lt.dual_extremal(norm.lattice, vals)
+        return np.concatenate([w[..., None] * nrm.norming(v[..., sl]) for w, nrm, sl in
+                               zip(np.moveaxis(weights, -1, 0), norm.block_norms, norm.slices)], axis=-1)
+    batch = lt.norm_eval_batch if kind == "eval" else lt.dual_norm_batch
+    return batch(norm.lattice, vals.reshape(-1, vals.shape[-1])).reshape(vals.shape[:-1])
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["sup", "lp(1.5)", "weighted_sup"])
+@pytest.mark.parametrize("lead", [(), (5,), (2, 3)])
+def test_block_norm_matches_the_per_summand_oracle(kind, lead):
+    """eval, dual and norming of a LatticeBlockNorm whose summand norms are
+    separate but equal objects, interleaved with others, equal their
+    per-summand oracle bit for bit, on rows with zero summands and signed
+    zeros too."""
+    norms = [es.MatrixOperatorNorm(2), es.MaxAbsCoordinate(), es.MatrixOperatorNorm(2),
+             es.EuclideanCoordinate(), es.MatrixOperatorNorm(3), es.MaxAbsCoordinate(),
+             es.MatrixOperatorNorm(2), es.EuclideanCoordinate()]
+    dims = [4, 1, 4, 3, 9, 2, 4, 3]
+    lattice = {"sup": lt.sup_norm, "lp(1.5)": lambda k: lt.lp_norm(1.5, k),
+               "weighted_sup": lambda k: lt.weighted_sup(np.linspace(1.0, 2.0, k))}[kind](len(dims))
+    norm = es.LatticeBlockNorm(lattice, norms, dims)
+    rng = np.random.default_rng(len(lead))
+    v = rng.standard_normal(lead + (30, 2)) @ [1, 1j]
+    v[..., 5:9] = 0.0
+    v[..., 26:30] = -0.0
+    v[..., 18] = complex(-0.0, 0.0)
+    for method in ("eval", "dual", "norming"):
+        assert _same_bits(getattr(norm, method)(v), _per_summand_norm(norm, v, method)), method
+
+
 # ---------------------------------------------------------------------------
 # The blocked sampler against a one-shot replay
 # ---------------------------------------------------------------------------
