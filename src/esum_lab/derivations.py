@@ -24,8 +24,8 @@ the direct sum of its blocks and a sum of summands splits at least along them:
     products are annihilated by a nonzero functional; the argument is in
     :func:`derivation_space`.
 
-Ranks come from reduced SVDs at relative tolerance 1e-10, taken against
-the largest singular value over all blocks of the same kind of matrix.
+Ranks come from reduced SVDs at relative tolerance 1e-10, each taken
+against its own block matrix's largest singular value.
 The adjoint map is solved once: the report keeps each block's singular
 triplets above that threshold and implements every derivation with them.
 
@@ -97,20 +97,18 @@ def _leibniz_system(c):
     return _leibniz_defect(c, units).reshape(d * d, d ** 3).T
 
 
-def _rank_split(mats):
-    """Reduced SVDs of matrices of one kind, each with its rank.
-
-    Each rank counts the singular values above RANK_TOL times the largest
-    singular value of all ``mats`` together: the threshold of the one
-    block-diagonal matrix they form, whose singular values are the union of
-    theirs.  Every matrix here has at least as many rows as columns, so the
-    reduced ``vh`` is square: its leading ``rank`` rows with ``u`` and ``s``
-    are the kept singular triplets, and its trailing rows span the whole
-    nullspace.  Returns one (rank, u, s, vh) per matrix.
+def _rank_split(m):
+    """Reduced SVD of a matrix with its rank, (rank, u, s, vh): the singular
+    values above RANK_TOL times the matrix's own largest.  Every matrix here
+    is one block's, and a block's scale is no algebraic fact (x -> eps x
+    maps the block with its cube times eps onto the block), so its rank
+    depends on nothing else.  Every matrix here has at least as many rows
+    as columns, so the reduced ``vh`` is square: its leading ``rank`` rows
+    with ``u`` and ``s`` are the kept singular triplets, and its trailing
+    rows span the whole nullspace.
     """
-    factors = [np.linalg.svd(m, full_matrices=False) for m in mats]
-    top = max((float(s[0]) for _, s, _ in factors if s.size), default=0.0)
-    return [(int(np.sum(s > RANK_TOL * top)), u, s, vh) for u, s, vh in factors]
+    u, s, vh = np.linalg.svd(m, full_matrices=False)
+    return int(np.sum(s > RANK_TOL * s.max(initial=0.0))), u, s, vh
 
 
 # ---------------------------------------------------------------------------
@@ -212,9 +210,10 @@ def derivation_space(algebra):
     when the d^2 x d matrix c reshaped, whose column space is span{ab}, has
     rank d.  Up to zero rows (pairs i, j in different blocks) and a
     permutation of rows and columns, that matrix is block-diagonal with
-    blocks M_B, so its singular values are the union of theirs and its
-    rank, at one threshold for all blocks (:func:`_rank_split`), is the sum
-    of their ranks.  It is d exactly when rank M_B = dim_B for every B.
+    blocks M_B, so its rank is the sum of theirs, and it is d exactly when
+    rank M_B = dim_B for every B.  Each rank, like every rank here, is
+    decided on its block alone (:func:`_rank_split`), as the blocks' scales
+    are no algebraic facts: A_B times eps is isomorphic to A_B.
 
     The inner basis is re-checked block by block: an element of block P is
     a map on P x P, where every term above needs i, j and k in P, so it is
@@ -222,16 +221,16 @@ def derivation_space(algebra):
     """
     blocks, cubes = algebra.blocks, algebra.cubes
     pieces = [(i, i, vh[r:].conj().reshape(-1, len(b), len(b))) for i, (b, (r, _, _, vh))
-              in enumerate(zip(blocks, _rank_split([_leibniz_system(cb) for cb in cubes])))]
+              in enumerate(zip(blocks, (_rank_split(_leibniz_system(cb)) for cb in cubes)))]
     # only blocks with a nonzero N_B take part in off-block pieces
     annihilators = [(i, vh[r:].conj()) for i, (r, _, _, vh) in
-                    enumerate(_rank_split([cb.reshape(len(cb) ** 2, len(cb)) for cb in cubes]))
+                    enumerate((_rank_split(cb.reshape(len(cb) ** 2, len(cb))) for cb in cubes))
                     if r < len(vh)]
     for K, u in annihilators:
         for P, v in annihilators:
             if K != P:
                 pieces.append((K, P, np.einsum("ak,bp->abkp", u, v).reshape(-1, u.shape[1], v.shape[1])))
-    adjoint = list(zip(blocks, _rank_split([adjoint_map_matrix(cb) for cb in cubes])))
+    adjoint = list(zip(blocks, (_rank_split(adjoint_map_matrix(cb)) for cb in cubes)))
     report = DerivationSpaceReport(algebra, pieces, adjoint, not annihilators)
 
     scale = max([1.0] + [float(np.abs(cb).max()) for cb in cubes])

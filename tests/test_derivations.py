@@ -407,6 +407,32 @@ def test_report_implements_like_the_dense_solve(alg, seed):
         assert abs(res - oracle_res) <= 1e-10 * np.linalg.norm(D)
 
 
+@pytest.mark.parametrize("kind", ["cube", "sup", "lp(1.5)"])
+def test_a_scaled_block_is_decided_on_its_own(kind):
+    """x -> 2^40 x on the second block maps M_2 (+) 2^-40 M_2 onto
+    M_2 (+) M_2, so both have 6 derivations, 6 inner and a commutant of 2,
+    and are weakly amenable and essential: as a cube under max-abs and as an
+    E-sum under sup and lp(1.5), where esum_wa_check passes.  Square-zero
+    (+) 2^-40 M_2 has square-zero (+) M_2's 4, 3 and 2, and is neither."""
+    m2, eps = es._matrix_unit_cube(2), 2.0 ** -40
+    small = es.FiniteAlgebra(eps * m2, es.MatrixOperatorNorm(2), samples=0)
+    summands = [es.matrix_units_algebra(2), small]
+    if kind == "cube":
+        alg = es.FiniteAlgebra(es.block_cube([m2, eps * m2]), es.MaxAbsCoordinate(), samples=0)
+    else:
+        lattice = lt.sup_norm(2) if kind == "sup" else lt.lp_norm(1.5, 2)
+        alg = _sum_algebra(summands, lattice)
+        assert dv.esum_wa_check(summands, lattice, samples=10)["ok"]
+    rep = dv.derivation_space(alg)
+    assert [rep.dim_derivations, rep.dim_inner, rep.center_annihilator_dim] == [6, 6, 2]
+    assert rep.weakly_amenable and rep.essential and dv.is_weakly_amenable(alg, rep)[0]
+    alg = es.FiniteAlgebra(es.block_cube([np.zeros((1, 1, 1)), eps * m2]), es.MaxAbsCoordinate(),
+                           samples=0)
+    rep = dv.derivation_space(alg)
+    assert [rep.dim_derivations, rep.dim_inner, rep.center_annihilator_dim] == [4, 3, 2]
+    assert not (rep.weakly_amenable or rep.essential)
+
+
 def _same_bits(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
