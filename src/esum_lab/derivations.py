@@ -24,10 +24,11 @@ the direct sum of its blocks and a sum of summands splits at least along them:
     products are annihilated by a nonzero functional; the argument is in
     :func:`derivation_space`.
 
-Ranks come from reduced SVDs at relative tolerance 1e-10, each taken
-against its own block matrix's largest singular value.
-The adjoint map is solved once: the report keeps each block's singular
-triplets above that threshold and implements every derivation with them.
+Ranks come from reduced SVDs at relative tolerance 1e-10 of each block
+matrix's own largest singular value, so each distinct cube is factored
+once.  The adjoint map is solved once: the report keeps each block's
+singular triplets above that threshold and implements every derivation
+with them.
 
 A map A -> A* is the sum of its pieces (i, j, x), at most one per pair of
 blocks, x of shape (..., |b_i|, |b_j|) on the rows of block i and the
@@ -49,8 +50,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .esum import ESumAlgebra, EuclideanCoordinate
-from .lattice import ce_constant
+from .esum import ESumAlgebra, EuclideanCoordinate, LatticeBlockNorm
+from .lattice import ce_constant, dual_norm_batch
 
 RANK_TOL = 1e-10
 LEIBNIZ_TOL = 1e-10
@@ -98,15 +99,12 @@ def _leibniz_system(c):
 
 
 def _rank_split(m):
-    """Reduced SVD of a matrix with its rank, (rank, u, s, vh): the singular
-    values above RANK_TOL times the matrix's own largest.  Every matrix here
-    is one block's, and a block's scale is no algebraic fact (x -> eps x
-    maps the block with its cube times eps onto the block), so its rank
-    depends on nothing else.  Every matrix here has at least as many rows
-    as columns, so the reduced ``vh`` is square: its leading ``rank`` rows
-    with ``u`` and ``s`` are the kept singular triplets, and its trailing
-    rows span the whole nullspace.
-    """
+    """Reduced SVD of one block's matrix with its rank, (rank, u, s, vh):
+    the singular values above RANK_TOL times its own largest, as a block's
+    scale is no algebraic fact (eps times its cube gives an isomorphic
+    block).  Every matrix here has at least as many rows as columns, so the
+    reduced ``vh`` is square: its leading ``rank`` rows with ``u`` and ``s``
+    are the kept singular triplets; its trailing rows span the nullspace."""
     u, s, vh = np.linalg.svd(m, full_matrices=False)
     return int(np.sum(s > RANK_TOL * s.max(initial=0.0))), u, s, vh
 
@@ -121,7 +119,8 @@ class DerivationSpaceReport:
     ``pieces`` holds the orthonormal derivation basis: each (i, j, x) has
     one basis element per row of x, the (i, i) first, one per block.
     ``adjoint`` holds, per structure block b, (b, (rank, u, s, vh)) of
-    :func:`_rank_split` for :func:`adjoint_map_matrix` of the block's cube.
+    :func:`_rank_split` for :func:`adjoint_map_matrix` of the block's cube;
+    blocks with equal cubes share one tuple, as their (i, i) pieces share x.
     On b, the kept triplets give the orthonormal inner basis u_i (maps on
     b x b), their preimages conj(v_i) / s_i and ``sigma_min``, the least
     kept singular value over all blocks; the trailing rows of vh, on b,
@@ -210,33 +209,35 @@ def derivation_space(algebra):
     when the d^2 x d matrix c reshaped, whose column space is span{ab}, has
     rank d.  Up to zero rows (pairs i, j in different blocks) and a
     permutation of rows and columns, that matrix is block-diagonal with
-    blocks M_B, so its rank is the sum of theirs, and it is d exactly when
-    rank M_B = dim_B for every B.  Each rank, like every rank here, is
-    decided on its block alone (:func:`_rank_split`), as the blocks' scales
-    are no algebraic facts: A_B times eps is isomorphic to A_B.
+    blocks M_B, so its rank is the sum of theirs (each decided on its block
+    alone, :func:`_rank_split`), and it is d exactly when every M_B has rank dim_B.
 
     The inner basis is re-checked block by block: an element of block P is
     a map on P x P, where every term above needs i, j and k in P, so it is
-    a derivation when it satisfies c_P's identity.
+    a derivation when it satisfies c_P's identity.  All of this depends on
+    c_P alone, so each distinct cube (keyed by its bytes, as
+    ``FiniteAlgebra.stacks`` is) is solved, factored and re-checked once.
     """
     blocks, cubes = algebra.blocks, algebra.cubes
-    pieces = [(i, i, vh[r:].conj().reshape(-1, len(b), len(b))) for i, (b, (r, _, _, vh))
-              in enumerate(zip(blocks, (_rank_split(_leibniz_system(cb)) for cb in cubes)))]
+    spaces = {}   # per distinct cube: its derivations, annihilator N_B and adjoint factors
+    for key, cb in {cb.tobytes(): cb for cb in cubes}.items():
+        m = len(cb)
+        (r, _, _, vh), (q, _, _, nh) = _rank_split(_leibniz_system(cb)), _rank_split(cb.reshape(m * m, m))
+        spaces[key] = cb, vh[r:].conj().reshape(-1, m, m), nh[q:].conj(), _rank_split(adjoint_map_matrix(cb))
+    space = [spaces[cb.tobytes()] for cb in cubes]
+    pieces = [(i, i, x) for i, (_, x, _, _) in enumerate(space)]
     # only blocks with a nonzero N_B take part in off-block pieces
-    annihilators = [(i, vh[r:].conj()) for i, (r, _, _, vh) in
-                    enumerate((_rank_split(cb.reshape(len(cb) ** 2, len(cb))) for cb in cubes))
-                    if r < len(vh)]
+    annihilators = [(i, n) for i, (_, _, n, _) in enumerate(space) if len(n)]
     for K, u in annihilators:
         for P, v in annihilators:
             if K != P:
                 pieces.append((K, P, np.einsum("ak,bp->abkp", u, v).reshape(-1, u.shape[1], v.shape[1])))
-    adjoint = list(zip(blocks, (_rank_split(adjoint_map_matrix(cb)) for cb in cubes)))
-    report = DerivationSpaceReport(algebra, pieces, adjoint, not annihilators)
+    report = DerivationSpaceReport(algebra, pieces, [(b, f) for b, (*_, f) in zip(blocks, space)],
+                                   not annihilators)
 
-    scale = max([1.0] + [float(np.abs(cb).max()) for cb in cubes])
-    for cb, (b, (r, u, _, _)) in zip(cubes, report.adjoint):
-        res = leibniz_residual(cb, u[:, :r].T.reshape(r, len(b), len(b)))
-        if res > LEIBNIZ_TOL * scale * 10:
+    for cb, _, _, (r, u, _, _) in spaces.values():
+        res = leibniz_residual(cb, u[:, :r].T.reshape(r, len(cb), len(cb)))
+        if res > LEIBNIZ_TOL * max(1.0, float(np.abs(cb).max())) * 10:
             raise AssertionError(f"inner derivation violates the Leibniz identity: {res}")
     return report
 
@@ -272,22 +273,35 @@ def derivation_norm_upper(algebra, pieces):
     column block, whose columns are assembled as dense rows (..., n, d) one
     group at a time.  Column dual norms sum to a bound, as the coefficients
     of a unit-ball element are bounded by 1 for every supported coordinate
-    norm; for the Euclidean family the largest spectral norm is exact."""
+    norm; for the Euclidean family the largest spectral norm is exact.
+    Under a lattice norm the rows hold only the summands the columns touch:
+    the others' summand duals are exact zeros, so a map takes O(k) of them."""
     groups = [{j} for j in {j for _, j, _ in pieces}]   # of column blocks
     for row in {i for i, _, _ in pieces}:   # the columns that meet one row block are linked
         cols = {j for i, j, _ in pieces if i == row}
         groups = [g for g in groups if not g & cols] + [cols.union(*(g for g in groups if g & cols))]
-    lead, blocks = pieces[0][2].shape[:-2], algebra.blocks
-    euclidean = isinstance(algebra.norm, EuclideanCoordinate)
+    lead, blocks, norm = pieces[0][2].shape[:-2], algebra.blocks, algebra.norm
+    euclidean, lattice = isinstance(norm, EuclideanCoordinate), isinstance(norm, LatticeBlockNorm)
+    owner, runs = (np.repeat(np.arange(len(norm.slices)), norm.block_dims), norm.slices) if lattice \
+        else (np.zeros(algebra.dim, int), [slice(0, algebra.dim)])   # each coordinate's summand
     values = []
     for cols in groups:
         where = np.sort(np.concatenate([blocks[j] for j in cols]))   # the columns, in order
-        columns = np.zeros(lead + (len(where), algebra.dim), complex)
+        # the rows: the coordinates of the summands that the columns touch, in order
+        touched = sorted(set(owner[np.concatenate([blocks[i] for i, j, _ in pieces if j in cols])].tolist()))
+        coords = np.concatenate([np.arange(runs[t].start, runs[t].stop) for t in touched])
+        columns = np.zeros(lead + (len(where), len(coords)), complex)
         for i, j, x in pieces:
             if j in cols:
-                columns[..., np.searchsorted(where, blocks[j])[:, None], blocks[i]] = np.swapaxes(x, -1, -2)
+                columns[..., np.searchsorted(where, blocks[j])[:, None], np.searchsorted(coords, blocks[i])] = \
+                    np.swapaxes(x, -1, -2)
+        if lattice:   # the other summands' duals are exact zeros
+            duals = np.zeros(lead + (len(where), len(runs)))
+            for t in touched:
+                duals[..., t] = norm.block_norms[t].dual(columns[..., owner[coords] == t])
+            duals = dual_norm_batch(norm.lattice, duals.reshape(-1, len(runs))).reshape(duals.shape[:-1])
         values.append(np.linalg.svd(columns, compute_uv=False)[..., 0] if euclidean
-                      else algebra.norm.dual(columns).sum(axis=-1))
+                      else (duals if lattice else norm.dual(columns)).sum(axis=-1))
     bound = np.max(values, axis=0) if euclidean else np.sum(values, axis=0)
     return bound if bound.ndim else float(bound)
 

@@ -61,6 +61,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -194,41 +195,56 @@ class LatticeBlockNorm(CoordinateNorm):
     the per-block norms.  The dual applies the dual lattice norm
     (:func:`~esum_lab.lattice.dual_norm_batch`) to the dual block norms;
     :func:`~esum_lab.lattice.dual_extremal` weights the blocks' norming
-    elements."""
+    elements.  Each group of equal summand norms takes one call, on its n
+    summands' slices stacked as (..., n, m)."""
 
     def __init__(self, lattice, block_norms, block_dims):
         self.lattice = lattice
         self.block_norms = list(block_norms)
         self.block_dims = list(block_dims)
-        self.slices = []
-        start = 0
-        for d in self.block_dims:
-            self.slices.append(slice(start, start + d))
-            start += d
-        self.dim = start
+        ends = [0, *accumulate(self.block_dims)]
+        self.slices = [slice(a, b) for a, b in zip(ends, ends[1:])]
+        self.dim = ends[-1]
+
+    def _groups(self):
+        """The summands in groups whose norms are of one class with equal
+        parameters (one object or several) and of one dimension m, as (norm,
+        n, m, the summands, their coordinates), slices for a run of summands."""
+        groups = {}
+        for i, (nrm, d) in enumerate(zip(self.block_norms, self.block_dims)):
+            try:
+                groups.setdefault((type(nrm), d, *vars(nrm).items()), (nrm, d, []))[2].append(i)
+            except TypeError:   # parameters without a value equality: the object alone
+                groups.setdefault((id(nrm), d), (nrm, d, []))[2].append(i)
+        for nrm, m, w in groups.values():
+            run = w[-1] - w[0] == len(w) - 1
+            yield nrm, len(w), m, slice(w[0], w[-1] + 1) if run else w, \
+                slice(self.slices[w[0]].start, self.slices[w[-1]].stop) if run else \
+                np.concatenate([np.arange(self.slices[i].start, self.slices[i].stop) for i in w])
 
     def _block_values(self, v, dual=False):
         v = np.asarray(v)
-        cols = []
-        for nrm, sl in zip(self.block_norms, self.slices):
-            cols.append(nrm.dual(v[..., sl]) if dual else nrm.eval(v[..., sl]))
-        return np.stack(cols, axis=-1)
+        vals = np.empty(v.shape[:-1] + (len(self.slices),))
+        for nrm, n, m, which, coords in self._groups():
+            vals[..., which] = (nrm.dual if dual else nrm.eval)(v[..., coords].reshape(v.shape[:-1] + (n, m)))
+        return vals
 
     def eval(self, v):
         vals = self._block_values(v)
-        flat = vals.reshape(-1, vals.shape[-1])
-        return norm_eval_batch(self.lattice, flat).reshape(vals.shape[:-1])
+        return norm_eval_batch(self.lattice, vals.reshape(-1, vals.shape[-1])).reshape(vals.shape[:-1])
 
     def dual(self, v):
         vals = self._block_values(v, dual=True)
-        flat = vals.reshape(-1, vals.shape[-1])
-        return dual_norm_batch(self.lattice, flat).reshape(vals.shape[:-1])
+        return dual_norm_batch(self.lattice, vals.reshape(-1, vals.shape[-1])).reshape(vals.shape[:-1])
 
     def norming(self, phi):
         weights = dual_extremal(self.lattice, self._block_values(phi, dual=True))
-        return np.concatenate([w[..., None] * nrm.norming(phi[..., sl]) for w, nrm, sl
-                               in zip(np.moveaxis(weights, -1, 0), self.block_norms, self.slices)],
-                              axis=-1)
+        lead = np.shape(phi)[:-1]
+        out = np.empty(np.shape(phi), complex)
+        for nrm, n, m, which, coords in self._groups():
+            out[..., coords] = (weights[..., which, None] * nrm.norming(
+                phi[..., coords].reshape(lead + (n, m)))).reshape(lead + (n * m,))
+        return out
 
     def dual_vs_l2(self, dim):
         rs = [nrm.dual_vs_l2(d) for nrm, d in zip(self.block_norms, self.block_dims)]

@@ -219,6 +219,25 @@ class TestSpaces:
         assert [rep.dim_derivations, rep.dim_inner, rep.center_annihilator_dim] == [192, 192, 64]
         assert flag and peak <= 16 * 2 ** 20, peak
 
+    def test_sixty_four_matrix_copies_solve_one_cube(self, monkeypatch):
+        # equal block cubes share one Leibniz system and one SVD of each of
+        # the three matrices, and with them their pieces and adjoint factors
+        alg = es.ESumAlgebra([es.matrix_units_algebra(2)] * 64,
+                             lt.sup_norm(64)).as_finite_algebra(samples=0)
+        calls = {"leibniz": 0, "svd": 0}
+        system, svd = dv._leibniz_system, np.linalg.svd
+
+        def counted(name, fn):
+            return lambda *args, **kwargs: calls.update({name: calls[name] + 1}) or fn(*args, **kwargs)
+
+        monkeypatch.setattr(dv, "_leibniz_system", counted("leibniz", system))
+        monkeypatch.setattr(np.linalg, "svd", counted("svd", svd))
+        rep = dv.derivation_space(alg)
+        assert calls == {"leibniz": 1, "svd": 3}
+        assert [rep.dim_derivations, rep.dim_inner, rep.center_annihilator_dim] == [192, 192, 64]
+        assert all(x is rep.pieces[0][2] for _, _, x in rep.pieces)
+        assert all(f is rep.adjoint[0][1] for _, f in rep.adjoint)
+
     def test_twelve_matrix_copies_stay_small(self):
         # the blocks are checked one at a time: no d^4 associativity
         # temporary and no whole-cube re-check of an inner basis element
@@ -337,13 +356,16 @@ def test_leibniz_system_of_block_sums_matches_three_einsums(alg):
     _assert_same_system(alg.structure)
 
 
-@pytest.mark.parametrize("which", [0, 1, 2])
-def test_inner_recheck_catches_a_perturbed_block(which, monkeypatch):
-    """An adjoint matrix perturbed on one block of M_2 (+) C (+) M_2 gives
+@pytest.mark.parametrize("sizes, which", [((2, 1, 3), 0), ((2, 1, 3), 1), ((2, 1, 3), 2),
+                                          ((2, 1, 2), 0), ((2, 1, 2), 1)],
+                         ids=["0", "1", "2", "M2+C+M2-0", "M2+C+M2-1"])
+def test_inner_recheck_catches_a_perturbed_block(sizes, which, monkeypatch):
+    """An adjoint matrix perturbed on one block of M_2 (+) C (+) M_3 gives
     inner basis elements that are not derivations, and the re-check of the
-    inner basis refuses them."""
-    alg = _sum_algebra([es.matrix_units_algebra(2), es.scalar_algebra(),
-                        es.matrix_units_algebra(2)], lt.sup_norm(3))
+    inner basis refuses them; each distinct cube's adjoint matrix is built
+    once, so M_2 (+) C (+) M_2 builds two, either of which is refused."""
+    alg = _sum_algebra([es.matrix_units_algebra(n) if n > 1 else es.scalar_algebra()
+                        for n in sizes], lt.sup_norm(3))
     adjoint = dv.adjoint_map_matrix
     calls = []
 
@@ -357,7 +379,7 @@ def test_inner_recheck_catches_a_perturbed_block(which, monkeypatch):
     monkeypatch.setattr(dv, "adjoint_map_matrix", perturbed)
     with pytest.raises(AssertionError, match="inner derivation violates the Leibniz identity"):
         dv.derivation_space(alg)
-    assert calls == [4, 1, 4]
+    assert calls == ([4, 1, 9] if sizes[2] == 3 else [4, 1])
 
 
 def test_inner_recheck_catches_a_tampered_block_factor(monkeypatch):

@@ -892,6 +892,7 @@ def test_the_sum_is_its_own_block_algebra(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(es, "_block_facts", lambda c, label: calls.append(label) or real_facts(c, label))
     monkeypatch.setattr(es, "block_cube", _refuse_the_dense_cube)
     alg = es.ESumAlgebra([m2] * 4, lt.sup_norm(4))
+    assert "stacks" not in vars(alg)   # keyed on the first product, not at construction
     assert alg.as_finite_algebra(samples=0) is alg
     rep = dv.derivation_space(alg)
     assert dv.is_weakly_amenable(alg, rep)[0]
@@ -900,7 +901,6 @@ def test_the_sum_is_its_own_block_algebra(monkeypatch, tmp_path, capsys):
     for _ in range(2):
         dv.wam_bracket(alg, samples=5, blocks=runs, report=rep)
     rng = np.random.default_rng(8)
-    assert "stacks" not in vars(alg)   # keyed on the first product, not at construction
     alg.multiply(rng.standard_normal((3, 16)), rng.standard_normal(16))
     assert [idx.tolist() for _, idx in alg.stacks] == [np.arange(16).reshape(4, 4).tolist()]
     assert alg.certify_submultiplicative(samples=100)["ok"]
