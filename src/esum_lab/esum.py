@@ -113,7 +113,7 @@ class MaxAbsCoordinate(CoordinateNorm):
         return np.abs(np.asarray(v)).sum(axis=-1)
 
     def norming(self, phi):
-        return np.exp(-1j * np.angle(phi))
+        return np.exp(-1j * np.angle(np.where(phi == 0, 1, phi)))   # 1 on a zero of either sign
 
     def dual_vs_l2(self, dim):
         return (np.sqrt(dim), 1.0)

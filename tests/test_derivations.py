@@ -1284,6 +1284,26 @@ def test_witness_is_loose_on_m3():
     assert 1e-3 < max(gaps) < 0.2
 
 
+def test_lower_end_ignores_the_sign_of_a_zero(monkeypatch):
+    """On M_2 (+) M_3 (+) C with permuted coordinates and a user block
+    across part of a structure block, phi0 holds exact zeros on the
+    untouched blocks; the lower end is the same when they are -0.0 as when
+    they are +0.0, as max-abs norming gives every exact zero one phase."""
+    alg = _named_sum(["M2", "M3", "C"], np.random.default_rng(0).permutation(14))
+    plus = dv.wam_bracket(alg, samples=7, seed=5, blocks=[[0, 1]])
+    implement = dv.DerivationSpaceReport.implement
+
+    def negative_zeros(self, pieces):
+        phi, res = implement(self, pieces)
+        return np.where(phi == 0, complex(-0.0, -0.0), phi), res
+
+    monkeypatch.setattr(dv.DerivationSpaceReport, "implement", negative_zeros)
+    minus = dv.wam_bracket(alg, samples=7, seed=5, blocks=[[0, 1]])
+    assert plus["lower"] == minus["lower"] and plus["samples_used"] == minus["samples_used"]
+    assert np.array_equal(es.MaxAbsCoordinate().norming(np.array([0.0, -0.0, complex(-0.0, -0.0)])),
+                          [1, 1, 1])
+
+
 def test_tampered_witness_is_refused():
     m2 = es.matrix_units_algebra(2)
     z = dv.derivation_space(m2).z_basis
