@@ -510,6 +510,20 @@ def test_block_norm_matches_the_per_summand_oracle(kind, lead):
         assert _same_bits(getattr(norm, method)(v), _per_summand_norm(norm, v, method)), method
 
 
+def test_nested_block_norms_group_by_object():
+    """Summand norms that are themselves lattice norms have list-valued
+    parameters, so only one object groups with itself: here summands 0 and
+    2, which are no run of summands.  The values equal the per-summand
+    oracle's bit for bit."""
+    m2 = es.matrix_units_algebra(2)
+    inner = [es.ESumAlgebra([m2, m2], lt.sup_norm(2)) for _ in range(2)]
+    norm = es.ESumAlgebra(inner + [inner[0]], lt.lp_norm(1.5, 3)).norm
+    assert [(n, m, which) for _, n, m, which, _ in norm._groups()] == [(2, 8, [0, 2]), (1, 8, slice(1, 2))]
+    v = np.random.default_rng(5).standard_normal((4, 24, 2)) @ [1, 1j]
+    for method in ("eval", "dual", "norming"):
+        assert _same_bits(getattr(norm, method)(v), _per_summand_norm(norm, v, method)), method
+
+
 # ---------------------------------------------------------------------------
 # The blocked sampler against a one-shot replay
 # ---------------------------------------------------------------------------
