@@ -679,6 +679,21 @@ class TestMinimization:
         dist = dv.min_dual_over_affine(m2.norm, trace, rep.z_basis)["lower"]
         assert dist <= 1e-8
 
+    def test_traceless_brackets_meet_on_m2(self):
+        """On M_2, Z is spanned by the identity, so a traceless psi is its own
+        projection, its norming element is traceless and annihilates Z, and
+        the two ends meet, one row at a time and as a stack."""
+        m2 = es.matrix_units_algebra(2)
+        rep = dv.derivation_space(m2)
+        rng = np.random.default_rng(12)
+        psi = rng.standard_normal((200, 4)) + 1j * rng.standard_normal((200, 4))
+        psi[:, 3] = -psi[:, 0]
+        psi[:50] *= 1e300
+        psi[50] = [0.0, 1.0, 0.0, -0.0]
+        for rows in (psi, psi[0], psi[50], psi[120]):
+            best = dv.min_dual_over_affine(m2.norm, rows, rep.z_basis)
+            assert np.all(np.abs(best["lower"] - best["upper"]) <= 1e-15 * best["upper"])
+
     def test_minimal_implementing_functional(self):
         m2 = es.matrix_units_algebra(2)
         rep = dv.derivation_space(m2)

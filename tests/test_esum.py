@@ -464,6 +464,43 @@ def test_norming_elements():
             assert np.abs(xr - norm.norming(row)).max() <= 1e-14
 
 
+def _polar_cases(rng, count=300):
+    """2 x 2 matrices as (n, 4) rows: nonsingular, rank-one, exactly zero,
+    signed-zero, +-1e300-scaled and traceless ones."""
+    def gauss(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    nonsingular = gauss(count, 4)
+    traceless = gauss(count, 4)
+    traceless[:, 3] = -traceless[:, 0]
+    signed = np.array([[-0.0, 0.0, 0.0, -0.0], [complex(-0.0, -0.0), -0.0, complex(0.0, -0.0), 0.0],
+                       [-0.0, 1.0, complex(0.0, -0.0), -0.0], [2.0, -0.0, -0.0, complex(-0.0, 3.0)]])
+    return {
+        "nonsingular": nonsingular,
+        "rank-one": (gauss(count, 2, 1) @ gauss(count, 1, 2)).reshape(count, 4),
+        "zero": np.zeros((3, 4), complex),
+        "signed-zero": signed,
+        "scaled": np.concatenate([1e300 * nonsingular[:50], -1e300 * nonsingular[50:100],
+                                  1e300 * traceless[:50]]),
+        "traceless": traceless,
+    }
+
+
+def test_two_by_two_norming_is_a_polar_factor():
+    """X = norming(A) for 2 x 2 A has ||X||_op <= 1 + 2e-15 (by LAPACK's SVD)
+    and pairs with A to its trace norm within 2e-15 relative; for a
+    traceless A, X is traceless too."""
+    norm = es.MatrixOperatorNorm(2)
+    for kind, mats in _polar_cases(np.random.default_rng(11)).items():
+        x = norm.norming(mats)
+        assert x.shape == mats.shape and np.isfinite(x).all(), kind
+        assert np.linalg.svd(x.reshape(-1, 2, 2), compute_uv=False)[:, 0].max() <= 1.0 + 2e-15, kind
+        trace_norm = np.linalg.svd(mats.reshape(-1, 2, 2), compute_uv=False).sum(axis=1)
+        pairing = np.einsum("nk,nk->n", mats, x)
+        assert np.all(np.abs(pairing - trace_norm) <= 2e-15 * trace_norm), kind
+        if kind == "traceless":
+            assert np.abs(x[:, 0] + x[:, 3]).max() <= 1e-15
+
+
 def _per_summand_values(norm, v, dual):
     """Oracle: one summand-norm call per summand, stacked on a last axis."""
     return np.stack([nrm.dual(v[..., sl]) if dual else nrm.eval(v[..., sl])
