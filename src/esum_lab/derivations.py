@@ -51,7 +51,7 @@ from __future__ import annotations
 import numpy as np
 
 from .esum import ESumAlgebra, EuclideanCoordinate, LatticeBlockNorm
-from .lattice import ce_constant, dual_norm_batch
+from .lattice import ce_constant, dual_norm_batch, restrict_spec
 
 RANK_TOL = 1e-10
 LEIBNIZ_TOL = 1e-10
@@ -218,12 +218,24 @@ def derivation_space(algebra):
     c_P alone, so each distinct cube (keyed by its bytes, as
     ``FiniteAlgebra.stacks`` is) is solved, factored and re-checked once.
     """
+    return _derivation_space(algebra, {})
+
+
+def _derivation_space(algebra, spaces):
+    """:func:`derivation_space`, with the solves of distinct cubes kept in
+    ``spaces`` (keyed by the cube's bytes: its derivations, annihilator N_B
+    and adjoint factors) and looked up there before solving.  A cube found
+    there is neither solved nor re-checked again, so one dict shared by the
+    calls of one weak-amenability check solves each cube once for the sum
+    and its summands together."""
     blocks, cubes = algebra.blocks, algebra.cubes
-    spaces = {}   # per distinct cube: its derivations, annihilator N_B and adjoint factors
+    new = {}
     for key, cb in {cb.tobytes(): cb for cb in cubes}.items():
-        m = len(cb)
-        (r, _, _, vh), (q, _, _, nh) = _rank_split(_leibniz_system(cb)), _rank_split(cb.reshape(m * m, m))
-        spaces[key] = cb, vh[r:].conj().reshape(-1, m, m), nh[q:].conj(), _rank_split(adjoint_map_matrix(cb))
+        if key not in spaces:
+            m = len(cb)
+            (r, _, _, vh), (q, _, _, nh) = _rank_split(_leibniz_system(cb)), _rank_split(cb.reshape(m * m, m))
+            new[key] = cb, vh[r:].conj().reshape(-1, m, m), nh[q:].conj(), _rank_split(adjoint_map_matrix(cb))
+    spaces.update(new)
     space = [spaces[cb.tobytes()] for cb in cubes]
     pieces = [(i, i, x) for i, (_, x, _, _) in enumerate(space)]
     # only blocks with a nonzero N_B take part in off-block pieces
@@ -235,7 +247,7 @@ def derivation_space(algebra):
     report = DerivationSpaceReport(algebra, pieces, [(b, f) for b, (*_, f) in zip(blocks, space)],
                                    not annihilators)
 
-    for cb, _, _, (r, u, _, _) in spaces.values():
+    for cb, _, _, (r, u, _, _) in new.values():
         res = leibniz_residual(cb, u[:, :r].T.reshape(r, len(cb), len(cb)))
         if res > LEIBNIZ_TOL * max(1.0, float(np.abs(cb).max())) * 10:
             raise AssertionError(f"inner derivation violates the Leibniz identity: {res}")
@@ -274,8 +286,13 @@ def derivation_norm_upper(algebra, pieces):
     group at a time.  Column dual norms sum to a bound, as the coefficients
     of a unit-ball element are bounded by 1 for every supported coordinate
     norm; for the Euclidean family the largest spectral norm is exact.
-    Under a lattice norm the rows hold only the summands the columns touch:
-    the others' summand duals are exact zeros, so a map takes O(k) of them."""
+    Under a lattice norm the rows hold only the summands the columns touch,
+    and the dual lattice norm is taken on those summands' duals alone
+    (``restrict_spec``), so a map on k summands takes O(k) work.  The
+    untouched summands' duals are zeros, so this is the dual lattice norm of
+    the whole vector; it gives the same bits while a column touches at most
+    two summands, as a sum of two nonzeros and any zeros is exact in every
+    order, and every ad map touches one."""
     groups = [{j} for j in {j for _, j, _ in pieces}]   # of column blocks
     for row in {i for i, _, _ in pieces}:   # the columns that meet one row block are linked
         cols = {j for i, j, _ in pieces if i == row}
@@ -295,11 +312,10 @@ def derivation_norm_upper(algebra, pieces):
             if j in cols:
                 columns[..., np.searchsorted(where, blocks[j])[:, None], np.searchsorted(coords, blocks[i])] = \
                     np.swapaxes(x, -1, -2)
-        if lattice:   # the other summands' duals are exact zeros
-            duals = np.zeros(lead + (len(where), len(runs)))
-            for t in touched:
-                duals[..., t] = norm.block_norms[t].dual(columns[..., owner[coords] == t])
-            duals = dual_norm_batch(norm.lattice, duals.reshape(-1, len(runs))).reshape(duals.shape[:-1])
+        if lattice:   # the dual lattice norm of the touched summands' duals
+            duals = np.stack([norm.block_norms[t].dual(columns[..., owner[coords] == t]) for t in touched], -1)
+            duals = dual_norm_batch(restrict_spec(norm.lattice, touched),
+                                    duals.reshape(-1, len(touched))).reshape(duals.shape[:-1])
         values.append(np.linalg.svd(columns, compute_uv=False)[..., 0] if euclidean
                       else (duals if lattice else norm.dual(columns)).sum(axis=-1))
     bound = np.max(values, axis=0) if euclidean else np.sum(values, axis=0)
@@ -363,6 +379,13 @@ def min_dual_over_affine(norm, phi0, z_basis):
 # Weak amenability constant brackets
 # ---------------------------------------------------------------------------
 
+def _gaussians(rng, count, n):
+    """count complex Gaussian n x n matrices, real and imaginary parts
+    alternating in the stream."""
+    g = rng.standard_normal((count, 2, n, n))
+    return g[:, 0] + 1j * g[:, 1]
+
+
 def wam_bracket(algebra, samples=200, seed=0, blocks=None, report=None):
     """Certified lower / certified upper bracket for the best constant C with:
     every derivation D admits an implementing phi with ||phi|| <= C ||D||.
@@ -379,8 +402,9 @@ def wam_bracket(algebra, samples=200, seed=0, blocks=None, report=None):
     ends are infinite when the algebra is not weakly amenable.  ``blocks``
     (coordinate index lists) add per-block samples whose draws depend only
     on the block dimension, so direct sums of copies reuse the single-copy
-    samples (draws made one at a time give the stream of one call); a
-    negative ``samples`` raises ValueError.
+    samples: the draws of a key are made once and shared by every group
+    within one block that uses it (draws made one at a time give the stream
+    of one call); a negative ``samples`` raises ValueError.
     """
     if samples < 0:
         raise ValueError(f"samples must be nonnegative, got {samples}")
@@ -397,17 +421,22 @@ def wam_bracket(algebra, samples=200, seed=0, blocks=None, report=None):
         owner[b] = i
     groups = [(np.asarray(idx), [seed, len(idx)], samples) for idx in ([range(d)] if blocks is None else blocks)]
     groups.append((np.arange(d), [seed, 0xE5], max(4, samples // 10)))
-    phi0 = []
+    phi0, drawn = [], {}   # the draws of the groups within one block, by key, count and size
     for idx, key, count in groups:
-        rng, cuts = np.random.default_rng(key), []
+        cuts = []
         for i in np.unique(owner[idx]):   # idx[src] lies in block i, at its positions dst
             src = np.flatnonzero(owner[idx] == i)
             cuts.append((i, src, np.searchsorted(algebra.blocks[i], idx[src]),
                          np.zeros((count,) + (len(algebra.blocks[i]),) * 2, complex)))
-        step = max(count, 1) if len(cuts) == 1 else 1   # draws over several blocks one at a time
-        for n in range(0, count, step):   # real and imaginary parts alternate
-            g = rng.standard_normal((min(step, count - n), 2, len(idx), len(idx)))
-            g = g[:, 0] + 1j * g[:, 1]
+        if len(cuts) == 1:   # drawn at once, and once for every such group of one key
+            at = (*key, count, len(idx))
+            if at not in drawn:
+                drawn[at] = _gaussians(np.random.default_rng(key), count, len(idx))
+            draws = [(0, drawn[at])]
+        else:   # draws over several blocks one at a time
+            rng = np.random.default_rng(key)
+            draws = ((n, _gaussians(rng, 1, len(idx))) for n in range(count))
+        for n, g in draws:
             for _, src, dst, x in cuts:
                 x[n:n + len(g), dst[:, None], dst] = g[:, src[:, None], src]
         phi0.append(rep.implement([(i, i, x) for i, _, _, x in cuts])[0])
@@ -436,20 +465,27 @@ def wam_bracket(algebra, samples=200, seed=0, blocks=None, report=None):
 def esum_wa_check(summands, lattice, samples=120, seed=0):
     """Certify the sum (its own block algebra) and check the finite-scale
     coordinate claims: commutative weakly amenable summands force a zero
-    derivation space; weak amenability passes to summands; derivations of a
+    derivation space; weak amenability passes to summands; conversely,
+    weakly amenable summands of which at most one is not essential make a
+    weakly amenable sum, since an off-block piece of :func:`derivation_space`
+    needs nonzero annihilators N_K and N_P on two blocks; derivations of a
     sum of weakly amenable summands are block-diagonal; and the constant
     brackets obey the two-sided uniformity estimate max_i lower_i <=
     upper(sum), lower(sum) <= C_E^2 max_i upper_i.  Its first half implies
     the transfer bound lower_i <= ||delta_i|| upper(sum), as every lattice
-    has embedding norms ||delta_i|| >= 1.  A negative ``samples`` raises
-    ValueError."""
+    has embedding norms ||delta_i|| >= 1.
+
+    Each distinct block cube is solved once for the sum and its summands
+    together, and each distinct summand object takes one report and one
+    bracket.  A negative ``samples`` raises ValueError."""
     if samples < 0:
         raise ValueError(f"samples must be nonnegative, got {samples}")
     esum = ESumAlgebra(summands, lattice).as_finite_algebra(seed=seed)
     blocks = [range(run.start, run.stop) for run in esum.norm.slices]
-    rep_big = derivation_space(esum)
+    solved = {}   # per distinct cube, shared by the sum's and the summands' reports
+    rep_big = _derivation_space(esum, solved)
     distinct = {id(a): a for a in summands}   # a summand listed twice is solved once
-    spaces = {key: derivation_space(a) for key, a in distinct.items()}
+    spaces = {key: _derivation_space(a, solved) for key, a in distinct.items()}
     reps = [spaces[id(a)] for a in summands]
 
     all_wa = all(r.weakly_amenable for r in reps)
@@ -470,6 +506,9 @@ def esum_wa_check(summands, lattice, samples=120, seed=0):
     else:
         offenders = [i for i, r in enumerate(reps) if not r.weakly_amenable]
         report["offending_summands"] = offenders
+        if all_wa and sum(not r.essential for r in reps) <= 1:
+            report["failures"].append("summands weakly amenable and at most one not essential, "
+                                      "but the sum is not weakly amenable")
 
     if all_wa:
         owner = np.repeat(np.arange(len(summands)), [a.dim for a in summands])

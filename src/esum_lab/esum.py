@@ -145,7 +145,16 @@ class EuclideanCoordinate(CoordinateNorm):
 class MatrixOperatorNorm(CoordinateNorm):
     """Spectral norm on an m x m matrix algebra in the matrix-unit basis
     (row-major coefficients); the dual is the trace norm, which phi = U S V^H
-    attains on conj(U V^H).  The 2 x 2 case uses closed forms."""
+    attains on conj(U V^H).
+
+    The 2 x 2 case uses closed forms, with s1 >= s2 the singular values:
+    s1 from the eigenvalues of M^H M, s1 + s2 from ||M||_F^2 + 2 |det M|,
+    and the polar factor U V^H = (M + ph adj(M)^H) / (s1 + s2), where ph =
+    det M / |det M| (1 when det M = 0), since ph adj(M)^H = U diag(s2, s1) V^H.
+    A zero matrix gets the norming element 0.  Each closed form runs on the
+    rows as one (n, 4) stack, even for one matrix: numpy rounds a 0-d
+    complex product differently from the same product inside an array, so
+    a matrix alone would otherwise get other bits than in a stack."""
 
     def __init__(self, side):
         self.side = int(side)
@@ -155,15 +164,21 @@ class MatrixOperatorNorm(CoordinateNorm):
         return v.reshape(v.shape[:-1] + (self.side, self.side))
 
     def _scaled_entries(self, v):
-        """For 2 x 2 matrices [[a, b], [c, d]]: the largest entry modulus s (1
-        for zero), and the entries over s and their squared moduli over s^2, so
-        nothing overflows or underflows; by columns, as numpy reduces short axes slowly."""
-        v = np.asarray(v)
-        entries = [v[..., k] for k in range(4)]
+        """For 2 x 2 matrices [[a, b], [c, d]], the rows of v as an (n, 4)
+        stack: the largest entry modulus s (1 for zero), and the entries over
+        s and their squared moduli over s^2, so nothing overflows or
+        underflows; by columns, as numpy reduces short axes slowly."""
+        v = np.asarray(v).reshape(-1, 4)
+        entries = [v[:, k] for k in range(4)]
         mods = [np.abs(z) for z in entries]
         scale = np.maximum(np.maximum(mods[0], mods[1]), np.maximum(mods[2], mods[3]))
         scale = np.where(scale > 0, scale, 1.0)
         return scale, [z / scale for z in entries], [(m / scale) ** 2 for m in mods]
+
+    @staticmethod
+    def _unstack(v, out):
+        """A closed form's (n, ...) result on the leading axes of v."""
+        return out.reshape(np.shape(v)[:-1] + out.shape[1:])[()]
 
     def eval(self, v):
         if self.side != 2:
@@ -173,18 +188,28 @@ class MatrixOperatorNorm(CoordinateNorm):
         scale, (a, b, c, d), (pa, pb, pc, pd) = self._scaled_entries(v)
         r = np.abs(np.conj(a) * b + np.conj(c) * d)
         gap = np.sqrt((pa + pc - pb - pd) ** 2 + 4.0 * r * r)
-        return scale * np.sqrt(0.5 * (pa + pb + pc + pd + gap))
+        return self._unstack(v, scale * np.sqrt(0.5 * (pa + pb + pc + pd + gap)))
 
     def dual(self, v):
         if self.side != 2:
             return np.linalg.svd(self._mats(v), compute_uv=False).sum(axis=-1)
         # (s1 + s2)^2 = ||M||_F^2 + 2 |det M|
         scale, (a, b, c, d), (pa, pb, pc, pd) = self._scaled_entries(v)
-        return scale * np.sqrt(pa + pb + pc + pd + 2.0 * np.abs(a * d - b * c))
+        return self._unstack(v, scale * np.sqrt(pa + pb + pc + pd + 2.0 * np.abs(a * d - b * c)))
 
     def norming(self, phi):
-        u, _, vh = np.linalg.svd(self._mats(phi))
-        return np.conj(u @ vh).reshape(np.shape(phi))
+        if self.side != 2:
+            u, _, vh = np.linalg.svd(self._mats(phi))
+            return np.conj(u @ vh).reshape(np.shape(phi))
+        # the conjugate polar factor of the scaled matrix, whose s1 + s2 is total
+        _, (a, b, c, d), (pa, pb, pc, pd) = self._scaled_entries(phi)
+        det = a * d - b * c
+        mod = np.abs(det)
+        cph = np.where(mod > 0, np.conj(det) / np.where(mod > 0, mod, 1.0), 1.0)
+        total = np.sqrt(pa + pb + pc + pd + 2.0 * mod)
+        x = np.stack([np.conj(a) + cph * d, np.conj(b) - cph * c,
+                      np.conj(c) - cph * b, np.conj(d) + cph * a], axis=-1)
+        return self._unstack(phi, x / np.where(total > 0, total, 1.0)[:, None])
 
     def dual_vs_l2(self, dim):
         return (np.sqrt(self.side), 1.0)

@@ -994,22 +994,50 @@ class TestEsumChecks:
         assert rel <= 0.1
 
     def test_each_distinct_summand_is_solved_once(self, monkeypatch):
-        """derivation_space runs on the sum and once per distinct summand
-        object, and the report keeps one equal entry per summand."""
-        calls = []
-        solve = dv.derivation_space
-        monkeypatch.setattr(dv, "derivation_space", lambda a: calls.append(a) or solve(a))
+        """A report is made for the sum and once per distinct summand object,
+        each distinct block cube is solved once for all of them, with its 3
+        SVDs the only ones of the check, and the report keeps one equal entry
+        per summand."""
+        calls, svds = [], []
+        shared, svd = dv._derivation_space, np.linalg.svd
+        monkeypatch.setattr(dv, "_derivation_space", lambda a, spaces: calls.append(a) or shared(a, spaces))
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svds.append(a[0].shape) or svd(*a, **k))
         m2, c = es.matrix_units_algebra(2), es.scalar_algebra()
-        for summands, distinct in (([m2] * 3, 1), ([m2, c, m2], 2),
-                                   ([m2, es.matrix_units_algebra(2)], 2)):
+        for summands, distinct, cubes in (([m2] * 3, 1, 1), ([m2, c, m2], 2, 2),
+                                          ([m2, es.matrix_units_algebra(2)], 2, 1)):
             calls.clear()
+            svds.clear()
             rep = dv.esum_wa_check(summands, lt.sup_norm(len(summands)), samples=10, seed=4)
             assert rep["ok"] and len(calls) == 1 + distinct
+            assert len(svds) == 3 * cubes
             assert len(rep["summands"]) == len(rep["bracket_summands"]) == len(summands)
             for i, a in enumerate(summands):
                 single = dv.wam_bracket(a, samples=10, seed=4)
                 assert rep["bracket_summands"][i] == single
-                assert rep["summands"][i] == solve(a).as_dict()
+                assert rep["summands"][i] == dv.derivation_space(a).as_dict()
+
+    def test_a_sum_that_contradicts_its_summands_fails(self, monkeypatch):
+        """A sum report with an extra derivation between the two blocks, a
+        unit map that no phi implements, contradicts weakly amenable and
+        essential summands, and the check says so."""
+        shared = dv._derivation_space
+
+        def contradicting(algebra, spaces):
+            rep = shared(algebra, spaces)
+            if isinstance(algebra, es.ESumAlgebra):
+                extra = np.zeros((1, 4, 4), complex)
+                extra[0, 0, 0] = 1.0
+                rep = dv.DerivationSpaceReport(algebra, rep.pieces + [(0, 1, extra)], rep.adjoint,
+                                               rep.essential)
+            return rep
+
+        monkeypatch.setattr(dv, "_derivation_space", contradicting)
+        rep = dv.esum_wa_check([es.matrix_units_algebra(2)] * 2, lt.sup_norm(2), samples=5)
+        assert not rep["ok"] and rep["offending_summands"] == []
+        assert ("summands weakly amenable and at most one not essential, "
+                "but the sum is not weakly amenable") in rep["failures"]
+        monkeypatch.setattr(dv, "_derivation_space", shared)
+        assert dv.esum_wa_check([es.matrix_units_algebra(2)] * 2, lt.sup_norm(2), samples=5)["ok"]
 
     def test_negative_samples_are_refused(self):
         # before any work: [C, square-zero] is not weakly amenable and takes no bracket
