@@ -221,22 +221,22 @@ def derivation_space(algebra):
     return _derivation_space(algebra, {})
 
 
-def _derivation_space(algebra, spaces):
+def _derivation_space(algebra, solved):
     """:func:`derivation_space`, with the solves of distinct cubes kept in
-    ``spaces`` (keyed by the cube's bytes: its derivations, annihilator N_B
-    and adjoint factors) and looked up there before solving.  A cube found
-    there is neither solved nor re-checked again, so one dict shared by the
-    calls of one weak-amenability check solves each cube once for the sum
-    and its summands together."""
+    ``solved`` (keyed by the cube's bytes: the cube, its derivations,
+    annihilator N_B and adjoint factors) and looked up there first.  A cube
+    found there is neither solved nor re-checked again, so one dict shared
+    by the calls of one weak-amenability check solves each cube once for
+    the sum and its summands together."""
     blocks, cubes = algebra.blocks, algebra.cubes
     new = {}
     for key, cb in {cb.tobytes(): cb for cb in cubes}.items():
-        if key not in spaces:
+        if key not in solved:
             m = len(cb)
             (r, _, _, vh), (q, _, _, nh) = _rank_split(_leibniz_system(cb)), _rank_split(cb.reshape(m * m, m))
             new[key] = cb, vh[r:].conj().reshape(-1, m, m), nh[q:].conj(), _rank_split(adjoint_map_matrix(cb))
-    spaces.update(new)
-    space = [spaces[cb.tobytes()] for cb in cubes]
+    solved.update(new)
+    space = [solved[cb.tobytes()] for cb in cubes]
     pieces = [(i, i, x) for i, (_, x, _, _) in enumerate(space)]
     # only blocks with a nonzero N_B take part in off-block pieces
     annihilators = [(i, n) for i, (_, _, n, _) in enumerate(space) if len(n)]

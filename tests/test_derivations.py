@@ -1000,7 +1000,7 @@ class TestEsumChecks:
         per summand."""
         calls, svds = [], []
         shared, svd = dv._derivation_space, np.linalg.svd
-        monkeypatch.setattr(dv, "_derivation_space", lambda a, spaces: calls.append(a) or shared(a, spaces))
+        monkeypatch.setattr(dv, "_derivation_space", lambda a, solved: calls.append(a) or shared(a, solved))
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svds.append(a[0].shape) or svd(*a, **k))
         m2, c = es.matrix_units_algebra(2), es.scalar_algebra()
         for summands, distinct, cubes in (([m2] * 3, 1, 1), ([m2, c, m2], 2, 2),
@@ -1022,8 +1022,8 @@ class TestEsumChecks:
         essential summands, and the check says so."""
         shared = dv._derivation_space
 
-        def contradicting(algebra, spaces):
-            rep = shared(algebra, spaces)
+        def contradicting(algebra, solved):
+            rep = shared(algebra, solved)
             if isinstance(algebra, es.ESumAlgebra):
                 extra = np.zeros((1, 4, 4), complex)
                 extra[0, 0, 0] = 1.0
