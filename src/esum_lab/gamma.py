@@ -14,10 +14,9 @@ ones to 1.  Its projective norm is bracketed from two sides:
 
   upper:  any finite decomposition sum_k x_k (x) y_k with
           sum_k x_k y_k^T = I is a valid bound sum_k ||x_k|| ||y_k||.
-          The witness: the orbit of an extremal vector x*, built as the
-          separated decomposition (e_i, e_i) when x* is a spike and as the
-          discrete Fourier decomposition (1/n) sum_k w_k (x) conj(w_k),
-          whose cost is the squared full-indicator norm, when x* is
+          The witness: the orbit of an extremal vector x* (below), built
+          as the separated decomposition (e_i, e_i) when x* is a spike and
+          as the Fourier one (1/n) sum_k w_k (x) conj(w_k) when x* is
           constant or the norm a weighted sup.
 
 For every named lattice the two sides meet.  Let S = sup{sum_i |x_i|^2 :
@@ -45,11 +44,12 @@ whose slopes decrease.
 
 Each side builds the one witness named above, so ``NormBracket.loose`` (a
 gap above ``DEFAULT_TOL`` relative) can only come from a fault.  The lower
-witness is a closed form; the upper one is costed by one
-``norm_eval_batch`` call over all its vectors, and that cost is the upper
-end, so a bracket makes one lattice call.  The amenability constant of
-these pointwise algebras equals the diagonal's projective norm, so the
-returned bracket is an AM bracket.
+witness is a closed form; the upper one is a complex (m, 2, n) stack, row k
+the pair (x_k, y_k), refused above ``MAX_WITNESS_ENTRIES`` before it is
+allocated.  Its cost, the upper end, is one ``norm_eval_batch`` call on its
+(2m, n) view.  Both witnesses are re-checked, and a nan or inf fails the
+checks.  The amenability constant of these pointwise algebras equals the
+diagonal's projective norm, so the returned bracket is an AM bracket.
 """
 
 from __future__ import annotations
@@ -58,24 +58,19 @@ import math
 
 import numpy as np
 
-from .lattice import (
-    LatticeNormSpec,
-    ce_constant,
-    coordinate_ball_sup,
-    max_square_sum,
-    norm_eval_batch,
-    restrict_spec,
-)
+from .lattice import (LatticeNormSpec, ce_constant, coordinate_ball_sup, max_square_sum,
+                      norm_eval_batch, restrict_spec)
 
 DEFAULT_TOL = 1e-6
 WITNESS_TOL = 1e-9
 QUOTIENT_TOL = 1e-9   # slack of verify_quotient_bound's comparison of upper ends
+# entries of an upper witness: the orbit at n = 170 (9.8e6) peaks at 940 MB
+# RSS on shifted_ramp(0.5) (2-CPU x86-64, numpy 2.4.6); n = 171 is refused
+MAX_WITNESS_ENTRIES = 10 ** 7
 
 
 class BracketBudget:
-    """Kept only for ``perfbench/workloads.py``, which builds one and reads
-    its ``tol``.  ``scale`` is ignored: every bracket builds the same
-    witnesses."""
+    """Kept for ``perfbench/workloads.py``, which reads its ``tol``; ``scale`` is ignored."""
 
     def __init__(self, scale=None):
         self.tol = DEFAULT_TOL
@@ -86,27 +81,16 @@ class NormBracket:
         self.lower = float(lower)
         self.upper = float(upper)
         self.witness_lower = witness_lower   # (matrix, certified bilinear bound, method)
-        self.witness_upper = witness_upper   # (list of (x, y) pairs, cost, method)
+        self.witness_upper = witness_upper   # ((m, 2, n) stack of (x, y) pairs, cost, method)
         self.loose = bool(loose)
 
     def as_dict(self):
         mat, cert, method = self.witness_lower
         pairs, cost, umethod = self.witness_upper
-        return {
-            "lower": self.lower,
-            "upper": self.upper,
-            "loose": self.loose,
-            "witness_lower": {
-                "matrix": _cplx_list(mat),
-                "certified_bilinear_bound": cert,
-                "method": method,
-            },
-            "witness_upper": {
-                "pairs": [[_cplx_list(x), _cplx_list(y)] for x, y in pairs],
-                "cost": cost,
-                "method": umethod,
-            },
-        }
+        return {"lower": self.lower, "upper": self.upper, "loose": self.loose,
+                "witness_lower": {"matrix": _cplx_list(mat), "certified_bilinear_bound": cert,
+                                  "method": method},
+                "witness_upper": {"pairs": _cplx_list(pairs), "cost": cost, "method": umethod}}
 
     def __repr__(self):
         flag = ", loose" if self.loose else ""
@@ -114,10 +98,8 @@ class NormBracket:
 
 
 def _cplx_list(a):
-    a = np.asarray(a)
-    if np.iscomplexobj(a):
-        return np.stack([a.real, a.imag], axis=-1).tolist()
-    return a.tolist()
+    """A nested list of ``a``, each complex entry as [re, im]."""
+    return (np.stack([a.real, a.imag], axis=-1) if np.iscomplexobj(a) else a).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -129,15 +111,17 @@ def bilinear_cert(spec, mat, square=None):
     diagonal M = diag(f): the smaller of max|f| S, by Cauchy-Schwarz with
     S = ``square`` from :func:`max_square_sum`, and sum_i |f_i| sup_ball |x_i|^2.
     The first is exact for the identity, the second for a spike, in every
-    named family.  An off-diagonal M raises ValueError."""
-    mat = np.asarray(mat, dtype=complex)
-    f = np.abs(np.diag(mat))
-    off = mat - np.diag(np.diag(mat))
-    if np.abs(off).max() > 1e-15 * max(1.0, np.abs(mat).max()):
-        raise ValueError("bilinear_cert certifies diagonal matrices only")
+    named family.  An off-diagonal M, or one with an entry that is not
+    finite, raises ValueError."""
+    a = np.abs(np.asarray(mat))
+    top, n = float(a.max(initial=0.0)), len(a)
+    if not math.isfinite(top):
+        raise ValueError("bilinear_cert certifies finite matrices only")
+    if a.ravel()[:-1].reshape(n - 1, n + 1)[:, 1:].max(initial=0.0) > 1e-15 * max(1.0, top):
+        raise ValueError("bilinear_cert certifies diagonal matrices only")   # off-diagonal entry
+    f = a.diagonal().copy()
     sup = coordinate_ball_sup(spec)
-    if square is None:
-        square = max_square_sum(spec)[0]
+    square = max_square_sum(spec)[0] if square is None else square
     return min(float(f.max(initial=0.0)) * square, float(f @ (sup * sup)))
 
 
@@ -150,15 +134,16 @@ def dual_pairing_lower(spec, square):
     docstring): the best spike under a weighted sup (sup included), else the
     identity.  No validly certified form scores above AM.
 
-    The spike e_mm scores 1 / min(S, sup_ball |x_m|^2), the reciprocal of
-    its :func:`bilinear_cert`, so all n are scored as one vector and only
-    the best one's matrix is built, ties going to the lower index.
+    The identity's :func:`bilinear_cert`, min(S, sum_i sup_ball |x_i|^2),
+    is written out.  The spike e_mm scores 1 / min(S, sup_ball |x_m|^2),
+    the reciprocal of its certificate, so all n are scored as one vector
+    and only the best one's matrix is built, ties going to the lower index.
     """
     n = spec.index_size
-    if spec.weights is None:
-        cert = bilinear_cert(spec, np.eye(n), square)
-        return (n / cert, np.eye(n) / cert, "identity-diagonal")
     sup = coordinate_ball_sup(spec)
+    if spec.weights is None:
+        cert = min(square, float(np.ones(n) @ (sup * sup)))   # bilinear_cert of the identity
+        return (n / cert, np.eye(n) / cert, "identity-diagonal")
     values = 1.0 / np.minimum(square, sup * sup)
     m = int(np.argmax(values))
     spike = np.zeros((n, n))
@@ -170,44 +155,63 @@ def dual_pairing_lower(spec, square):
 # Upper bound: explicit decompositions
 # ---------------------------------------------------------------------------
 
+def _witness_stack(m, n):
+    """An empty complex (m, 2, n) stack, refused above ``MAX_WITNESS_ENTRIES``."""
+    if 2 * m * n > MAX_WITNESS_ENTRIES:
+        raise ValueError(f"the AM witness at n = {n} needs {2 * m * n} complex entries, "
+                         f"more than MAX_WITNESS_ENTRIES = {MAX_WITNESS_ENTRIES}")
+    return np.empty((m, 2, n), dtype=complex)
+
+
 def decomposition_cost(spec, pairs):
-    """sum_k ||x_k|| ||y_k||, from one ``norm_eval_batch`` call over all the
-    x's and y's stacked, summed in pair order.  A row's norm does not depend
-    on the other rows of its batch, so the cost is the float that norming
-    each vector on its own gives."""
-    norms = norm_eval_batch(spec, np.array([v for pair in pairs for v in pair]))
+    """sum_k ||x_k|| ||y_k|| of an (m, 2, n) stack or a sequence of (x, y)
+    pairs, from one ``norm_eval_batch`` call on its (2m, n) reshape, summed
+    in pair order.  A row's norm does not depend on the other rows of its
+    batch, so the cost is the float that norming each vector alone gives."""
+    pairs = np.asarray(pairs)
+    norms = norm_eval_batch(spec, pairs.reshape(-1, pairs.shape[-1]))
     return float(sum((norms[0::2] * norms[1::2]).tolist()))
 
 
 def decomposition_residual(n, pairs):
-    xs, ys = zip(*pairs)
-    return float(np.abs(np.array(xs).T @ np.array(ys) - np.eye(n)).max())
+    """max |sum_k x_k y_k^T - I| of an (m, 2, n) stack or a sequence of
+    (x, y) pairs, from contiguous copies of its x and y planes."""
+    pairs = np.asarray(pairs)
+    xs, ys = np.ascontiguousarray(pairs[:, 0]), np.ascontiguousarray(pairs[:, 1])
+    return float(np.abs(xs.T @ ys - np.eye(n)).max())
 
 
 def separated_decomposition(n):
-    eye = np.eye(n)
-    return [(eye[i].astype(complex), eye[i].astype(complex)) for i in range(n)]
+    """The n pairs (e_i, e_i), as an (n, 2, n) stack."""
+    pairs = _witness_stack(n, n)
+    pairs[:, 0] = pairs[:, 1] = np.eye(n)
+    return pairs
 
 
 def dft_decomposition(n):
-    """d = (1/n) sum_k w_k (x) conj(w_k) with character columns w_k."""
+    """d = (1/n) sum_k w_k (x) conj(w_k) with character columns w_k, row k (w_k / n, conj(w_k))."""
+    pairs = _witness_stack(n, n)
     k = np.arange(n)
-    w = np.exp(2j * np.pi * np.outer(k, k) / n)
-    return [(w[:, j] / n, np.conj(w[:, j])) for j in range(n)]
+    w = np.exp(2j * np.pi * np.outer(k, k) / n).T   # row k is the column w_k
+    np.divide(w, n, out=pairs[:, 0])
+    np.conj(w, out=pairs[:, 1])
+    return pairs
 
 
 def orbit_decomposition(x):
     """The n^2 pairs (D_k sigma_s x / (n S), conj(D_k) sigma_s x) over the
     cyclic shifts sigma_s and the Fourier phases D_k = diag(w^(k i)), with
-    S = sum_i x_i^2: they recombine to the diagonal and cost
-    n ||x||^2 / S for a symmetric norm."""
+    S = sum_i x_i^2, the pair of D_k and sigma_s in row k n + s: they
+    recombine to the diagonal and cost n ||x||^2 / S for a symmetric norm."""
     n = len(x)
+    pairs = _witness_stack(n * n, n)
     k = np.arange(n)
     phases = np.exp(2j * np.pi * np.outer(k, k) / n)
     shifts = np.asarray(x)[(k[None, :] - k[:, None]) % n]   # row s is np.roll(x, s)
     vecs = (phases[:, None, :] * shifts[None, :, :]).reshape(n * n, n)
-    scale = n * float(np.sum(np.square(x)))
-    return [(v / scale, np.conj(v)) for v in vecs]
+    np.divide(vecs, n * float(np.sum(np.square(x))), out=pairs[:, 0])
+    np.conj(vecs, out=pairs[:, 1])
+    return pairs
 
 
 def primal_decomposition_upper(spec, extremal):
@@ -218,7 +222,7 @@ def primal_decomposition_upper(spec, extremal):
     n = spec.index_size
     if np.count_nonzero(extremal) <= 1:
         pairs, method = separated_decomposition(n), "separated"
-    elif spec.weights is not None or np.ptp(extremal) == 0:
+    elif spec.weights is not None or extremal.min() == extremal.max():
         pairs, method = dft_decomposition(n), "fourier"
     else:
         pairs, method = orbit_decomposition(extremal), "orbit"
@@ -235,11 +239,11 @@ def am_pointwise(n, spec, budget=None, rng=None):
     Both witnesses are deterministic.  ``budget`` and ``rng`` are accepted
     and ignored, for the calls in ``perfbench/workloads.py`` only.
 
-    A bracket end that overflows a float raises ValueError.  Both witnesses
-    are then re-verified independently: the stored dual matrix is
-    re-certified to bilinear bound <= 1 + 1e-9, and the stored decomposition
-    is re-multiplied to the exact diagonal.  Its cost, the upper end, is the
-    one ``norm_eval_batch`` call a bracket makes.
+    A witness above ``MAX_WITNESS_ENTRIES`` or an end that overflows a
+    float raises ValueError.  Both witnesses are then re-verified, a nan
+    failing: the dual matrix is re-certified to bilinear bound <= 1 + 1e-9,
+    and the decomposition re-multiplied to the exact diagonal.  Its cost,
+    the upper end, is the one ``norm_eval_batch`` call a bracket makes.
     """
     if not isinstance(spec, LatticeNormSpec) or spec.index_size != n:
         raise ValueError("norm spec must live on exactly n indices")
@@ -253,22 +257,17 @@ def am_pointwise(n, spec, budget=None, rng=None):
             raise ValueError(f"the AM bracket of this input overflows a float ({end})")
 
     recert = bilinear_cert(spec, wl_mat, square)
-    if recert > 1.0 + WITNESS_TOL:
+    if not recert <= 1.0 + WITNESS_TOL:   # a nan fails too
         raise AssertionError(f"dual witness failed re-certification: {recert}")
     residual = decomposition_residual(n, wu_pairs)
-    if residual > WITNESS_TOL:
+    if not residual <= WITNESS_TOL:
         raise AssertionError(f"decomposition does not recombine to the diagonal: {residual}")
 
     if upper < lower - 1e-9 * max(1.0, upper):
         raise AssertionError(f"bracket inversion: lower {lower} > upper {upper}")
     lower = min(lower, upper)
     loose = (upper - lower) > DEFAULT_TOL * max(upper, 1.0)
-    return NormBracket(
-        lower, upper,
-        (wl_mat, recert, wl_method),
-        (wu_pairs, upper, wu_method),
-        loose,
-    )
+    return NormBracket(lower, upper, (wl_mat, recert, wl_method), (wu_pairs, upper, wu_method), loose)
 
 
 def verify_main_theorem(n, spec):

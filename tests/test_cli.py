@@ -291,6 +291,14 @@ def test_am_command(tmp_path, capsys, spec_path):
     assert "witness_lower" in out and "witness_upper" in out
 
 
+def test_am_refuses_a_witness_above_the_limit(tmp_path, capsys):
+    spec = write(tmp_path, "spec.json", {"kind": "orlicz", "index_size": 171,
+                                         "phi": {"family": "shifted_ramp", "a": 0.5}})
+    assert cli.main(["am", "--n", "171", "--spec", spec]) == 2
+    assert _error_line(capsys) == ("ValueError: the AM witness at n = 171 needs 10000422 complex "
+                                   "entries, more than MAX_WITNESS_ENTRIES = 10000000")
+
+
 def test_esum_commands(tmp_path, capsys):
     algebra = write(tmp_path, "alg.json", {
         "summands": [

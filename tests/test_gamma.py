@@ -1,6 +1,7 @@
 import importlib.util
 import itertools
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -250,6 +251,14 @@ class TestCertifiedBounds:
         with pytest.raises(ValueError):
             gm.bilinear_cert(lt.lp_norm(2.0, 2), np.array([[1.0, 0.5], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    @pytest.mark.parametrize("where", [(0, 1), (1, 1)])
+    def test_non_finite_entry_refused(self, bad, where):
+        mat = np.eye(2)
+        mat[where] = bad
+        with pytest.raises(ValueError, match="finite"):
+            gm.bilinear_cert(lt.lp_norm(2.0, 2), mat)
+
     def test_spectral_cert_for_l2(self):
         rng = np.random.default_rng(3)
         m = rng.standard_normal((4, 4))
@@ -382,6 +391,38 @@ def test_orbit_witness_at_n_64():
     batch = lt.luxemburg_batch(spec.phi, rows)
     for i in (0, 1, 2015, 2016, 2017, 4095):
         assert lt.luxemburg_batch(spec.phi, rows[i:i + 1])[0] == batch[i]
+
+
+def test_orbit_witness_refused_above_the_limit_before_allocating():
+    # n = 170 needs 2 * 170^3 < 10^7 entries and is accepted; n = 171 is
+    # the first refused, before its 160 MB stack or the orbit is allocated
+    assert 2 * 170 ** 3 <= gm.MAX_WITNESS_ENTRIES < 2 * 171 ** 3
+    spec = lt.orlicz_norm(lt.OrliczFunction.shifted_ramp(0.5), 171)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"n = 171 .* MAX_WITNESS_ENTRIES = 10000000"):
+            gm.am_pointwise(171, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+
+
+def _nan_pairs(spec, extremal, primal=gm.primal_decomposition_upper):
+    """The true upper witness and its finite cost, with one entry set to nan."""
+    cost, pairs, method = primal(spec, extremal)
+    pairs[0, 0, 0] = np.nan
+    return cost, pairs, method
+
+
+@pytest.mark.parametrize("target, fake", [
+    ("primal_decomposition_upper", _nan_pairs),
+    ("bilinear_cert", lambda spec, mat, square=None: float("nan")),
+])
+def test_nan_witness_fails_re_verification(monkeypatch, target, fake):
+    monkeypatch.setattr(gm, target, fake)
+    with pytest.raises(AssertionError):
+        gm.am_pointwise(3, lt.lp_norm(1.5, 3))
 
 
 def _single_row_cost(spec, pairs):
