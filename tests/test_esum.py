@@ -564,6 +564,63 @@ def test_block_norm_matches_the_per_summand_oracle(kind, lead):
         assert _same_bits(getattr(norm, method)(v), _per_summand_norm(norm, v, method)), method
 
 
+def _norming_formula(norm, phi):
+    """Oracle: the norming element by each coordinate norm's own formula, and
+    under a lattice norm one summand at a time, weighted by dual_extremal of
+    the summands' duals."""
+    if isinstance(norm, es.LatticeBlockNorm):
+        weights = lt.dual_extremal(norm.lattice, _per_summand_values(norm, phi, True))
+        return np.concatenate([w[..., None] * _norming_formula(nrm, phi[..., sl]) for w, nrm, sl in
+                               zip(np.moveaxis(weights, -1, 0), norm.block_norms, norm.slices)], axis=-1)
+    if isinstance(norm, es.MaxAbsCoordinate):
+        return np.exp(-1j * np.angle(np.where(phi == 0, 1, phi)))
+    if isinstance(norm, es.EuclideanCoordinate):
+        w = phi / norm._scale(phi)
+        return np.conj(w) / np.maximum(np.linalg.norm(w, axis=-1, keepdims=True), 1.0)
+    if norm.side != 2:
+        u, _, vh = np.linalg.svd(norm._mats(phi))
+        return np.conj(u @ vh).reshape(np.shape(phi))
+    # (M^H + conj(ph) adj(M)) / (s1 + s2) of each scaled row, as one (n, 4) stack
+    _, (a, b, c, d), (pa, pb, pc, pd) = norm._scaled_entries(phi)
+    det = a * d - b * c
+    mod = np.abs(det)
+    cph = np.where(mod > 0, np.conj(det) / np.where(mod > 0, mod, 1.0), 1.0)
+    total = np.sqrt(pa + pb + pc + pd + 2.0 * mod)
+    x = np.stack([np.conj(a) + cph * d, np.conj(b) - cph * c,
+                  np.conj(c) - cph * b, np.conj(d) + cph * a], axis=-1)
+    return (x / np.where(total > 0, total, 1.0)[:, None]).reshape(np.shape(phi))
+
+
+def _dual_norming_cases():
+    m2 = es.matrix_units_algebra(2)
+    inner = es.ESumAlgebra([m2, es.scalar_algebra()], lt.weighted_sup([1.0, 2.5])).norm
+    flat = [es.MatrixOperatorNorm(2), es.MaxAbsCoordinate(), es.EuclideanCoordinate(),
+            es.MatrixOperatorNorm(3), es.MatrixOperatorNorm(2)]
+    return {"max_abs": (es.MaxAbsCoordinate(), 5), "euclidean": (es.EuclideanCoordinate(), 5),
+            "operator(2)": (es.MatrixOperatorNorm(2), 4), "operator(3)": (es.MatrixOperatorNorm(3), 9),
+            "lattice": (es.LatticeBlockNorm(lt.lp_norm(1.5, 5), flat, [4, 2, 3, 9, 4]), 22),
+            "nested": (es.LatticeBlockNorm(lt.sup_norm(3), [inner, es.MatrixOperatorNorm(2), inner],
+                                           [5, 4, 5]), 14)}
+
+
+@pytest.mark.parametrize("case", sorted(_dual_norming_cases()))
+@pytest.mark.parametrize("lead", [(), (7,), (2, 3)])
+def test_dual_norming_is_the_dual_and_the_formula_norming(case, lead):
+    """The dual and the norming element of one pass are dual's bits and
+    the bits of each norm's own formula, on single rows and stacks with
+    zero rows, zero blocks and signed zeros."""
+    norm, dim = _dual_norming_cases()[case]
+    rng = np.random.default_rng(dim)
+    phi = rng.standard_normal(lead + (dim, 2)) @ [1, 1j]
+    phi[..., :2] = [-0.0, complex(-0.0, -0.0)]
+    phi[..., 4:8] = complex(0.0, -0.0)
+    if lead:
+        phi[(0,) * len(lead)] = 0.0
+    dual, x = norm.dual(phi), norm.norming(phi)
+    assert _same_bits(dual, norm.dual(phi))
+    assert _same_bits(x, _norming_formula(norm, phi))
+
+
 def test_nested_block_norms_group_by_object():
     """Summand norms that are themselves lattice norms have list-valued
     parameters, so only one object groups with itself: here summands 0 and
