@@ -79,9 +79,13 @@ def ad_maps(algebra, phi):
 def _leibniz_defect(c, D):
     """The defect of the derivation identity for the cube c, of shape
     (..., d, d, d) for a map D (d, d) or a stack (..., d, d); entry (i, j, k)
-    is sum_m c[i,j,m] D[k,m] - sum_q c[k,i,q] D[q,j] - sum_q c[j,k,q] D[q,i]."""
-    return (np.einsum("ijm,...km->...ijk", c, D) - np.einsum("kiq,...qj->...ijk", c, D)
-            - np.einsum("jkq,...qi->...ijk", c, D))
+    is sum_m c[i,j,m] D[k,m] - sum_q c[k,i,q] D[q,j] - sum_q c[j,k,q] D[q,i]
+    = (C D^T)[ij, k] - P[ki, j] - P[jk, i], C the (d^2, d) flattening of c
+    and P = C D.  Plus 0.0, a matmul's -0.0 is the +0.0 of a sum from zero:
+    a matrix unit's defect, of single products, has three einsums' bits."""
+    flat, shape = c.reshape(len(c) ** 2, len(c)), np.shape(D)[:-2] + (len(c),) * 3
+    p = (flat @ D).reshape(shape)   # p[..., a, b, x] = sum_q c[a,b,q] D[q,x]
+    return (flat @ np.swapaxes(D, -1, -2)).reshape(shape) - np.moveaxis(p, -3, -1) - np.moveaxis(p, -1, -3) + 0.0
 
 
 def leibniz_residual(c, D):
@@ -283,16 +287,19 @@ def derivation_norm_upper(algebra, pieces):
     nonempty list of pieces, of shape (...) (a float without leading axes).
     D is the direct sum of its groups of pieces linked by a shared row or
     column block, whose columns are assembled as dense rows (..., n, d) one
-    group at a time.  Column dual norms sum to a bound, as the coefficients
+    group at a time, but one piece (i, i, x) on the whole run of a summand
+    (of the space, without a lattice) is x transposed, in the layout of
+    assembled columns (numpy sums 8 or more entries of a strided axis in
+    another order).  Column dual norms sum to a bound, as the coefficients
     of a unit-ball element are bounded by 1 for every supported coordinate
     norm; for the Euclidean family the largest spectral norm is exact.
-    Under a lattice norm the rows hold only the summands the columns touch,
-    and the dual lattice norm is taken on those summands' duals alone
-    (``restrict_spec``), so a map on k summands takes O(k) work.  The
-    untouched summands' duals are zeros, so this is the dual lattice norm of
-    the whole vector; it gives the same bits while a column touches at most
-    two summands, as a sum of two nonzeros and any zeros is exact in every
-    order, and every ad map touches one."""
+    Under a lattice the dual lattice norm of the touched summands' duals
+    (``restrict_spec``) takes O(k) work on k summands, with the bits of the
+    whole vector's while a column touches at most two (zeros and two
+    nonzeros sum exactly in any order).  A column on summand t alone, as
+    each of an ad map is, has duals d e_t of dual lattice norm d ||e_t||_E*:
+    d / w_t under (weighted) sup, dual to sum_i |f_i| / w_i, and d under lp,
+    for finite d >= 0 the floats of the restricted ``dual_norm_batch``."""
     groups = [{j} for j in {j for _, j, _ in pieces}]   # of column blocks
     for row in {i for i, _, _ in pieces}:   # the columns that meet one row block are linked
         cols = {j for i, j, _ in pieces if i == row}
@@ -303,19 +310,28 @@ def derivation_norm_upper(algebra, pieces):
         else (np.zeros(algebra.dim, int), [slice(0, algebra.dim)])   # each coordinate's summand
     values = []
     for cols in groups:
-        where = np.sort(np.concatenate([blocks[j] for j in cols]))   # the columns, in order
-        # the rows: the coordinates of the summands that the columns touch, in order
-        touched = sorted(set(owner[np.concatenate([blocks[i] for i, j, _ in pieces if j in cols])].tolist()))
-        coords = np.concatenate([np.arange(runs[t].start, runs[t].stop) for t in touched])
-        columns = np.zeros(lead + (len(where), len(coords)), complex)
-        for i, j, x in pieces:
-            if j in cols:
+        group = [(i, j, x) for i, j, x in pieces if j in cols]
+        (i, j, x), t = group[0], owner[blocks[group[0][0]][0]]
+        if len(group) == 1 and i == j and len(blocks[i]) == runs[t].stop - runs[t].start:
+            touched, parts = [t], [np.swapaxes(x, -1, -2)]   # laid out as assembled, see above
+            columns = parts[0] if lattice else np.ascontiguousarray(parts[0])
+        else:
+            where = np.sort(np.concatenate([blocks[j] for j in cols]))   # the columns, in order
+            # the rows: the coordinates of the summands that the columns touch, in order
+            touched = sorted(set(owner[np.concatenate([blocks[i] for i, _, _ in group])].tolist()))
+            coords = np.concatenate([np.arange(runs[t].start, runs[t].stop) for t in touched])
+            columns = np.zeros(lead + (len(where), len(coords)), complex)
+            for i, j, x in group:
                 columns[..., np.searchsorted(where, blocks[j])[:, None], np.searchsorted(coords, blocks[i])] = \
                     np.swapaxes(x, -1, -2)
+            parts = [columns[..., owner[coords] == t] for t in touched] if lattice else []
         if lattice:   # the dual lattice norm of the touched summands' duals
-            duals = np.stack([norm.block_norms[t].dual(columns[..., owner[coords] == t]) for t in touched], -1)
-            duals = dual_norm_batch(restrict_spec(norm.lattice, touched),
-                                    duals.reshape(-1, len(touched))).reshape(duals.shape[:-1])
+            duals = [norm.block_norms[t].dual(part) for t, part in zip(touched, parts)]
+            if len(touched) == 1 and norm.lattice.kind != "orlicz":   # d ||e_t||_E*
+                duals = duals[0] if norm.lattice.weights is None else duals[0] / norm.lattice.weights[touched[0]]
+            else:
+                duals = dual_norm_batch(restrict_spec(norm.lattice, touched),
+                                        np.stack(duals, -1).reshape(-1, len(touched))).reshape(duals[0].shape)
         values.append(np.linalg.svd(columns, compute_uv=False)[..., 0] if euclidean
                       else (duals if lattice else norm.dual(columns)).sum(axis=-1))
     bound = np.max(values, axis=0) if euclidean else np.sum(values, axis=0)
@@ -352,10 +368,10 @@ def min_dual_over_affine(norm, phi0, z_basis):
     orthonormal rows, by one path for every norm, for one phi0 (d,) or for
     each row of a stack (N, d).  Returns a dict: ``phi``, phi0 minus its
     orthogonal projection onto Z, with ``upper`` = its dual norm, and
-    ``witness`` X, phi's norming element
-    (:meth:`~esum_lab.esum.CoordinateNorm.norming`) projected to annihilate
-    Z, with ``lower`` = :func:`witness_value` of X; ``lower`` and ``upper``
-    are floats for one row and arrays (N,) for a stack.  They meet when the
+    ``witness`` X, phi's norming element projected to annihilate Z (both
+    from one :meth:`~esum_lab.esum.CoordinateNorm.dual_norming` call), with
+    ``lower`` = :func:`witness_value` of X; ``lower`` and ``upper`` are
+    floats for one row and arrays (N,) for a stack.  They meet when the
     norming element already annihilates Z: for the Euclidean norm, and for
     M_2 and lattice sums of M_2 blocks, whose Z is spanned by the blocks'
     identities.  For a 2 x 2 A with eigenvalues mu +- delta and t' = t + mu,
@@ -365,8 +381,8 @@ def min_dual_over_affine(norm, phi0, z_basis):
     phi0 = np.asarray(phi0, complex)
     zb = np.asarray(z_basis, complex).reshape(-1, phi0.shape[-1])
     psi = phi0 - (phi0 @ zb.conj().T) @ zb
-    upper = norm.dual(psi)
-    witness = np.where(np.expand_dims(upper > 0.0, -1), norm.norming(psi), 0.0)
+    upper, witness = norm.dual_norming(psi)
+    witness = np.where(np.expand_dims(upper > 0.0, -1), witness, 0.0)
     # twice: when the projection cancels most of X, one pass leaves a
     # rounding residual that is large relative to what is left
     for _ in range(2):
@@ -404,8 +420,14 @@ def wam_bracket(algebra, samples=200, seed=0, blocks=None, report=None):
     on the block dimension, so direct sums of copies reuse the single-copy
     samples: the draws of a key are made once and shared by every group
     within one block that uses it (draws made one at a time give the stream
-    of one call); a negative ``samples`` raises ValueError.
+    of one call), and they are the piece of a group that is one whole
+    structure block, in order.  A negative ``samples`` raises ValueError.
     """
+    return _wam_bracket(algebra, samples, seed, blocks, report, {})
+
+
+def _wam_bracket(algebra, samples, seed, blocks, report, drawn):
+    """:func:`wam_bracket`, its draws made at once kept in ``drawn`` by key, count and size."""
     if samples < 0:
         raise ValueError(f"samples must be nonnegative, got {samples}")
     rep = report or derivation_space(algebra)
@@ -421,14 +443,16 @@ def wam_bracket(algebra, samples=200, seed=0, blocks=None, report=None):
         owner[b] = i
     groups = [(np.asarray(idx), [seed, len(idx)], samples) for idx in ([range(d)] if blocks is None else blocks)]
     groups.append((np.arange(d), [seed, 0xE5], max(4, samples // 10)))
-    phi0, drawn = [], {}   # the draws of the groups within one block, by key, count and size
+    phi0 = []
     for idx, key, count in groups:
+        i = owner[idx[0]]
+        whole = np.array_equal(idx, algebra.blocks[i])   # one whole structure block, in order: no cuts
         cuts = []
-        for i in np.unique(owner[idx]):   # idx[src] lies in block i, at its positions dst
+        for i in [] if whole else np.unique(owner[idx]):   # idx[src] lies in block i, at its positions dst
             src = np.flatnonzero(owner[idx] == i)
             cuts.append((i, src, np.searchsorted(algebra.blocks[i], idx[src]),
                          np.zeros((count,) + (len(algebra.blocks[i]),) * 2, complex)))
-        if len(cuts) == 1:   # drawn at once, and once for every such group of one key
+        if whole or len(cuts) == 1:   # drawn at once, and once for every such group of one key
             at = (*key, count, len(idx))
             if at not in drawn:
                 drawn[at] = _gaussians(np.random.default_rng(key), count, len(idx))
@@ -439,7 +463,7 @@ def wam_bracket(algebra, samples=200, seed=0, blocks=None, report=None):
         for n, g in draws:
             for _, src, dst, x in cuts:
                 x[n:n + len(g), dst[:, None], dst] = g[:, src[:, None], src]
-        phi0.append(rep.implement([(i, i, x) for i, _, _, x in cuts])[0])
+        phi0.append(rep.implement([(i, i, drawn[at])] if whole else [(i, i, x) for i, _, _, x in cuts])[0])
     phi0 = np.concatenate(phi0)
     nd = derivation_norm_upper(algebra, ad_maps(algebra, phi0))
     kept = nd >= 1e-12
@@ -475,14 +499,14 @@ def esum_wa_check(summands, lattice, samples=120, seed=0):
     the transfer bound lower_i <= ||delta_i|| upper(sum), as every lattice
     has embedding norms ||delta_i|| >= 1.
 
-    Each distinct block cube is solved once for the sum and its summands
-    together, and each distinct summand object takes one report and one
-    bracket.  A negative ``samples`` raises ValueError."""
+    Each distinct block cube is solved and each draw made once for the sum
+    and its summands together, and each distinct summand object takes one
+    report and one bracket.  A negative ``samples`` raises ValueError."""
     if samples < 0:
         raise ValueError(f"samples must be nonnegative, got {samples}")
     esum = ESumAlgebra(summands, lattice).as_finite_algebra(seed=seed)
     blocks = [range(run.start, run.stop) for run in esum.norm.slices]
-    solved = {}   # per distinct cube, shared by the sum's and the summands' reports
+    solved, drawn = {}, {}   # per distinct cube and draw, shared by the sum's and the summands' calls
     rep_big = _derivation_space(esum, solved)
     distinct = {id(a): a for a in summands}   # a summand listed twice is solved once
     spaces = {key: _derivation_space(a, solved) for key, a in distinct.items()}
@@ -518,9 +542,8 @@ def esum_wa_check(summands, lattice, samples=120, seed=0):
         if worst > 1e-9:
             report["failures"].append(f"derivation basis is not block-diagonal: {worst}")
 
-        br_big = wam_bracket(esum, samples=samples, seed=seed, blocks=blocks, report=rep_big)
-        brackets = {key: wam_bracket(a, samples=samples, seed=seed, report=spaces[key])
-                    for key, a in distinct.items()}
+        br_big = _wam_bracket(esum, samples, seed, blocks, rep_big, drawn)
+        brackets = {key: _wam_bracket(a, samples, seed, None, spaces[key], drawn) for key, a in distinct.items()}
         br_small = [brackets[id(a)] for a in summands]
         report["bracket_sum"] = br_big
         report["bracket_summands"] = br_small

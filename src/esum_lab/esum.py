@@ -85,11 +85,11 @@ class CoordinateNorm:
     """Norm on coefficient vectors; ``eval`` is batched over leading axes.
 
     ``dual`` evaluates the dual norm under the bilinear pairing
-    phi(a) = sum_k phi_k a_k; ``norming`` returns X with ||X|| <= 1 and
-    sum_k phi_k X_k = ||phi||_dual for each row phi of a (..., dim) stack (a
-    zero row gets some X of norm at most 1).  ``dual_vs_l2`` returns (r, s)
-    with ||phi||_dual <= r ||phi||_2 and ||phi||_2 <= s ||phi||_dual, used
-    for the certified (loose) constants in weak-amenability bounds.
+    phi(a) = sum_k phi_k a_k; ``dual_norming`` gives it and X, ||X|| <= 1,
+    with sum_k phi_k X_k = ||phi||_dual per row phi of a (..., dim) stack (a
+    zero row gets some X of norm <= 1) in one pass, and ``norming`` that X.
+    ``dual_vs_l2`` returns (r, s) with ||phi||_dual <= r ||phi||_2 and
+    ||phi||_2 <= s ||phi||_dual, for the certified constants of WAM bounds.
     """
 
     def eval(self, v):
@@ -98,8 +98,11 @@ class CoordinateNorm:
     def dual(self, v):
         raise NotImplementedError
 
-    def norming(self, phi):
+    def dual_norming(self, phi):
         raise NotImplementedError
+
+    def norming(self, phi):
+        return self.dual_norming(phi)[1]
 
     def dual_vs_l2(self, dim):
         raise NotImplementedError
@@ -112,8 +115,8 @@ class MaxAbsCoordinate(CoordinateNorm):
     def dual(self, v):
         return np.abs(np.asarray(v)).sum(axis=-1)
 
-    def norming(self, phi):
-        return np.exp(-1j * np.angle(np.where(phi == 0, 1, phi)))   # 1 on a zero of either sign
+    def dual_norming(self, phi):
+        return self.dual(phi), np.exp(-1j * np.angle(np.where(phi == 0, 1, phi)))   # 1 on a zero of either sign
 
     def dual_vs_l2(self, dim):
         return (np.sqrt(dim), 1.0)
@@ -134,9 +137,11 @@ class EuclideanCoordinate(CoordinateNorm):
 
     dual = eval
 
-    def norming(self, phi):
-        w = phi / self._scale(phi)   # a nonzero row of w has norm at least 1
-        return np.conj(w) / np.maximum(np.linalg.norm(w, axis=-1, keepdims=True), 1.0)
+    def dual_norming(self, phi):
+        scale = self._scale(phi)
+        w = phi / scale   # a nonzero row of w has norm at least 1
+        size = np.linalg.norm(w, axis=-1, keepdims=True)
+        return scale[..., 0] * size[..., 0], np.conj(w) / np.maximum(size, 1.0)
 
     def dual_vs_l2(self, dim):
         return (1.0, 1.0)
@@ -197,19 +202,19 @@ class MatrixOperatorNorm(CoordinateNorm):
         scale, (a, b, c, d), (pa, pb, pc, pd) = self._scaled_entries(v)
         return self._unstack(v, scale * np.sqrt(pa + pb + pc + pd + 2.0 * np.abs(a * d - b * c)))
 
-    def norming(self, phi):
-        if self.side != 2:
+    def dual_norming(self, phi):
+        if self.side != 2:   # LAPACK's singular values differ by a bit with and without U and V
             u, _, vh = np.linalg.svd(self._mats(phi))
-            return np.conj(u @ vh).reshape(np.shape(phi))
-        # the conjugate polar factor of the scaled matrix, whose s1 + s2 is total
-        _, (a, b, c, d), (pa, pb, pc, pd) = self._scaled_entries(phi)
+            return self.dual(phi), np.conj(u @ vh).reshape(np.shape(phi))
+        # the dual scale * total, and the conjugate polar factor of the scaled matrix
+        scale, (a, b, c, d), (pa, pb, pc, pd) = self._scaled_entries(phi)
         det = a * d - b * c
         mod = np.abs(det)
         cph = np.where(mod > 0, np.conj(det) / np.where(mod > 0, mod, 1.0), 1.0)
         total = np.sqrt(pa + pb + pc + pd + 2.0 * mod)
-        x = np.stack([np.conj(a) + cph * d, np.conj(b) - cph * c,
-                      np.conj(c) - cph * b, np.conj(d) + cph * a], axis=-1)
-        return self._unstack(phi, x / np.where(total > 0, total, 1.0)[:, None])
+        x = np.stack([np.conj(a) + cph * d, np.conj(b) - cph * c, np.conj(c) - cph * b,
+                      np.conj(d) + cph * a], axis=-1) / np.where(total > 0, total, 1.0)[:, None]
+        return self._unstack(phi, scale * total), self._unstack(phi, x)
 
     def dual_vs_l2(self, dim):
         return (np.sqrt(self.side), 1.0)
@@ -219,9 +224,9 @@ class LatticeBlockNorm(CoordinateNorm):
     """E-sum norm on concatenated summand coefficients: the lattice norm of
     the per-block norms.  The dual applies the dual lattice norm
     (:func:`~esum_lab.lattice.dual_norm_batch`) to the dual block norms;
-    :func:`~esum_lab.lattice.dual_extremal` weights the blocks' norming
-    elements.  Each group of equal summand norms takes one call, on its n
-    summands' slices stacked as (..., n, m)."""
+    :func:`~esum_lab.lattice.dual_extremal` of the same duals weights the
+    blocks' norming elements.  Each group of equal summand norms takes one
+    call (one ``dual_norming`` for both), on its summands' slices as (..., n, m)."""
 
     def __init__(self, lattice, block_norms, block_dims):
         self.lattice = lattice
@@ -262,14 +267,16 @@ class LatticeBlockNorm(CoordinateNorm):
         vals = self._block_values(v, dual=True)
         return dual_norm_batch(self.lattice, vals.reshape(-1, vals.shape[-1])).reshape(vals.shape[:-1])
 
-    def norming(self, phi):
-        weights = dual_extremal(self.lattice, self._block_values(phi, dual=True))
+    def dual_norming(self, phi):
         lead = np.shape(phi)[:-1]
-        out = np.empty(np.shape(phi), complex)
+        vals, out, parts = np.empty(lead + (len(self.slices),)), np.empty(np.shape(phi), complex), []
         for nrm, n, m, which, coords in self._groups():
-            out[..., coords] = (weights[..., which, None] * nrm.norming(
-                phi[..., coords].reshape(lead + (n, m)))).reshape(lead + (n * m,))
-        return out
+            vals[..., which], x = nrm.dual_norming(phi[..., coords].reshape(lead + (n, m)))
+            parts.append((which, coords, x))
+        weights = dual_extremal(self.lattice, vals)
+        for which, coords, x in parts:
+            out[..., coords] = (weights[..., which, None] * x).reshape(lead + (x.shape[-2] * x.shape[-1],))
+        return dual_norm_batch(self.lattice, vals.reshape(-1, vals.shape[-1])).reshape(lead), out
 
     def dual_vs_l2(self, dim):
         rs = [nrm.dual_vs_l2(d) for nrm, d in zip(self.block_norms, self.block_dims)]

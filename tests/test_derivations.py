@@ -1,4 +1,5 @@
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -1081,6 +1082,23 @@ class TestEsumChecks:
                 single = dv.wam_bracket(a, samples=10, seed=4)
                 assert rep["bracket_summands"][i] == single
                 assert rep["summands"][i] == dv.derivation_space(a).as_dict()
+
+    def test_each_draw_is_made_once(self, monkeypatch):
+        """The brackets of the sum and of its summands make each draw of one
+        key, count and size once: a summand's per-block key is drawn for the
+        sum and read again by the summand, the summands' own whole-space
+        draws once, and the sum's whole-space mix one draw at a time.  C has
+        no derivations and draws nothing."""
+        calls, gaussians = [], dv._gaussians
+        monkeypatch.setattr(dv, "_gaussians", lambda rng, count, n: calls.append((count, n)) or
+                            gaussians(rng, count, n))
+        m2, c = es.matrix_units_algebra(2), es.scalar_algebra()
+        for summands, want in (([m2] * 3, {(10, 4): 1, (4, 4): 1, (1, 12): 4}),
+                               ([m2, c, es.matrix_units_algebra(2)], {(10, 4): 1, (10, 1): 1, (4, 4): 1,
+                                                                      (1, 9): 4})):
+            calls.clear()
+            assert dv.esum_wa_check(summands, lt.sup_norm(3), samples=10, seed=4)["ok"]
+            assert Counter(calls) == want
 
     def test_a_sum_that_contradicts_its_summands_fails(self, monkeypatch):
         """A sum report with an extra derivation between the two blocks, a

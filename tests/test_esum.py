@@ -616,7 +616,7 @@ def test_dual_norming_is_the_dual_and_the_formula_norming(case, lead):
     phi[..., 4:8] = complex(0.0, -0.0)
     if lead:
         phi[(0,) * len(lead)] = 0.0
-    dual, x = norm.dual(phi), norm.norming(phi)
+    dual, x = norm.dual_norming(phi)
     assert _same_bits(dual, norm.dual(phi))
     assert _same_bits(x, _norming_formula(norm, phi))
 
