@@ -445,8 +445,8 @@ def _wam_bracket(algebra, samples, seed, blocks, report, drawn):
     groups.append((np.arange(d), [seed, 0xE5], max(4, samples // 10)))
     phi0 = []
     for idx, key, count in groups:
-        i = owner[idx[0]]
-        whole = np.array_equal(idx, algebra.blocks[i])   # one whole structure block, in order: no cuts
+        block = owner[idx[0]]
+        whole = np.array_equal(idx, algebra.blocks[block])   # one whole structure block, in order: no cuts
         cuts = []
         for i in [] if whole else np.unique(owner[idx]):   # idx[src] lies in block i, at its positions dst
             src = np.flatnonzero(owner[idx] == i)
@@ -463,7 +463,7 @@ def _wam_bracket(algebra, samples, seed, blocks, report, drawn):
         for n, g in draws:
             for _, src, dst, x in cuts:
                 x[n:n + len(g), dst[:, None], dst] = g[:, src[:, None], src]
-        phi0.append(rep.implement([(i, i, drawn[at])] if whole else [(i, i, x) for i, _, _, x in cuts])[0])
+        phi0.append(rep.implement([(block, block, drawn[at])] if whole else [(i, i, x) for i, _, _, x in cuts])[0])
     phi0 = np.concatenate(phi0)
     nd = derivation_norm_upper(algebra, ad_maps(algebra, phi0))
     kept = nd >= 1e-12

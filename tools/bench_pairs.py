@@ -7,15 +7,18 @@ Run from the root of an esum-lab checkout:
 
 Each revision is exported with ``git archive`` into a temporary directory,
 and the unchanged ``perfbench/run.py`` of each export runs there with
-``--trace 0``.  The side that runs first alternates: the parent opens even
-pairs, the change odd ones.  The output holds the machine, each run's
-end-to-end metrics, failed and attempted counts and the digests seen, and
-per metric the quartiles of both sides (numpy's linear percentiles) and the
-number of pairs the change wins (strictly better, in the direction that the
-change's BENCHMARK.json names) or ties.  An existing output file is
-updated: its other keys stay, and each measured workload's entry is
-replaced.  With ``--workload all`` the entries are named "<workload>
-(--workload all)".  Only numpy and the standard library are used.
+``--trace 0``; a run whose last line is not ``correct`` raises, naming the
+tree and the workload.  The side that runs first alternates: the parent
+opens even pairs, the change odd ones.  The output holds the machine, each
+run's end-to-end metrics, failed and attempted counts and the digests
+seen, ``same_digest`` (both sides saw one equal digest, as they do when a
+change keeps every output's bits), and per metric the quartiles of both
+sides (numpy's linear percentiles) and the number of pairs the change wins
+(strictly better, in the direction that the change's BENCHMARK.json names)
+or ties.  An existing output file is updated: its other keys stay, and
+each measured workload's entry is replaced.  With ``--workload all`` the
+entries are named "<workload> (--workload all)".  Only numpy and the
+standard library are used.
 """
 
 from __future__ import annotations
@@ -60,7 +63,10 @@ def run_once(tree, workload, seed, seconds):
         sys.stderr.write(proc.stderr)
         raise RuntimeError(f"perfbench/run.py exited with {proc.returncode} in {tree}")
     lines = proc.stdout.strip().splitlines()
-    metrics = json.loads(lines[-1])["metrics"]
+    last = json.loads(lines[-1])
+    if last["correct"] is not True:   # run.py exits 0 on outputs that failed their checks
+        raise RuntimeError(f"perfbench/run.py --workload {workload} in {tree} reported correct: {last['correct']}")
+    metrics = last["metrics"]
     out = {}
     for line in lines:
         match = SUMMARY_LINE.match(line)
@@ -91,6 +97,23 @@ def summarize(runs, better):
                          "change_q1_median_q3": quartiles(change),
                          "change_wins": int(wins.sum()), "ties": int((change == parent).sum())}
     return summary
+
+
+def workload_entry(runs, first, better):
+    """One workload's output entry from each side's list of ``run_once``
+    results for it: the runs, their failed and attempted counts and
+    digests, the summary, and ``same_digest``, true when both sides saw one
+    and the same digest."""
+    entry = {"pairs": len(first), "first_in_pair": first}
+    for side in SIDES:
+        entry[side] = {"runs": {m: [r["metrics"][m] for r in runs[side]] for m in better},
+                       "failed": [r["failed"] for r in runs[side]],
+                       "attempted": [r["attempted"] for r in runs[side]],
+                       "digest": sorted({r["digest"] for r in runs[side]})}
+    digests = [entry[side]["digest"] for side in SIDES]
+    entry["same_digest"] = len(digests[0]) == 1 and digests[0] == digests[1]
+    entry["summary"] = summarize({side: entry[side]["runs"] for side in SIDES}, better)
+    return entry
 
 
 def machine():
@@ -154,15 +177,8 @@ def main(argv=None):
                        "numpy's linear percentiles; wins count strictly better runs")
     workloads = doc.setdefault("workloads", {})
     for name in results["parent"][0]:
-        entry = {"pairs": args.pairs, "first_in_pair": first}
-        for side in SIDES:
-            runs = [r[name] for r in results[side]]
-            entry[side] = {"runs": {m: [r["metrics"][m] for r in runs] for m in better},
-                           "failed": [r["failed"] for r in runs],
-                           "attempted": [r["attempted"] for r in runs],
-                           "digest": sorted({r["digest"] for r in runs})}
-        entry["summary"] = summarize({side: entry[side]["runs"] for side in SIDES}, better)
-        workloads[name if args.workload != "all" else f"{name} (--workload all)"] = entry
+        workloads[name if args.workload != "all" else f"{name} (--workload all)"] = \
+            workload_entry({side: [r[name] for r in results[side]] for side in SIDES}, first, better)
     with open(out_path, "w") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
