@@ -895,6 +895,42 @@ def test_esum_wa_check_brackets_match_the_per_draw_oracle(kind, copies, seed):
         assert br["samples_used"] == used
 
 
+def _half_m2():
+    """M_2 with its structure constants halved, under the max-abs norm: the
+    max-abs submultiplicativity bound of M_2 is 2, so this one's is 1."""
+    return es.FiniteAlgebra(0.5 * es._matrix_unit_cube(2), es.MaxAbsCoordinate(), samples=0, label="M2/2")
+
+
+MIXED_SUMS = {
+    "M2, M2/2, M2, C": lambda: [es.matrix_units_algebra(2), _half_m2(), es.matrix_units_algebra(2),
+                                es.scalar_algebra()],
+    "M3, M2, M3": lambda: [es.matrix_units_algebra(3), es.matrix_units_algebra(2), es.matrix_units_algebra(3)],
+}
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("kind", sorted(WAM_LATTICES))
+@pytest.mark.parametrize("name", sorted(MIXED_SUMS))
+def test_mixed_sum_brackets_match_the_summands_and_the_per_draw_oracle(name, kind, seed):
+    """On sums of distinct and repeated summands, esum_wa_check's summand
+    brackets are wam_bracket's of each summand exactly, and its sum bracket,
+    like wam_bracket's on the summand runs, agrees with the per-draw oracle
+    to 1e-12 relative and uses as many samples."""
+    summands = MIXED_SUMS[name]()
+    lattice = WAM_LATTICES[kind](len(summands))
+    rep = dv.esum_wa_check(summands, lattice, samples=20, seed=seed)
+    assert rep["ok"]
+    for a, br in zip(summands, rep["bracket_summands"]):
+        assert br == dv.wam_bracket(a, samples=20, seed=seed)
+    big = es.ESumAlgebra(summands, lattice).as_finite_algebra(seed=seed)
+    blocks = [list(range(run.start, run.stop)) for run in big.norm.slices]
+    lower, upper, used = _parent_wam_oracle(big, 20, seed, blocks, dv.derivation_space(big))
+    for br in (rep["bracket_sum"], dv.wam_bracket(big, samples=20, seed=seed, blocks=blocks)):
+        assert abs(br["lower"] - lower) <= 1e-12 * lower
+        assert abs(br["upper"] - upper) <= 1e-12 * upper
+        assert br["samples_used"] == used
+
+
 def test_wam_bracket_solves_every_draw_in_one_call(monkeypatch):
     """A bracket on a weakly amenable algebra makes one implement call per
     basis piece for the basis check and one per group of draws (a block's,
