@@ -36,14 +36,12 @@ columns of block j; ad_phi has only (i, i) pieces.  Functionals are d-vectors.
 
 On top of that sit weak-amenability constant brackets, which solve each
 sampled map g once (phi0 by the pseudo-inverse, D = ad_phi0 inner by
-construction, a re-checked dual witness over phi0 + Z for the lower end).
-Each step takes the N draws as one stack, as the coordinate norms' dual
-and norming do: maps as pieces (N, |b_i|, |b_j|), functionals and
-witnesses (N, d), and one value per draw.  Beside them sit the
-finite-scale coordinate mechanisms for direct sums: block-diagonality of
-derivations, the two-sided estimate with its transfer bound, and the
-per-coordinate growth obstruction on p-summed copies of a noncommutative
-algebra.
+construction, a re-checked dual witness over phi0 + Z for the lower end),
+the N draws of a group as one stack: maps as pieces (N, |b_i|, |b_j|),
+functionals and witnesses (N, d).  Beside them sit the finite-scale
+coordinate mechanisms for direct sums: block-diagonality of derivations,
+the two-sided estimate with its transfer bound, and the per-coordinate
+growth obstruction on p-summed copies of a noncommutative algebra.
 """
 
 from __future__ import annotations
@@ -59,6 +57,7 @@ INNER_TOL = 1e-8     # relative least-squares residual of an inner derivation
 WITNESS_TOL = 1e-12
 BRACKET_TOL = 1e-9   # slack when one constant bracket is compared with another
 FLOOR_TOL = 1e-8     # slack of the per-coordinate floors in lp_obstruction_demo
+MIX_ENTRIES = 2 ** 20   # entries of a chunk of draws over several blocks: one d x d draw at d = 1024
 
 
 def adjoint_map_matrix(c):
@@ -263,10 +262,18 @@ def is_weakly_amenable(algebra, report=None):
     implementing functionals of the derivation basis, one row each, or the
     first basis element whose least-squares residual exceeds INNER_TOL (the
     basis elements are unit vectors), as its piece (i, j, x).  The basis is
-    implemented one piece at a time.  A certificate that disagrees with the
-    verdict raises AssertionError."""
+    implemented one piece at a time, an (i, i) piece once per distinct cube
+    and moved to every block with that cube, as its functionals on block i
+    depend on the cube alone.  A certificate that disagrees with the verdict
+    raises AssertionError."""
     rep = report or derivation_space(algebra)
-    solved = [rep.implement([piece]) for piece in rep.pieces]
+    first, solved = {}, []   # per distinct piece: its first block and that block's (phi, residual)
+    for i, j, x in rep.pieces:
+        key = algebra.cubes[i].tobytes() if i == j else (i, j)
+        k, (phi, res) = first[key] if key in first else first.setdefault(key, (i, rep.implement([(i, j, x)])))
+        if k != i:   # block k's functionals moved to block i (the right side is read first)
+            phi, phi[:, algebra.blocks[i]] = np.zeros_like(phi), phi[:, algebra.blocks[k]]
+        solved.append((phi, res))
     outside = [((i, j, x[k]), res[k]) for (i, j, x), (_, res) in zip(rep.pieces, solved)
                for k in np.flatnonzero(res > INNER_TOL)]
     if outside:
@@ -402,48 +409,91 @@ def _gaussians(rng, count, n):
     return g[:, 0] + 1j * g[:, 1]
 
 
+def _content(algebra):
+    """What a draw group on all of ``algebra`` depends on: norm, blocks and cubes."""
+    return algebra.norm.group_key(algebra.dim), *(x.tobytes() for x in [*algebra.blocks, *algebra.cubes])
+
+
 def wam_bracket(algebra, samples=200, seed=0, blocks=None, report=None):
     """Certified lower / certified upper bracket for the best constant C with:
     every derivation D admits an implementing phi with ||phi|| <= C ||D||.
     Each draw g is cut to its (i, i) pieces, the only ones that reach the
-    inner span, and one :meth:`DerivationSpaceReport.implement` call per
-    group of draws gives phi0 (N, d), the pseudo-inverse solve; D = ad_phi0
-    is inner: phi0 + Z implements it exactly.
-    The lower end is the best over D of the re-checked dual witness value
-    over :func:`derivation_norm_upper`, the witnesses of every draw with a
-    nonzero D coming from one :func:`min_dual_over_affine` call on their
-    rows of phi0 (0 when no draw has one).
+    inner span; one :meth:`DerivationSpaceReport.implement` call per group
+    of draws gives phi0, the pseudo-inverse solve, and D = ad_phi0 is inner.
+    The lower end is the best re-checked dual witness value over phi0 + Z
+    (one :func:`min_dual_over_affine` call) over :func:`derivation_norm_upper`
+    across the draws with a nonzero D, 0 without one; it is 0 exactly without
+    nonzero derivations, and both ends are infinite when the algebra is not
+    weakly amenable.  ``blocks``, lists of distinct coordinates in [0, d),
+    add per-block groups whose draws depend only on the block size; a group
+    over several blocks is drawn in chunks of MIX_ENTRIES entries at most,
+    the stream of one call.  Bad ``blocks`` or samples < 0: ValueError.
 
-    Zero is returned exactly when there are no nonzero derivations; both
-    ends are infinite when the algebra is not weakly amenable.  ``blocks``
-    (coordinate index lists) add per-block samples whose draws depend only
-    on the block dimension, so direct sums of copies reuse the single-copy
-    samples: the draws of a key are made once and shared by every group
-    within one block that uses it (draws made one at a time give the stream
-    of one call), and they are the piece of a group that is one whole
-    structure block, in order.  A negative ``samples`` raises ValueError.
-    """
+    On an E-sum, a group that is exactly summand t's run is bracketed in the
+    summand, on the sum's factors of its blocks, once per summand content,
+    seed and count; ``samples_used`` counts each copy's kept draws.  With
+    phi0 on summand t, every phi implementing D = ad_phi0 lies in phi0 + Z,
+    which splits along the summands, so ||phi|| >= ||e_t||_E* ||phi_t||
+    with phi_t in phi0_t + Z_t (E* is solid); and ||D|| <= ||e_t||_E*
+    ||D_t||, as D reads a_t alone, ||a_t|| ||e_t||_E <= ||a|| and
+    ||e_t||_E >= 1.  So the summand's certified ratios bound the sum's
+    constant from below (the sum's own arithmetic gives them up to rounding
+    under sup, weighted sup and lp; a Euclidean summand's spectral bound is
+    tighter).  The mix and groups across summands are solved in the sum."""
     return _wam_bracket(algebra, samples, seed, blocks, report, {})
 
 
-def _wam_bracket(algebra, samples, seed, blocks, report, drawn):
-    """:func:`wam_bracket`, its draws made at once kept in ``drawn`` by key, count and size."""
+def _wam_bracket(algebra, samples, seed, blocks, report, memo):
+    """:func:`wam_bracket`; ``memo`` keeps whole-space groups' (best ratio, kept draws) by content."""
     if samples < 0:
         raise ValueError(f"samples must be nonnegative, got {samples}")
+    d, whole = algebra.dim, np.arange(algebra.dim)
+    lists = [whole] if blocks is None else [np.asarray(idx) for idx in blocks]
+    for idx, given in zip(lists, [] if blocks is None else blocks):
+        v = idx.tolist() if idx.ndim == 1 and idx.dtype.kind in "iu" else []
+        if not v or len(set(v)) < len(v) or min(v) < 0 or max(v) >= d:
+            raise ValueError(f"a block must list distinct integer coordinates in [0, {d}), got {given!r}")
     rep = report or derivation_space(algebra)
     if rep.dim_derivations == 0:
         return {"lower": 0.0, "upper": 0.0, "wam_zero": True, "weakly_amenable": True}
-    wa, _ = is_weakly_amenable(algebra, rep)
-    if not wa:
+    if not is_weakly_amenable(algebra, rep)[0]:
         return {"lower": np.inf, "upper": np.inf, "wam_zero": False, "weakly_amenable": False}
 
-    d = algebra.dim
-    owner = np.empty(d, int)   # the structure block of each coordinate
+    runs = {(s.start, s.stop): a for a, s in zip(algebra.summands, algebra.norm.slices)} \
+        if isinstance(algebra, ESumAlgebra) else {}
+    own, found, fac = [], [], {}   # the groups solved here; every group's (best ratio, kept draws)
+    for idx in lists:
+        a = runs.get((int(idx[0]), int(idx[-1]) + 1))
+        if a is None or idx.tolist() != list(range(idx[0], idx[-1] + 1)):
+            own.append((idx, [seed, len(idx)], samples))
+            continue
+        at = (_content(a), seed, a.dim, samples)
+        if at not in memo:   # on the sum's (i, i) pieces and factors, its only ones; no inner D: no draws
+            fac = fac or {cb.tobytes(): (p[2], f) for cb, p, (_, f) in zip(algebra.cubes, rep.pieces, rep.adjoint)}
+            sub = DerivationSpaceReport(a, [(i, i, fac[c.tobytes()][0]) for i, c in enumerate(a.cubes)],
+                                        [(b, fac[c.tobytes()][1]) for b, c in zip(a.blocks, a.cubes)], None)
+            memo[at] = _draw_ratios(a, sub, [(np.arange(a.dim), [seed, a.dim], samples)])[0] if sub.dim_inner \
+                else (0.0, 0)
+        found.append(memo[at])
+    own.append((np.arange(d), [seed, 0xE5], max(4, samples // 10)))
+    for (idx, key, count), best in zip(own, _draw_ratios(algebra, rep, own)):
+        found.append(best)
+        if idx is whole:   # the whole-space samples group, which a sum reads for a summand's run
+            memo[(_content(algebra), *key, count)] = best
+    lower = max(best for best, _ in found)
+
+    r_phi, s_phi = algebra.norm.dual_vs_l2(d)
+    basis_sq = float(np.sum(algebra.norm.eval(np.eye(d, dtype=complex)) ** 2))
+    upper = max(r_phi * s_phi * np.sqrt(basis_sq) / rep.sigma_min, lower)
+    return {"lower": lower, "upper": float(upper), "wam_zero": False, "weakly_amenable": True,
+            "samples_used": sum(used for _, used in found)}
+
+
+def _draw_ratios(algebra, rep, groups):
+    """(best certified ratio, kept draws) of each group (idx, key, count) in one stack; c[r] kept in r rows."""
+    owner, phi0 = np.empty(algebra.dim, int), []   # owner: the structure block of each coordinate
     for i, b in enumerate(algebra.blocks):
         owner[b] = i
-    groups = [(np.asarray(idx), [seed, len(idx)], samples) for idx in ([range(d)] if blocks is None else blocks)]
-    groups.append((np.arange(d), [seed, 0xE5], max(4, samples // 10)))
-    phi0 = []
     for idx, key, count in groups:
         block = owner[idx[0]]
         whole = np.array_equal(idx, algebra.blocks[block])   # one whole structure block, in order: no cuts
@@ -452,34 +502,22 @@ def _wam_bracket(algebra, samples, seed, blocks, report, drawn):
             src = np.flatnonzero(owner[idx] == i)
             cuts.append((i, src, np.searchsorted(algebra.blocks[i], idx[src]),
                          np.zeros((count,) + (len(algebra.blocks[i]),) * 2, complex)))
-        if whole or len(cuts) == 1:   # drawn at once, and once for every such group of one key
-            at = (*key, count, len(idx))
-            if at not in drawn:
-                drawn[at] = _gaussians(np.random.default_rng(key), count, len(idx))
-            draws = [(0, drawn[at])]
-        else:   # draws over several blocks one at a time
-            rng = np.random.default_rng(key)
-            draws = ((n, _gaussians(rng, 1, len(idx))) for n in range(count))
+        if whole or len(cuts) == 1:   # drawn at once
+            drawn = _gaussians(np.random.default_rng(key), count, len(idx))
+            draws = [(0, drawn)]
+        else:   # over several blocks, in chunks of at most MIX_ENTRIES entries, each scattered per cut
+            rng, step = np.random.default_rng(key), max(1, MIX_ENTRIES // len(idx) ** 2)
+            draws = ((n, _gaussians(rng, min(step, count - n), len(idx))) for n in range(0, count, step))
         for n, g in draws:
             for _, src, dst, x in cuts:
                 x[n:n + len(g), dst[:, None], dst] = g[:, src[:, None], src]
-        phi0.append(rep.implement([(block, block, drawn[at])] if whole else [(i, i, x) for i, _, _, x in cuts])[0])
+        phi0.append(rep.implement([(block, block, drawn)] if whole else [(i, i, x) for i, _, _, x in cuts])[0])
     phi0 = np.concatenate(phi0)
     nd = derivation_norm_upper(algebra, ad_maps(algebra, phi0))
-    kept = nd >= 1e-12
+    kept = nd >= 1e-12   # a draw with a nonzero D
     values = min_dual_over_affine(algebra.norm, phi0[kept], rep.z_basis)["lower"] / nd[kept]
-    lower = float(max(values, default=0.0))
-
-    r_phi, s_phi = algebra.norm.dual_vs_l2(d)
-    basis_sq = float(np.sum(algebra.norm.eval(np.eye(d, dtype=complex)) ** 2))
-    upper = max(r_phi * s_phi * np.sqrt(basis_sq) / rep.sigma_min, lower)
-    return {
-        "lower": lower,
-        "upper": float(upper),
-        "wam_zero": False,
-        "weakly_amenable": True,
-        "samples_used": int(kept.sum()),
-    }
+    rows, c = np.cumsum([0] + [n for *_, n in groups]).tolist(), [0, *np.cumsum(kept).tolist()]
+    return [(max(values[c[a]:c[b]].tolist(), default=0.0), c[b] - c[a]) for a, b in zip(rows, rows[1:])]
 
 
 # ---------------------------------------------------------------------------
@@ -499,37 +537,35 @@ def esum_wa_check(summands, lattice, samples=120, seed=0):
     the transfer bound lower_i <= ||delta_i|| upper(sum), as every lattice
     has embedding norms ||delta_i|| >= 1.
 
-    Each distinct block cube is solved and each draw made once for the sum
-    and its summands together, and each distinct summand object takes one
-    report and one bracket.  A negative ``samples`` raises ValueError."""
+    Each distinct block cube is solved once for the sum and its summands,
+    each distinct summand object takes one report and each distinct content
+    one bracket.  The sum reads that bracket's draws on the summand's run
+    and solves only its mix: for phi0 on summand t, ||phi|| >= ||e_t||_E*
+    ||phi_t|| for all phi implementing ad_phi0, and ||ad_phi0|| <=
+    ||e_t||_E* ||ad_phi0_t|| (:func:`wam_bracket`), so the summand's ratios
+    bound the sum's constant from below.  A negative ``samples`` raises
+    ValueError."""
     if samples < 0:
         raise ValueError(f"samples must be nonnegative, got {samples}")
     esum = ESumAlgebra(summands, lattice).as_finite_algebra(seed=seed)
     blocks = [range(run.start, run.stop) for run in esum.norm.slices]
-    solved, drawn = {}, {}   # per distinct cube and draw, shared by the sum's and the summands' calls
+    solved = {}   # per distinct cube, shared by the sum's and the summands' solves
     rep_big = _derivation_space(esum, solved)
     distinct = {id(a): a for a in summands}   # a summand listed twice is solved once
     spaces = {key: _derivation_space(a, solved) for key, a in distinct.items()}
     reps = [spaces[id(a)] for a in summands]
 
     all_wa = all(r.weakly_amenable for r in reps)
-    all_comm = all(a.commutative for a in summands)
-    report = {
-        "sum": rep_big.as_dict(),
-        "summands": [r.as_dict() for r in reps],
-        "ok": True,
-        "failures": [],
-    }
+    report = {"sum": rep_big.as_dict(), "summands": [r.as_dict() for r in reps], "ok": True, "failures": []}
 
-    if all_comm and all_wa and rep_big.dim_derivations != 0:
+    if all(a.commutative for a in summands) and all_wa and rep_big.dim_derivations != 0:
         report["failures"].append("commutative weakly amenable summands left a nonzero derivation space")
     if rep_big.weakly_amenable:
         for i, r in enumerate(reps):
             if not r.weakly_amenable:
                 report["failures"].append(f"sum weakly amenable but summand {i} is not")
     else:
-        offenders = [i for i, r in enumerate(reps) if not r.weakly_amenable]
-        report["offending_summands"] = offenders
+        report["offending_summands"] = [i for i, r in enumerate(reps) if not r.weakly_amenable]
         if all_wa and sum(not r.essential for r in reps) <= 1:
             report["failures"].append("summands weakly amenable and at most one not essential, "
                                       "but the sum is not weakly amenable")
@@ -542,17 +578,15 @@ def esum_wa_check(summands, lattice, samples=120, seed=0):
         if worst > 1e-9:
             report["failures"].append(f"derivation basis is not block-diagonal: {worst}")
 
-        br_big = _wam_bracket(esum, samples, seed, blocks, rep_big, drawn)
-        brackets = {key: _wam_bracket(a, samples, seed, None, spaces[key], drawn) for key, a in distinct.items()}
-        br_small = [brackets[id(a)] for a in summands]
-        report["bracket_sum"] = br_big
-        report["bracket_summands"] = br_small
+        memo, contents = {}, {_content(a): a for a in summands}   # the summands' groups, read by the sum
+        brackets = {key: _wam_bracket(a, samples, seed, None, spaces[id(a)], memo) for key, a in contents.items()}
+        br_small = [brackets[_content(a)] for a in summands]
+        br_big = _wam_bracket(esum, samples, seed, blocks, rep_big, memo)
+        report.update(bracket_sum=br_big, bracket_summands=br_small)
         ce = ce_constant(lattice).value
-        max_lower = max(b["lower"] for b in br_small)
-        max_upper = max(b["upper"] for b in br_small)
-        if max_lower > br_big["upper"] + BRACKET_TOL:
+        if max(b["lower"] for b in br_small) > br_big["upper"] + BRACKET_TOL:
             report["failures"].append("summand lower bracket exceeds the sum upper bracket")
-        if br_big["lower"] > ce * ce * max_upper + BRACKET_TOL:
+        if br_big["lower"] > ce * ce * max(b["upper"] for b in br_small) + BRACKET_TOL:
             report["failures"].append("sum lower bracket exceeds CE^2 times the summand upper bracket")
 
     report["ok"] = not report["failures"]

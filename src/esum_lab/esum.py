@@ -107,6 +107,15 @@ class CoordinateNorm:
     def dual_vs_l2(self, dim):
         raise NotImplementedError
 
+    def group_key(self, dim):
+        """Equal for norms of one class and equal parameters on dimension dim, else the object's own."""
+        try:
+            key = (type(self), dim, *vars(self).items())
+            hash(key)
+        except TypeError:
+            return id(self), dim
+        return key
+
 
 class MaxAbsCoordinate(CoordinateNorm):
     def eval(self, v):
@@ -242,10 +251,7 @@ class LatticeBlockNorm(CoordinateNorm):
         n, m, the summands, their coordinates), slices for a run of summands."""
         groups = {}
         for i, (nrm, d) in enumerate(zip(self.block_norms, self.block_dims)):
-            try:
-                groups.setdefault((type(nrm), d, *vars(nrm).items()), (nrm, d, []))[2].append(i)
-            except TypeError:   # parameters without a value equality: the object alone
-                groups.setdefault((id(nrm), d), (nrm, d, []))[2].append(i)
+            groups.setdefault(nrm.group_key(d), (nrm, d, []))[2].append(i)
         for nrm, m, w in groups.values():
             run = w[-1] - w[0] == len(w) - 1
             yield nrm, len(w), m, slice(w[0], w[-1] + 1) if run else w, \

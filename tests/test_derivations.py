@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from collections import Counter
 
@@ -932,11 +933,12 @@ def test_mixed_sum_brackets_match_the_summands_and_the_per_draw_oracle(name, kin
 
 
 def test_wam_bracket_solves_every_draw_in_one_call(monkeypatch):
-    """A bracket on a weakly amenable algebra makes one implement call per
-    basis piece for the basis check and one per group of draws (a block's,
-    or the whole-space mix), one min_dual_over_affine call for all their
-    witnesses and no Leibniz re-check of a draw; is_weakly_amenable makes
-    one implement call per basis piece."""
+    """A bracket on a weakly amenable sum of copies makes one implement call
+    per distinct basis cube for the basis check, one for the copies' draw
+    group, solved once in the summand, and one for the sum's whole-space
+    mix, one min_dual_over_affine call for each of those two groups and no
+    Leibniz re-check of a draw; is_weakly_amenable makes one implement call
+    per distinct basis cube."""
     calls = {"implement": 0, "leibniz_residual": 0, "min_dual_over_affine": 0}
     implement, leibniz = dv.DerivationSpaceReport.implement, dv.leibniz_residual
     solve = dv.min_dual_over_affine
@@ -963,11 +965,10 @@ def test_wam_bracket_solves_every_draw_in_one_call(monkeypatch):
             m.setattr(dv, "min_dual_over_affine", counting_solve)
             calls.update(implement=0, leibniz_residual=0, min_dual_over_affine=0)
             assert dv.is_weakly_amenable(alg, rep)[0] and len(rep.pieces) == copies
-            assert calls == {"implement": copies, "leibniz_residual": 0, "min_dual_over_affine": 0}
+            assert calls == {"implement": 1, "leibniz_residual": 0, "min_dual_over_affine": 0}
             blocks = [list(range(4 * i, 4 * i + 4)) for i in range(copies)]
             out = dv.wam_bracket(alg, samples=30, seed=1, blocks=blocks, report=rep)
-            assert calls == {"implement": 2 * copies + (copies + 1), "leibniz_residual": 0,
-                             "min_dual_over_affine": 1}
+            assert calls == {"implement": 1 + 1 + 2, "leibniz_residual": 0, "min_dual_over_affine": 2}
             assert out["samples_used"] == 30 * copies + 4
 
 
@@ -985,6 +986,32 @@ def test_wam_bracket_on_sixteen_copies_stays_on_its_blocks():
         tracemalloc.stop()
     assert out["samples_used"] == 16 * 120 + 12
     assert peak <= 64 * 2 ** 20, peak
+
+
+@pytest.mark.parametrize("bad", [[0, 0, 1, 2], [-1, 0, 1, 2], [], [0, 1, 4], [0, 1.5]])
+def test_wam_bracket_refuses_a_bad_block(bad):
+    """A repeated, negative, out-of-range or non-integer coordinate and an
+    empty block are refused with a ValueError naming the list."""
+    with pytest.raises(ValueError, match=re.escape(f"got {bad!r}")):
+        dv.wam_bracket(es.matrix_units_algebra(2), samples=5, blocks=[[0, 1, 2, 3], bad])
+
+
+def test_wam_bracket_on_256_copies_is_the_single_copys():
+    """50 draws a block on 256 copies of M_2 under sup: the lower end is the
+    single copy's, every copy's draws and the 5 of the mix count, and the
+    traced peak stays under 300 MB."""
+    alg = es.ESumAlgebra([es.matrix_units_algebra(2)] * 256, lt.sup_norm(256)).as_finite_algebra(samples=0)
+    blocks = [list(range(4 * i, 4 * i + 4)) for i in range(256)]
+    tracemalloc.start()
+    try:
+        out = dv.wam_bracket(alg, samples=50, seed=0, blocks=blocks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    single = dv.wam_bracket(es.matrix_units_algebra(2), samples=50, seed=0)
+    assert out["lower"] == single["lower"] == 0.36131565675421734
+    assert out["samples_used"] == 256 * 50 + 5 == 12805
+    assert peak < 300 * 2 ** 20, peak
 
 
 def test_wam_bracket_refuses_negative_samples():
@@ -1121,17 +1148,16 @@ class TestEsumChecks:
 
     def test_each_draw_is_made_once(self, monkeypatch):
         """The brackets of the sum and of its summands make each draw of one
-        key, count and size once: a summand's per-block key is drawn for the
-        sum and read again by the summand, the summands' own whole-space
-        draws once, and the sum's whole-space mix one draw at a time.  C has
-        no derivations and draws nothing."""
+        key, count and size once: a summand content's whole-space draws and
+        mix are made by its own bracket, whose draw group the sum reads for
+        every copy, and the sum's whole-space mix is drawn in one chunk.  C
+        has no derivations and draws nothing, in its bracket or in the sum."""
         calls, gaussians = [], dv._gaussians
         monkeypatch.setattr(dv, "_gaussians", lambda rng, count, n: calls.append((count, n)) or
                             gaussians(rng, count, n))
         m2, c = es.matrix_units_algebra(2), es.scalar_algebra()
-        for summands, want in (([m2] * 3, {(10, 4): 1, (4, 4): 1, (1, 12): 4}),
-                               ([m2, c, es.matrix_units_algebra(2)], {(10, 4): 1, (10, 1): 1, (4, 4): 1,
-                                                                      (1, 9): 4})):
+        for summands, want in (([m2] * 3, {(10, 4): 1, (4, 4): 1, (4, 12): 1}),
+                               ([m2, c, es.matrix_units_algebra(2)], {(10, 4): 1, (4, 4): 1, (4, 9): 1})):
             calls.clear()
             assert dv.esum_wa_check(summands, lt.sup_norm(3), samples=10, seed=4)["ok"]
             assert Counter(calls) == want
