@@ -932,6 +932,25 @@ def test_mixed_sum_brackets_match_the_summands_and_the_per_draw_oracle(name, kin
         assert br["samples_used"] == used
 
 
+@pytest.mark.parametrize("kind", sorted(WAM_LATTICES))
+def test_a_euclidean_summand_lifts_the_sum_lower_end(kind):
+    """A Euclidean summand's draws are bracketed in the summand, whose
+    spectral bound on ||D|| is tighter than the sum's column duals: the
+    sum's lower end is the summand's, above the per-draw oracle's, and
+    still below the sum's upper end."""
+    m2e = es.FiniteAlgebra(es._matrix_unit_cube(2), es.EuclideanCoordinate(), samples=0, label="M2e")
+    summands = [m2e, es.matrix_units_algebra(2)]
+    lattice = WAM_LATTICES[kind](2)
+    rep = dv.esum_wa_check(summands, lattice, samples=20, seed=0)
+    assert rep["ok"]
+    big = es.ESumAlgebra(summands, lattice).as_finite_algebra(seed=0)
+    lower, upper, used = _parent_wam_oracle(big, 20, 0, [[0, 1, 2, 3], [4, 5, 6, 7]], dv.derivation_space(big))
+    br = rep["bracket_sum"]
+    assert br["lower"] == rep["bracket_summands"][0]["lower"] > lower * (1 + 1e-12)
+    assert br["lower"] <= br["upper"] and abs(br["upper"] - upper) <= 1e-12 * upper
+    assert br["samples_used"] == used
+
+
 def test_wam_bracket_solves_every_draw_in_one_call(monkeypatch):
     """A bracket on a weakly amenable sum of copies makes one implement call
     per distinct basis cube for the basis check, one for the copies' draw
