@@ -993,7 +993,8 @@ def test_wam_bracket_solves_every_draw_in_one_call(monkeypatch):
 
 def test_wam_bracket_on_sixteen_copies_stays_on_its_blocks():
     """120 draws a block on 16 copies of M_2 and 12 whole-space draws, each
-    cut to its blocks: no stack of draws or ad maps at the size d x d."""
+    cut to its blocks: no ad maps at the size d x d, and the whole-space
+    draws only as chunks of at most MIX_ENTRIES entries."""
     alg = es.ESumAlgebra([es.matrix_units_algebra(2)] * 16,
                          lt.sup_norm(16)).as_finite_algebra(samples=0)
     blocks = [list(range(4 * i, 4 * i + 4)) for i in range(16)]
